@@ -18,6 +18,7 @@ from .constructions import (
 )
 from .deltaseq import (
     DeltaSequence,
+    certify,
     embed_minimal,
     find_delta_sequence,
     forest_delta_sequence,
@@ -25,7 +26,7 @@ from .deltaseq import (
     replay,
 )
 from .graphio import parse_graph6, read_edgelist, write_edgelist, write_graph6
-from .graphs import Graph, disjoint_union, generate
+from .graphs import Graph, cycles_union, disjoint_union, generate, hypercube
 from .labeling import (
     LowerBound,
     Numbering,
@@ -49,7 +50,9 @@ __all__ = [
     "UnconfirmedBound",
     "bounds",
     "bounds_report",
+    "certify",
     "constructions",
+    "cycles_union",
     "deltaseq",
     "disjoint_union",
     "double_bipartite",
@@ -60,6 +63,7 @@ __all__ = [
     "generate",
     "graphio",
     "graphs",
+    "hypercube",
     "hypercube_certificate",
     "label_from_sequence",
     "label_two_regular",

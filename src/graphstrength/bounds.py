@@ -30,10 +30,11 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from .graphs import Graph, _bits, hypercube
-from .labeling import UnconfirmedBound, register_lower_bound
+from .labeling import UnconfirmedBound, recompute_arg, register_lower_bound
 
 DEFAULT_ALPHA_CAP = 40
 DEFAULT_XI_BUDGET = 2_000_000
+DEFAULT_XI_I_MAX = 4
 
 
 def _core(g: Graph) -> Graph:
@@ -82,7 +83,7 @@ def independence_number(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> tuple[int, fr
             return
         pick, pick_deg = -1, -1
         for v in _bits(mask):
-            d = bin(adj[v] & mask).count("1")
+            d = (adj[v] & mask).bit_count()
             if d > pick_deg:
                 pick, pick_deg = v, d
         rec(mask & ~(adj[pick] | 1 << pick), chosen | 1 << pick, size + 1)
@@ -90,21 +91,6 @@ def independence_number(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> tuple[int, fr
 
     rec(g.full_mask, 0, 0)
     return best_size, frozenset(_bits(best_set))
-
-
-def greedy_independent_set(g: Graph) -> frozenset[int]:
-    """Fast inexact independent set (min-degree-first); a size estimate only.
-
-    Never feed its size into the 2p - 2*alpha + 1 bound: underestimating
-    alpha there would overstate a lower bound.
-    """
-    mask = g.full_mask
-    chosen = 0
-    while mask:
-        v = min(_bits(mask), key=lambda u: (bin(g.adj[u] & mask).count("1"), u))
-        chosen |= 1 << v
-        mask &= ~(g.adj[v] | 1 << v)
-    return frozenset(_bits(chosen))
 
 
 def independence_lower_bound_str(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> int:
@@ -165,7 +151,7 @@ def _xi_scan(
         nodes += 1
         if nodes > budget:
             return False
-        extn = bin(ext).count("1")
+        extn = ext.bit_count()
         if extn - (i - size) >= best:
             return True
         if size == i:
@@ -188,7 +174,7 @@ def _xi_scan(
 
 def xi_profile(
     g: Graph,
-    i_max: int = 4,
+    i_max: int = DEFAULT_XI_I_MAX,
     budget: int = DEFAULT_XI_BUDGET,
     jobs: int = 1,
 ) -> XiProfile:
@@ -396,7 +382,7 @@ class BoundsReport:
 def bounds_report(
     g: Graph,
     alpha_cap: int = DEFAULT_ALPHA_CAP,
-    xi_i_max: int = 4,
+    xi_i_max: int = DEFAULT_XI_I_MAX,
     xi_budget: int = DEFAULT_XI_BUDGET,
     jobs: int = 1,
 ) -> BoundsReport:
@@ -490,12 +476,13 @@ def _reg_kappa(g: Graph, args: tuple) -> int:
 
 
 def _reg_independence(g: Graph, args: tuple) -> int:
-    return independence_lower_bound_str(_core(g), cap=int(args[0]) if args else DEFAULT_ALPHA_CAP)
+    cap = recompute_arg(args, DEFAULT_ALPHA_CAP, "independence cap")
+    return independence_lower_bound_str(_core(g), cap=cap)
 
 
 def _reg_xi(g: Graph, args: tuple) -> int:
+    i_max = recompute_arg(args, DEFAULT_XI_I_MAX, "xi set size")
     core = _core(g)
-    i_max = int(args[0]) if args else 4
     prof = xi_profile(core, i_max)
     return core.n + prof.xi
 

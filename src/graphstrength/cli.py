@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .bounds import bounds_report, recognize_hypercube, two_regular_cycle_lengths
+from .bounds import bounds_report
 from .constructions import (
     BUNDLED_FIXTURES,
     FixtureError,
@@ -40,18 +40,17 @@ from .constructions import (
 )
 from .deltaseq import (
     DEFAULT_BUDGET,
+    certify,
     embed_minimal,
     find_delta_sequence,
-    forest_delta_sequence,
     label_from_sequence,
 )
 from .graphio import EdgeListError, Graph6Error, parse_graph6, read_edgelist, write_graph6
 from .graphs import Graph, family_names, generate
 from .labeling import (
-    LowerBound,
     Numbering,
     StrengthCertificate,
-    extend_over_isolated,
+    require,
     strength_of,
     to_dot,
     verify_certificate,
@@ -188,110 +187,40 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 # -- subcommand: label -------------------------------------------------------------
 
 
-def _label_core(core: Graph, mode: str, budget: int) -> StrengthCertificate | None:
-    """Certificate for a graph with no isolated vertices, or None."""
-    p, delta = core.n, core.min_degree()
-    if mode == "auto":
-        if core.is_complete():
-            witness = Numbering(tuple(range(1, p + 1)))
-            return StrengthCertificate(
-                lower=LowerBound("p+delta", 2 * p - 1),
-                upper=strength_of(core, witness),
-                witness=witness,
-                notes=("complete graph: every numbering attains 2p-1",),
-            )
-        if two_regular_cycle_lengths(core) is not None:
-            return label_two_regular(core)[1]
-        if core.is_forest():
-            seq = forest_delta_sequence(core)
-            witness = label_from_sequence(core, seq)
-            return StrengthCertificate(
-                lower=LowerBound("p+delta", p + 1),
-                upper=strength_of(core, witness),
-                witness=witness,
-                notes=(f"leaf-peeling sequence: {seq.render()}",),
-            )
-        cube = recognize_hypercube(core)
-        if cube is not None and cube[0] >= 2:
-            n, words = cube
-            cert = hypercube_certificate(n)
-            labels = [0] * p
-            for v in range(p):
-                labels[v] = cert.witness.labels[words[v]]
-            return StrengthCertificate(
-                lower=cert.lower,
-                upper=cert.upper,
-                witness=Numbering(tuple(labels)),
-                notes=cert.notes + (f"recognized as a dimension-{n} cube",),
-            )
-    for engine, root in (("min-degree", None), ("any-degree", delta)):
-        if mode not in ("auto", engine):
-            continue
-        res = find_delta_sequence(core, engine, budget, root_degree=root)
-        if res.status == "found":
-            witness = label_from_sequence(core, res.sequence)
-            return StrengthCertificate(
-                lower=LowerBound("p+delta", p + delta),
-                upper=strength_of(core, witness),
-                witness=witness,
-                notes=(f"{engine} sequence: {res.sequence.render()}",),
-            )
-    return None
-
-
 def _cmd_label(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    core_ids = [v for v in range(g.n) if g.adj[v]]
-    if not core_ids:
-        raise InputError("graph has no edges; strength is undefined")
-    core, _ = g.induced(core_ids)
-    if core.n == g.n:
-        core = g
-
     try:
-        cert = _label_core(core, args.mode, args.budget)
+        res = certify(g, args.mode, args.budget, args.embed)
     except ValueError as e:
         raise InputError(str(e)) from None
-    if cert is not None:
-        if core.n != g.n:
-            cert = StrengthCertificate(
-                lower=cert.lower,
-                upper=cert.upper,
-                witness=extend_over_isolated(g, cert.witness),
-                notes=cert.notes + (f"{g.n - core.n} isolated vertices take the top labels",),
-            )
+    if res.added_biclique is not None:
+        m, n = res.added_biclique
+        if args.json:
+            payload = {
+                "embedded": True,
+                "added_biclique": [m, n],
+                "host_graph6": write_graph6(res.host),
+                "certificate": res.certificate.to_json(),
+            }
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print("no exact certificate for the input graph itself;")
+            print(f"certified a host (input plus K_{{{m},{n}}}): {res.host.n} vertices, "
+                  f"strength {res.certificate.value} (exact)")
+            print(f"host graph6: {write_graph6(res.host)}")
+            print(f"host labels: {list(res.certificate.witness.labels)}")
         if args.dot:
-            _write_dot(args.dot, g, cert.witness)
-        return _print_certificate(g, cert, args.json)
-
+            _write_dot(args.dot, res.host, res.certificate.witness)
+        return EXIT_OK
+    if res.certificate is not None:
+        if args.dot:
+            _write_dot(args.dot, g, res.certificate.witness)
+        return _print_certificate(g, res.certificate, args.json)
     if args.embed:
-        res = embed_minimal(core, args.budget)
-        if res.status == "exact":
-            if args.json:
-                payload = {
-                    "embedded": True,
-                    "added_biclique": list(res.added_biclique) if res.added_biclique else None,
-                    "host_graph6": write_graph6(res.host),
-                    "certificate": res.certificate.to_json(),
-                }
-                print(json.dumps(payload, indent=2, sort_keys=True))
-            else:
-                extra = (f" (input plus K_{{{res.added_biclique[0]},{res.added_biclique[1]}}})"
-                         if res.added_biclique else "")
-                print("no exact certificate for the input graph itself;")
-                print(f"certified a host{extra}: {res.host.n} vertices, "
-                      f"strength {res.certificate.value} (exact)")
-                print(f"host graph6: {write_graph6(res.host)}")
-                print(f"host labels: {list(res.certificate.witness.labels)}")
-            if args.dot:
-                _write_dot(args.dot, res.host, res.certificate.witness)
-            return EXIT_OK
         print(f"inconclusive: search budget {args.budget} exhausted", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-
-    report = bounds_report(core)
     print("no exact numbering route succeeded; best bounds:", file=sys.stderr)
-    print(report.render(), file=sys.stderr)
+    print(bounds_report(res.host).render(), file=sys.stderr)
     print("hint: try --embed, a larger --budget, or 'exact' on small graphs",
           file=sys.stderr)
     return EXIT_INCONCLUSIVE
@@ -333,7 +262,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise InputError(f"cannot read {args.certificate}: {e}") from None
     try:
         cert = StrengthCertificate.loads(text)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise InputError(f"bad certificate JSON: {e}") from None
     verdict = verify_certificate(g, cert)
     if args.json:
@@ -353,10 +282,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _check_fixtures(rng: random.Random, fixture_dir: str | None) -> None:
     for name in BUNDLED_FIXTURES:
         fx = load_fixture(name, directory=fixture_dir)
-        assert fx.strength == strength_of(fx.graph, fx.numbering)
+        require(fx.strength == strength_of(fx.graph, fx.numbering), f"{name}: strength drifted")
     q6 = load_fixture("q6", directory=fixture_dir)
     diverging = [n for n in q6.notes if "stored" in n]
-    assert len(diverging) == 3, f"expected 3 stored-maximum divergences, saw {diverging}"
+    require(len(diverging) == 3, f"expected 3 stored-maximum divergences, saw {diverging}")
 
 
 def _check_fixture_tamper(rng: random.Random, fixture_dir: str | None) -> None:
@@ -374,7 +303,7 @@ def _check_fixture_tamper(rng: random.Random, fixture_dir: str | None) -> None:
             load_fixture("q5", directory=tmp)
             raise AssertionError("tampered fixture accepted (checksum)")
         except FixtureError as e:
-            assert "checksum" in str(e), e
+            require("checksum" in str(e), str(e))
         # even with a matching checksum, the strength re-check must fire
         manifest_path = Path(tmp) / "checksums.json"
         manifest = json.loads(manifest_path.read_text())
@@ -384,7 +313,7 @@ def _check_fixture_tamper(rng: random.Random, fixture_dir: str | None) -> None:
             load_fixture("q5", directory=tmp)
             raise AssertionError("tampered fixture accepted (strength)")
         except FixtureError as e:
-            assert "strength" in str(e), e
+            require("strength" in str(e), str(e))
 
 
 def _check_closed_forms(rng: random.Random, fixture_dir: str | None) -> None:
@@ -401,24 +330,24 @@ def _check_closed_forms(rng: random.Random, fixture_dir: str | None) -> None:
     ]
     for g, want in cases:
         res = exact_strength(g)
-        assert res.status == "exact" and res.value == want, (g, want, res)
+        require(res.status == "exact" and res.value == want, f"{g}: want {want}, got {res}")
 
 
 def _check_worked_traces(rng: random.Random, fixture_dir: str | None) -> None:
     ex21 = load_fixture("example21", directory=fixture_dir)
     res = find_delta_sequence(ex21.graph, "min-degree")
-    assert res.status == "found" and res.sequence.satisfies_condition
-    assert label_from_sequence(ex21.graph, res.sequence) == ex21.numbering
-    assert strength_of(ex21.graph, ex21.numbering) == 14
+    require(res.status == "found" and res.sequence.satisfies_condition, f"example21: {res}")
+    require(label_from_sequence(ex21.graph, res.sequence) == ex21.numbering, "example21 labels")
+    require(strength_of(ex21.graph, ex21.numbering) == 14, "example21 strength is not 14")
 
     ex22 = load_fixture("example22", directory=fixture_dir)
     res = find_delta_sequence(ex22.graph, "min-degree")
-    assert res.status == "exhausted", res.status
+    require(res.status == "exhausted", f"example22 min-degree search: {res.status}")
     res = find_delta_sequence(ex22.graph, "any-degree",
                               root_degree=ex22.graph.min_degree())
-    assert res.status == "found" and res.sequence.satisfies_condition
-    assert label_from_sequence(ex22.graph, res.sequence) == ex22.numbering
-    assert strength_of(ex22.graph, ex22.numbering) == 17
+    require(res.status == "found" and res.sequence.satisfies_condition, f"example22: {res}")
+    require(label_from_sequence(ex22.graph, res.sequence) == ex22.numbering, "example22 labels")
+    require(strength_of(ex22.graph, ex22.numbering) == 17, "example22 strength is not 17")
 
 
 def _check_cube_certificates(rng: random.Random, fixture_dir: str | None) -> None:
@@ -428,9 +357,10 @@ def _check_cube_certificates(rng: random.Random, fixture_dir: str | None) -> Non
                 5: (40, 40), 6: (76, 79)}
     for n, (lo, up) in expected.items():
         cert = hypercube_certificate(n)
-        assert (cert.lower.value, cert.upper) == (lo, up), (n, cert)
+        got = (cert.lower.value, cert.upper)
+        require(got == (lo, up), f"Q{n}: certificate {got}, expected {(lo, up)}")
         verdict = verify_certificate(hypercube(n), cert)
-        assert verdict.ok, (n, verdict.reasons)
+        require(verdict.ok, f"Q{n}: {verdict.reasons}")
 
 
 def _check_doubling(rng: random.Random, fixture_dir: str | None) -> None:
@@ -439,9 +369,10 @@ def _check_doubling(rng: random.Random, fixture_dir: str | None) -> None:
     g, f = hypercube(2), Numbering((1, 3, 4, 2))
     for n in (3, 4):
         g, f = double_bipartite(g, f)
-        assert g == hypercube(n)
-        assert strength_of(g, f) == 5 * (g.n // 4) + 1  # 5m+1 with m = |X| before doubling
-    assert strength_of(g, f) == 21
+        require(g == hypercube(n), f"doubling Q{n - 1} did not give Q{n}")
+        # 5m+1 with m = |X| before doubling
+        require(strength_of(g, f) == 5 * (g.n // 4) + 1, f"doubled Q{n} strength")
+    require(strength_of(g, f) == 21, "doubled Q4 strength is not 21")
 
 
 def _check_two_regular(rng: random.Random, fixture_dir: str | None) -> None:
@@ -450,22 +381,22 @@ def _check_two_regular(rng: random.Random, fixture_dir: str | None) -> None:
 
     showcase = cycles_union([4, 6, 5, 5, 7])
     _, cert = label_two_regular(showcase)
-    assert cert.value == 31 and verify_certificate(showcase, cert).ok
+    require(cert.value == 31 and verify_certificate(showcase, cert).ok, "showcase is not 31")
     for _ in range(25):
         lengths = [rng.randint(3, 9) for _ in range(rng.randint(1, 5))]
         g = cycles_union(lengths)
         _, cert = label_two_regular(g)
-        assert cert.value == two_regular_strength(sorted(lengths))
-        assert verify_certificate(g, cert).ok
+        require(cert.value == two_regular_strength(sorted(lengths)), f"cycles {lengths}")
+        require(verify_certificate(g, cert).ok, f"cycles {lengths}: certificate rejected")
 
 
 def _check_embedding(rng: random.Random, fixture_dir: str | None) -> None:
     from .graphs import hypercube
 
     res = embed_minimal(hypercube(4))
-    assert res.status == "exact" and res.added_biclique == (4, 5)
-    assert res.host.n == 25 and res.certificate.value == 29
-    assert verify_certificate(res.host, res.certificate).ok
+    require(res.status == "exact" and res.added_biclique == (4, 5), f"Q4 embedding: {res.status}")
+    require(res.host.n == 25 and res.certificate.value == 29, "Q4 host is not 25 vertices at 29")
+    require(verify_certificate(res.host, res.certificate).ok, "Q4 host certificate rejected")
 
 
 def _check_bounds_sandwich(rng: random.Random, fixture_dir: str | None) -> None:
@@ -478,8 +409,8 @@ def _check_bounds_sandwich(rng: random.Random, fixture_dir: str | None) -> None:
             continue
         report = bounds_report(g)
         res = exact_strength(g)
-        assert res.status == "exact"
-        assert report.best_lower <= res.value <= report.best_upper, (edges, report)
+        require(res.status == "exact", f"{edges}: oracle gave {res.status}")
+        require(report.best_lower <= res.value <= report.best_upper, f"{edges}: {report}")
 
 
 _REPRO_CHECKS = (

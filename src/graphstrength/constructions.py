@@ -50,7 +50,7 @@ from .bounds import (
 )
 from .graphs import Graph, cartesian_product_k2, hypercube
 from .graphio import parse_graph6
-from .labeling import LowerBound, Numbering, StrengthCertificate, strength_of
+from .labeling import LowerBound, Numbering, StrengthCertificate, require, strength_of
 
 # -- two-regular graphs -------------------------------------------------------
 
@@ -151,7 +151,7 @@ def double_bipartite(g: Graph, f: Numbering) -> tuple[Graph, Numbering]:
             )
     # With 1..m on one side and m+1..2m on the other, no edge sum can exceed
     # m + 2m; that ceiling is what keeps the copy-internal sums below 5m+1.
-    assert strength_of(g, f) <= 3 * m
+    require(strength_of(g, f) <= 3 * m, "input edge sums exceed 3m")
 
     p = g.n
     product = cartesian_product_k2(g)
@@ -167,15 +167,17 @@ def double_bipartite(g: Graph, f: Numbering) -> tuple[Graph, Numbering]:
     # Edge-by-edge invariants.  Matching edges hit their two levels exactly;
     # copy-internal edges stay at or below them.
     for x in part_x:
-        assert labels[x] + labels[x + p] == 3 * m + 1
+        require(labels[x] + labels[x + p] == 3 * m + 1, "an X matching edge misses 3m+1")
     for y in part_y:
-        assert labels[y] + labels[y + p] == 5 * m + 1
+        require(labels[y] + labels[y + p] == 5 * m + 1, "a Y matching edge misses 5m+1")
     for u, v in g.edges():
-        assert labels[u] + labels[v] <= 5 * m + 1  # copy 0: 2m + f(u) + f(v)
-        assert labels[u + p] + labels[v + p] <= 5 * m  # copy 1: 6m+2 - f(u) - f(v)
-    assert strength_of(product, doubled) == 5 * m + 1
+        # copy 0: 2m + f(u) + f(v); copy 1: 6m+2 - f(u) - f(v)
+        require(labels[u] + labels[v] <= 5 * m + 1, "a copy-0 edge exceeds 5m+1")
+        require(labels[u + p] + labels[v + p] <= 5 * m, "a copy-1 edge exceeds 5m")
+    require(strength_of(product, doubled) == 5 * m + 1, "doubled strength is not 5m+1")
     new_x = sorted(part_x) + [y + p for y in sorted(part_y)]
-    assert sorted(labels[v] for v in new_x) == list(range(1, 2 * m + 1))
+    require(sorted(labels[v] for v in new_x) == list(range(1, 2 * m + 1)),
+            "labels 1..2m do not form one part of the product")
     return product, doubled
 
 
@@ -189,7 +191,8 @@ _Q2_BASE = (1, 3, 4, 2)
 def hypercube_certificate(n: int) -> StrengthCertificate:
     """Certificate for Q_n on canonical bitvector vertex ids.
 
-    Exact for n <= 5; brackets [lower formula, 5 * 2^(n-2) + 1] beyond 6.
+    Exact for n <= 5.  From n = 6 on it is a bracket: [76, 79] from the
+    stored table at 6, [lower formula, 5 * 2^(n-2) + 1] beyond.
     """
     if n < 1:
         raise ValueError("need dimension >= 1 (Q_0 has no edges)")
@@ -202,9 +205,8 @@ def hypercube_certificate(n: int) -> StrengthCertificate:
         )
     if n <= 4:
         g, f = hypercube(2), Numbering(_Q2_BASE)
-        for k in range(2, n):
+        for _ in range(2, n):
             g, f = double_bipartite(g, f)
-            assert g == hypercube(k + 1)
         lower = LowerBound("xi", hypercube_lower_bound(n), args=(4,))
         notes = ("doubled from a 4-cycle base numbering",)
     elif n <= 6:
@@ -215,13 +217,13 @@ def hypercube_certificate(n: int) -> StrengthCertificate:
     else:
         fx = load_fixture("q6")
         g, f = fx.graph, fx.numbering
-        for k in range(6, n):
+        for _ in range(6, n):
             g, f = double_bipartite(g, f)
-            assert g == hypercube(k + 1)
         lower = LowerBound("hypercube", hypercube_lower_bound(n))
         notes = ("doubled from the stored 64-vertex table numbering",)
+    require(g == hypercube(n), f"doubling did not build the {n}-cube")
     upper = strength_of(g, f)
-    assert upper == hypercube_upper_bound(n) or n in (5, 6)
+    require(upper == hypercube_upper_bound(n) or n in (5, 6), f"Q{n} numbering reached {upper}")
     return StrengthCertificate(lower=lower, upper=upper, witness=f, notes=notes)
 
 

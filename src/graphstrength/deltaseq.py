@@ -17,14 +17,27 @@ again optimal whenever d_1 equals the minimum degree.
 Searches here are deterministic: candidates are tried by (degree, id)
 ascending, budgets count choice applications, and "exhausted" is reported
 only when the whole pruned tree was actually explored within budget.
+
+``certify`` is the labeling pipeline: closed forms first, then these
+searches, then a biclique host; the ``label`` command only formats its
+result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import inf
 
+from .bounds import recognize_hypercube, two_regular_cycle_lengths
+from .constructions import hypercube_certificate, label_two_regular
 from .graphs import Graph, _bits, complete_bipartite, disjoint_union
-from .labeling import LowerBound, Numbering, StrengthCertificate, strength_of
+from .labeling import (
+    LowerBound,
+    Numbering,
+    StrengthCertificate,
+    extend_over_isolated,
+    strength_of,
+)
 
 DEFAULT_BUDGET = 10**6
 
@@ -115,7 +128,7 @@ def _split_isolated(g: Graph, mask: int) -> tuple[int, int]:
 
 
 def _residual_degree(g: Graph, mask: int, v: int) -> int:
-    return bin(g.adj[v] & mask).count("1")
+    return (g.adj[v] & mask).bit_count()
 
 
 def _is_clique(g: Graph, mask: int) -> bool:
@@ -163,7 +176,7 @@ def replay(g: Graph, choices: tuple[int, ...] | list[int], mode: str = "min-degr
             raise ValueError(
                 f"choice {u} at stage {idx} deletes the whole remaining graph"
             )
-        m = bin(iso).count("1")
+        m = iso.bit_count()
         y = 0 if idx == 1 else m + 1 - d
         z = z + y
         steps.append(
@@ -183,8 +196,8 @@ def replay(g: Graph, choices: tuple[int, ...] | list[int], mode: str = "min-degr
         raise ValueError(
             f"choices ran out at stage {len(choices) + 1}: remaining graph is not terminal"
         )
-    m = bin(iso).count("1")
-    r = bin(residual).count("1")
+    m = iso.bit_count()
+    r = residual.bit_count()
     d_term = max(r - 1, 0)
     y = m + 1 - d_term
     if not choices:
@@ -208,6 +221,72 @@ class _Budget(Exception):
     pass
 
 
+def _search(
+    g: Graph, mode: str, budget: int, root_degree: int | None, floor: float, target: float
+) -> tuple[tuple[int, ...] | None, int, bool]:
+    """Depth-first search for the sequence whose worst prefix sum is largest.
+
+    Candidates go by (degree, id), only minimum-degree ones in min-degree
+    mode.  A branch is cut once its worst prefix sum cannot beat the
+    incumbent, which starts at ``floor``; the search stops once the
+    incumbent reaches ``target``.  Returns (incumbent's choices or None,
+    nodes explored, complete); complete is False when the budget ran out.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    if g.n == 0 or not all(g.adj[v] for v in range(g.n)):
+        raise ValueError("strip isolated vertices first")
+    if _is_clique(g, g.full_mask):
+        raise ValueError("graph is a single clique: already terminal, "
+                         "strength is 2p-1 directly")
+    adj = g.adj
+    nodes = 0
+    best: float = floor
+    best_choices: tuple[int, ...] | None = None
+    choices: list[int] = []
+
+    def search(mask: int, z: int, worst: float, stage: int) -> bool:
+        """Explore below this stage; True once the target is reached."""
+        nonlocal nodes, best, best_choices
+        iso, residual = _split_isolated(g, mask)
+        m = iso.bit_count()
+        if not residual or _is_clique(g, residual):
+            final = min(worst, z + m + 1 - max(residual.bit_count() - 1, 0))
+            if final > best:
+                best, best_choices = final, tuple(choices)
+            return best >= target
+        degree = {v: (adj[v] & residual).bit_count() for v in _bits(residual)}
+        pool = sorted(degree, key=degree.__getitem__)  # stable: ties by id
+        if mode == "min-degree":
+            pool = [v for v in pool if degree[v] == degree[pool[0]]]
+        if stage == 1 and root_degree is not None:
+            pool = [v for v in pool if degree[v] == root_degree]
+        for v in pool:
+            # stage 1 only fixes d_1; prefix sums start at stage 2
+            nz = z + m + 1 - degree[v] if stage > 1 else 0
+            nworst = min(worst, nz) if stage > 1 else worst
+            if nworst <= best:
+                continue
+            nxt = residual & ~(adj[v] | 1 << v)
+            if not nxt:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise _Budget
+            choices.append(v)
+            if search(nxt, nz, nworst, stage + 1):
+                return True
+            choices.pop()
+        return False
+
+    try:
+        # worst prefix of a real sequence can't exceed p; +1 clears the cap
+        search(g.full_mask, 0, g.n + 1, 1)
+    except _Budget:
+        return best_choices, nodes, False
+    return best_choices, nodes, True
+
+
 def find_delta_sequence(
     g: Graph,
     mode: str = "min-degree",
@@ -222,56 +301,10 @@ def find_delta_sequence(
     mode, ``root_degree`` restricts the first chosen vertex's degree (useful
     when only d_1 = delta certifies an exact value).
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if g.n == 0 or not all(g.adj[v] for v in range(g.n)):
-        raise ValueError("strip isolated vertices first")
-    if _is_clique(g, g.full_mask):
-        raise ValueError(
-            "graph is a single clique: already terminal, strength is 2p-1 directly"
-        )
-    nodes = 0
-    choices: list[int] = []
-
-    def search(mask: int, z: int, stage: int) -> tuple[int, ...] | None:
-        nonlocal nodes
-        iso, residual = _split_isolated(g, mask)
-        m = bin(iso).count("1")
-        if not residual or _is_clique(g, residual):
-            r = bin(residual).count("1")
-            return tuple(choices) if z + (m + 1 - max(r - 1, 0)) >= 0 else None
-        degrees = {v: _residual_degree(g, residual, v) for v in _bits(residual)}
-        dmin = min(degrees.values())
-        if mode == "min-degree":
-            pool = [v for v, d in degrees.items() if d == dmin]
-        else:
-            pool = sorted(degrees, key=lambda v: (degrees[v], v))
-        if stage == 1 and root_degree is not None:
-            pool = [v for v in pool if degrees[v] == root_degree]
-        for v in sorted(pool) if mode == "min-degree" else pool:
-            y = 0 if stage == 1 else m + 1 - degrees[v]
-            if stage > 1 and z + y < 0:
-                continue
-            nxt = residual & ~(g.adj[v] | 1 << v)
-            if not nxt:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise _Budget
-            choices.append(v)
-            got = search(nxt, z + y if stage > 1 else 0, stage + 1)
-            if got is not None:
-                return got
-            choices.pop()
-        return None
-
-    try:
-        got = search(g.full_mask, 0, 1)
-    except _Budget:
-        return DeltaSearchResult("budget", None, nodes)
-    if got is None:
-        return DeltaSearchResult("exhausted", None, nodes)
-    return DeltaSearchResult("found", replay(g, got, mode), nodes)
+    choices, nodes, complete = _search(g, mode, budget, root_degree, -1, 0)
+    if choices is not None:
+        return DeltaSearchResult("found", replay(g, choices, mode), nodes)
+    return DeltaSearchResult("exhausted" if complete else "budget", None, nodes)
 
 
 def best_z_sequence(
@@ -285,53 +318,8 @@ def best_z_sequence(
     helper graph built from it.  Branches whose running minimum cannot beat
     the incumbent are cut.
     """
-    if g.n == 0 or not all(g.adj[v] for v in range(g.n)):
-        raise ValueError("strip isolated vertices first")
-    if _is_clique(g, g.full_mask):
-        raise ValueError("graph is a single clique: already terminal")
-    nodes = 0
-    best: tuple[int, tuple[int, ...]] | None = None
-    choices: list[int] = []
-
-    def search(mask: int, z: int, curmin: int, stage: int) -> None:
-        nonlocal nodes, best
-        if best is not None and curmin <= best[0]:
-            return
-        iso, residual = _split_isolated(g, mask)
-        m = bin(iso).count("1")
-        if not residual or _is_clique(g, residual):
-            r = bin(residual).count("1")
-            final = min(curmin, z + (m + 1 - max(r - 1, 0)))
-            if best is None or final > best[0]:
-                best = (final, tuple(choices))
-            return
-        degrees = {v: _residual_degree(g, residual, v) for v in _bits(residual)}
-        pool = sorted(degrees, key=lambda v: (degrees[v], v))
-        if stage == 1 and root_degree is not None:
-            pool = [v for v in pool if degrees[v] == root_degree]
-        for v in pool:
-            y = 0 if stage == 1 else m + 1 - degrees[v]
-            nz = z + y if stage > 1 else 0
-            nmin = curmin if stage == 1 else min(curmin, nz)
-            if best is not None and nmin <= best[0]:
-                continue
-            nxt = residual & ~(g.adj[v] | 1 << v)
-            if not nxt:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise _Budget
-            choices.append(v)
-            search(nxt, nz, nmin, stage + 1)
-            choices.pop()
-
-    complete = True
-    try:
-        # worst prefix of a real sequence can't exceed p; +1 clears the cap
-        search(g.full_mask, 0, g.n + 1, 1)
-    except _Budget:
-        complete = False
-    seq = replay(g, best[1], "any-degree") if best is not None else None
+    choices, nodes, complete = _search(g, "any-degree", budget, root_degree, -inf, inf)
+    seq = replay(g, choices, "any-degree") if choices is not None else None
     return seq, nodes, complete
 
 
@@ -462,12 +450,62 @@ def compose_h_plus_t(
 
 @dataclass(frozen=True)
 class EmbedResult:
-    status: str  # "exact" | "inconclusive"
+    """``certificate`` numbers ``host``: the input, or its non-isolated part
+    plus a disjoint K_{m,n} when ``added_biclique`` is (m, n).  With no
+    certificate, ``host`` is the non-isolated part that was searched."""
+
+    status: str  # "exact" | "bracket" | "inconclusive"
     host: Graph
     certificate: StrengthCertificate | None
     sequence: DeltaSequence | None
     added_biclique: tuple[int, int] | None
     nodes_explored: int
+
+
+def _p_delta_certificate(h: Graph, witness: Numbering, note: str) -> StrengthCertificate:
+    lower = LowerBound("p+delta", h.n + h.min_degree())
+    return StrengthCertificate(lower, strength_of(h, witness), witness, (note,))
+
+
+def _complete_certificate(h: Graph) -> StrengthCertificate | None:
+    if not h.is_complete():
+        return None
+    witness = Numbering(tuple(range(1, h.n + 1)))
+    return _p_delta_certificate(h, witness, "complete graph: every numbering attains 2p-1")
+
+
+def _closed_form_certificate(h: Graph) -> StrengthCertificate | None:
+    """Unions of cycles, forests and recognized cubes of dimension >= 2."""
+    if two_regular_cycle_lengths(h) is not None:
+        return label_two_regular(h)[1]
+    if h.is_forest():
+        seq = forest_delta_sequence(h)
+        witness = label_from_sequence(h, seq)
+        return _p_delta_certificate(h, witness, f"leaf-peeling sequence: {seq.render()}")
+    cube = recognize_hypercube(h)
+    if cube is None or cube[0] < 2:
+        return None
+    n, words = cube
+    cert = hypercube_certificate(n)
+    return replace(cert, witness=Numbering(tuple(cert.witness.labels[w] for w in words)),
+                   notes=cert.notes + (f"recognized as a dimension-{n} cube",))
+
+
+def _engine_certificate(h: Graph, engines: tuple[str, ...], budget: int) -> EmbedResult:
+    """Each engine in turn, each with the full budget; any-degree is rooted
+    at a minimum-degree vertex, so a found sequence certifies p + delta."""
+    delta = h.min_degree()
+    spent = 0
+    for engine in engines:
+        root = None if engine == "min-degree" else delta
+        res = find_delta_sequence(h, engine, budget, root_degree=root)
+        spent += res.nodes_explored
+        if res.status == "found":
+            witness = label_from_sequence(h, res.sequence)
+            note = f"{engine} sequence: {res.sequence.render()}"
+            return EmbedResult("exact", h, _p_delta_certificate(h, witness, note),
+                               res.sequence, None, spent)
+    return EmbedResult("inconclusive", h, None, None, None, spent)
 
 
 def embed_minimal(h: Graph, budget: int = DEFAULT_BUDGET) -> EmbedResult:
@@ -479,36 +517,22 @@ def embed_minimal(h: Graph, budget: int = DEFAULT_BUDGET) -> EmbedResult:
     K_{delta, delta - min(Z, 0)} whose own sequence's final total absorbs the
     dip, so the union is certified at |union| + delta exactly.  Complete
     graphs short-circuit: every numbering of K_p has strength 2p - 1.
+
+    Budget rule: each engine search gets the full ``budget``, and the best-Z
+    search gets what the two engine searches left.
     """
     if h.edge_count == 0 or not all(h.adj[v] for v in range(h.n)):
         raise ValueError("host must have minimum degree at least 1")
-    delta = h.min_degree()
-    if _is_clique(h, h.full_mask):
-        witness = Numbering(tuple(range(1, h.n + 1)))
-        cert = StrengthCertificate(
-            lower=LowerBound("p+delta", h.n + delta),
-            upper=strength_of(h, witness),
-            witness=witness,
-            notes=("complete graph: every numbering attains 2p-1",),
-        )
+    cert = _complete_certificate(h)
+    if cert is not None:
         return EmbedResult("exact", h, cert, None, None, 0)
-    spent = 0
-    for mode, root in (("min-degree", None), ("any-degree", delta)):
-        res = find_delta_sequence(h, mode, budget - spent, root_degree=root)
-        spent += res.nodes_explored
-        if res.status == "found":
-            witness = label_from_sequence(h, res.sequence)
-            cert = StrengthCertificate(
-                lower=LowerBound("p+delta", h.n + delta),
-                upper=strength_of(h, witness),
-                witness=witness,
-                notes=(f"{mode} sequence: {res.sequence.render()}",),
-            )
-            return EmbedResult("exact", h, cert, res.sequence, None, spent)
-        if res.status == "budget":
-            return EmbedResult("inconclusive", h, None, None, None, spent)
-    h_seq, nodes, complete = best_z_sequence(h, budget - spent, root_degree=delta)
-    spent += nodes
+    res = _engine_certificate(h, MODES, budget)
+    left = budget - res.nodes_explored
+    if res.certificate is not None or left <= 0:
+        return res
+    delta = h.min_degree()
+    h_seq, nodes, _ = best_z_sequence(h, left, root_degree=delta)
+    spent = res.nodes_explored + nodes
     if h_seq is None:
         return EmbedResult("inconclusive", h, None, None, None, spent)
     z_cap = min(h_seq.min_prefix, 0)
@@ -519,14 +543,48 @@ def embed_minimal(h: Graph, budget: int = DEFAULT_BUDGET) -> EmbedResult:
         raise AssertionError("biclique sequence search failed")
     union, seq = compose_h_plus_t(h, h_seq, biclique, t_res.sequence)
     witness = label_from_sequence(union, seq)
-    cert = StrengthCertificate(
-        lower=LowerBound("p+delta", union.n + delta),
-        upper=strength_of(union, witness),
-        witness=witness,
-        notes=(
-            f"host extended by K_{{{m},{n}}}; spliced sequence: {seq.render()}",
-        ),
-    )
+    note = f"host extended by K_{{{m},{n}}}; spliced sequence: {seq.render()}"
+    cert = _p_delta_certificate(union, witness, note)
     if cert.status != "exact":  # pragma: no cover - d1 = delta by construction
         raise AssertionError("spliced certificate should be exact")
     return EmbedResult("exact", union, cert, seq, (m, n), spent)
+
+
+def certify(
+    g: Graph, mode: str = "auto", budget: int = DEFAULT_BUDGET, embed: bool = False
+) -> EmbedResult:
+    """Certified strength of g: the one labeling pipeline.
+
+    Sets isolated vertices aside and certifies a complete graph, in every
+    mode.  ``auto`` then tries the closed forms (cycle unions, forests,
+    recognized cubes) and both sequence engines; the other modes try only
+    their engine.  With ``embed``, a graph no engine certifies goes to
+    ``embed_minimal`` for a host with one added biclique.  The witness is
+    lifted back over the isolated vertices, which take the top labels.
+    Budget rule as in ``embed_minimal``.  Raises ValueError on a graph with
+    no edges or an unknown mode.
+    """
+    if mode not in ("auto",) + MODES:
+        raise ValueError(f"mode must be 'auto' or one of {MODES}")
+    core_ids = [v for v in range(g.n) if g.adj[v]]
+    if not core_ids:
+        raise ValueError("graph has no edges; strength is undefined")
+    core = g if len(core_ids) == g.n else g.induced(core_ids)[0]
+    cert = _complete_certificate(core)
+    if cert is None and mode == "auto":
+        cert = _closed_form_certificate(core)
+    if cert is not None:
+        res = EmbedResult(cert.status, core, cert, None, None, 0)
+    elif embed and mode != "any-degree":
+        # embed_minimal runs min-degree, then any-degree, then the host search
+        res = embed_minimal(core, budget)
+    else:
+        res = _engine_certificate(core, MODES if mode == "auto" else (mode,), budget)
+        if embed and res.certificate is None:
+            res = embed_minimal(core, budget)
+    if core is g or res.certificate is None or res.added_biclique is not None:
+        return res
+    cert = res.certificate
+    lifted = replace(cert, witness=extend_over_isolated(g, cert.witness),
+                     notes=cert.notes + (f"{g.n - core.n} isolated vertices take the top labels",))
+    return replace(res, host=g, certificate=lifted)

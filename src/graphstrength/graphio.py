@@ -148,9 +148,7 @@ def read_edgelist(text: str) -> Graph:
     if header is None:
         raise EdgeListError(1, "missing 'n m' header line")
     if len(edges) != header[1]:
-        raise EdgeListError(
-            0, f"declared {header[1]} edges but found {len(edges)}"
-        )
+        raise EdgeListError(lineno, f"declared {header[1]} edges but found {len(edges)}")
     return Graph(header[0], edges)
 
 

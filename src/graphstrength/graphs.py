@@ -20,10 +20,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 class Graph:
     """Immutable simple graph: ``adj[v]`` is the neighbor bitmask of ``v``."""
 
@@ -52,17 +48,17 @@ class Graph:
         return tuple(_bits(self.adj[v]))
 
     def degree(self, v: int) -> int:
-        return _popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [_popcount(m) for m in self.adj]
+        return [m.bit_count() for m in self.adj]
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v]
 
     @property
     def edge_count(self) -> int:
-        return sum(_popcount(m) for m in self.adj) // 2
+        return sum(m.bit_count() for m in self.adj) // 2
 
     @property
     def full_mask(self) -> int:
@@ -105,7 +101,7 @@ class Graph:
         return self.n <= 1 or len(self.components()) == 1
 
     def is_complete(self) -> bool:
-        return all(_popcount(m) == self.n - 1 for m in self.adj)
+        return all(m.bit_count() == self.n - 1 for m in self.adj)
 
     def is_forest(self) -> bool:
         return self.edge_count == self.n - len(self.components())

@@ -84,6 +84,12 @@ def extend_over_isolated(g: Graph, core_numbering: Numbering) -> Numbering:
     return Numbering(tuple(labels))
 
 
+def require(ok: bool, message: str) -> None:
+    """A check that, unlike ``assert``, still runs under ``python -O``."""
+    if not ok:
+        raise AssertionError(message)
+
+
 # -- certificates ------------------------------------------------------------
 
 # name -> fn(g, args) -> int; populated by bounds/oracle modules at import.
@@ -100,6 +106,16 @@ def register_lower_bound(name: str, fn: Callable[[Graph, tuple], int]) -> None:
 
 def lower_bound_names() -> tuple[str, ...]:
     return tuple(sorted(_LOWER_BOUND_REGISTRY))
+
+
+def recompute_arg(args: tuple, default: int, what: str) -> int:
+    """A bound's recompute argument, or ``default`` when absent.  It comes
+    from untrusted certificate JSON, so a larger search than the library
+    default is refused before it starts."""
+    value = int(args[0]) if args else default
+    if value > default:
+        raise ValueError(f"{what} {value} exceeds the limit {default}")
+    return value
 
 
 def recompute_lower_bound(g: Graph, name: str, args: tuple) -> int:
@@ -208,7 +224,7 @@ def verify_certificate(g: Graph, cert: StrengthCertificate) -> CertificateVerdic
     except UnconfirmedBound as e:
         reasons.append(f"lower bound {cert.lower.name!r} unconfirmed: {e}")
         return CertificateVerdict("invalid", tuple(reasons))
-    except ValueError as e:
+    except (TypeError, ValueError, OverflowError) as e:  # unknown name, malformed args
         reasons.append(str(e))
         return CertificateVerdict("invalid", tuple(reasons))
     if recomputed != cert.lower.value:

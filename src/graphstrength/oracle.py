@@ -34,6 +34,7 @@ from .labeling import (
     StrengthCertificate,
     UnconfirmedBound,
     extend_over_isolated,
+    recompute_arg,
     register_lower_bound,
 )
 
@@ -139,11 +140,11 @@ def feasible_at(g: Graph, t: int, budget: int = DEFAULT_BUDGET) -> FeasibilityRe
         for v in pool:
             if caps[v] < level:
                 continue
-            pending = bin(g.adj[v] & unlabeled).count("1")
+            pending = (g.adj[v] & unlabeled).bit_count()
             if pending > avail:
                 continue
             good.append(v)
-        good.sort(key=lambda v: (bin(g.adj[v]).count("1"), v))
+        good.sort(key=lambda v: (g.adj[v].bit_count(), v))
         return good
 
     def hall_violated() -> bool:
@@ -241,7 +242,7 @@ def exact_strength(
 
 
 def _search_bound(g: Graph, args: tuple) -> int:
-    budget = int(args[0]) if args else DEFAULT_BUDGET
+    budget = recompute_arg(args, DEFAULT_BUDGET, "search budget")
     res = exact_strength(g, budget=budget)
     if res.status != "exact":
         raise UnconfirmedBound(f"budget {budget} exhausted at [{res.lower}, {res.upper}]")

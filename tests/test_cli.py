@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphstrength
 from graphstrength.cli import main
 from graphstrength.graphio import write_edgelist, write_graph6
 from graphstrength.graphs import Graph, cycle
@@ -130,6 +137,31 @@ def test_label_embed(capsys):
     assert "strength 29 (exact)" in out
 
 
+def test_label_embed_without_biclique_prints_plain_certificate(capsys):
+    # min-degree exhausts on example22, but the any-degree engine certifies
+    # the input itself, so no host is reported
+    code, out, _ = run(capsys, "label", "--fixture", "example22",
+                       "--mode", "min-degree", "--embed")
+    assert code == 0
+    assert "strength: 17 (exact)" in out and "any-degree sequence" in out
+    assert "host" not in out
+
+    code, out, _ = run(capsys, "label", "--fixture", "example22",
+                       "--mode", "min-degree", "--embed", "--json")
+    payload = json.loads(out)
+    assert "embedded" not in payload and payload["upper"] == 17
+
+
+@pytest.mark.parametrize("flags", [
+    ("--mode", "min-degree"), ("--mode", "any-degree"),
+    ("--mode", "min-degree", "--embed"), ("--mode", "any-degree", "--embed"),
+])
+def test_label_complete_graph_in_every_mode(capsys, flags):
+    code, out, _ = run(capsys, "label", "--family", "complete:5", *flags)
+    assert code == 0
+    assert "strength: 9 (exact)" in out
+
+
 def test_label_inconclusive_prints_bounds_to_stderr(capsys):
     code, out, err = run(capsys, "label", "--family", "hypercube:4",
                          "--mode", "min-degree")
@@ -196,6 +228,15 @@ def test_verify_certificate_from_stdin(capsys, monkeypatch):
     assert "verdict: exact" in out
 
 
+def test_verify_rejects_infinite_numbers(capsys, monkeypatch):
+    _, cert_json, _ = run(capsys, "label", "--family", "cycle:6", "--json")
+    payload = cert_json.replace('"upper": 8', '"upper": Infinity')
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, _, err = run(capsys, "verify", "--family", "cycle:6", "--certificate", "-")
+    assert code == 2
+    assert "bad certificate JSON" in err
+
+
 def test_verify_against_wrong_graph_fails(capsys, tmp_path):
     _, out, _ = run(capsys, "label", "--family", "cycle:6", "--json")
     cert_file = tmp_path / "cert.json"
@@ -220,6 +261,28 @@ def test_repro_single_check(capsys):
     assert code == 0
     assert out.startswith("ok two-regular")
     assert "1 passed, 0 failed" in out
+
+
+def test_repro_checks_survive_python_O(tmp_path):
+    # a stored q6 row maximum off by one, under a matching checksum
+    src = Path(graphstrength.__file__).resolve().parent
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(src / "fixtures", fixtures)
+    q6 = fixtures / "q6.json"
+    data = json.loads(q6.read_text())
+    data["row_max"][0] += 1
+    q6.write_text(json.dumps(data))
+    manifest = json.loads((fixtures / "checksums.json").read_text())
+    manifest["q6.json"] = hashlib.sha256(q6.read_bytes()).hexdigest()
+    (fixtures / "checksums.json").write_text(json.dumps(manifest))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "graphstrength.cli", "repro",
+         "--filter", "fixtures", "--fixture-dir", str(fixtures)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src.parent)},
+    )
+    assert proc.returncode == 4, proc.stdout + proc.stderr
+    assert "FAIL fixtures" in proc.stdout
 
 
 # -- input errors ------------------------------------------------------------------

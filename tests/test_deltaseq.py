@@ -7,6 +7,7 @@ import pytest
 from graphstrength.constructions import load_fixture
 from graphstrength.deltaseq import (
     best_z_sequence,
+    certify,
     compose_h_plus_t,
     embed_minimal,
     find_delta_sequence,
@@ -219,3 +220,31 @@ def test_embed_minimal_routes():
     # hopeless budget is inconclusive
     res = embed_minimal(hypercube(4), budget=5)
     assert res.status == "inconclusive" and res.certificate is None
+
+    # each engine gets the full budget: min-degree runs out after 5 of its 9
+    # nodes, and the any-degree search still finds its 4-node sequence
+    res = embed_minimal(fx.graph, budget=5)
+    assert res.status == "exact" and res.added_biclique is None
+
+
+def test_certify_routes():
+    # isolated vertices are set aside and take the top labels back
+    g = Graph(7, list(cycle(5).edges()))
+    res = certify(g)
+    assert res.host == g and res.certificate.value == 7
+    assert res.certificate.witness.labels[5:] == (6, 7)
+
+    # closed forms in auto mode only; the named engine certifies C6 itself
+    assert certify(cycle(6)).certificate.notes[0].startswith("cycles")
+    assert certify(cycle(6), "min-degree").certificate.notes[0].startswith("min-degree")
+    assert certify(hypercube(6)).status == "bracket"
+
+    # Q4 resists the engines; embed certifies it inside a host
+    assert certify(hypercube(4), "min-degree").status == "inconclusive"
+    res = certify(hypercube(4), "min-degree", embed=True)
+    assert res.added_biclique == (4, 5) and res.certificate.value == 29
+
+    with pytest.raises(ValueError):
+        certify(Graph(3, []))
+    with pytest.raises(ValueError):
+        certify(cycle(5), "greedy")

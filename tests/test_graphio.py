@@ -104,6 +104,7 @@ def test_edgelist_errors_carry_line_numbers():
     with pytest.raises(EdgeListError) as err:
         read_edgelist("3 2\n0 1\n")
     assert "declared 2 edges but found 1" in str(err.value)
+    assert err.value.line == 2  # the last line read, not line 0
 
     with pytest.raises(EdgeListError) as err:
         read_edgelist("3 1\n0 1\n1 2\n")

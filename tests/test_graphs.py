@@ -68,7 +68,7 @@ def test_hypercube_structure():
         assert q.n == 2**n
         assert q.is_regular(n)
         for u, v in q.edges():
-            assert bin(u ^ v).count("1") == 1
+            assert (u ^ v).bit_count() == 1
     assert hypercube(0).n == 1
 
 
@@ -102,7 +102,7 @@ def test_bipartition_canonical_and_odd_cycles():
     assert cycle(5).bipartition() is None
     q = hypercube(3)
     side0, _ = q.bipartition()
-    assert all(bin(v).count("1") % 2 == 0 for v in side0)
+    assert all(v.bit_count() % 2 == 0 for v in side0)
 
 
 def test_forest_detection():

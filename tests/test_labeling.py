@@ -1,8 +1,22 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from graphstrength.graphs import Graph, complete, cycle, disjoint_union, path, star
+from graphstrength.constructions import hypercube_certificate, load_fixture
+from graphstrength.deltaseq import certify
+from graphstrength.graphs import (
+    Graph,
+    complete,
+    complete_bipartite,
+    cycle,
+    disjoint_union,
+    hypercube,
+    path,
+    star,
+    wheel,
+)
 from graphstrength.labeling import (
     LowerBound,
     Numbering,
@@ -15,6 +29,9 @@ from graphstrength.labeling import (
     to_dot,
     verify_certificate,
 )
+from graphstrength.oracle import exact_strength
+
+from conftest import random_graph
 
 
 def test_strength_of_simple():
@@ -140,6 +157,53 @@ def test_search_bound_recomputes_exactly():
     assert recompute_lower_bound(cycle(5), "search", ()) == 7
     with pytest.raises(UnconfirmedBound):
         recompute_lower_bound(cycle(8), "search", (1,))
+
+
+@pytest.mark.parametrize("name, args, searcher", [
+    ("independence", (41,), "graphstrength.bounds.independence_number"),
+    ("xi", (5,), "graphstrength.bounds.xi_profile"),
+    ("search", (2_000_001,), "graphstrength.oracle.exact_strength"),
+])
+def test_verify_refuses_oversized_recompute_arguments(monkeypatch, name, args, searcher):
+    def no_search(*_args, **_kwargs):
+        raise AssertionError("an over-limit argument must not start a search")
+
+    monkeypatch.setattr(searcher, no_search)
+    cert = StrengthCertificate(LowerBound(name, 8, args=args), 8, Numbering((1, 6, 2, 5, 3, 4)))
+    verdict = verify_certificate(cycle(6), cert)
+    assert verdict.status == "invalid"
+    assert any("exceeds the limit" in r for r in verdict.reasons)
+
+
+@pytest.mark.parametrize("args", [([4],), (float("inf"),), ("four",)])
+def test_verify_reports_malformed_recompute_arguments(args):
+    cert = StrengthCertificate(LowerBound("xi", 8, args=args), 8, Numbering((1, 6, 2, 5, 3, 4)))
+    assert verify_certificate(cycle(6), cert).status == "invalid"
+
+
+def test_every_emitted_certificate_verifies():
+    rng = random.Random(7)
+    graphs = [path(5), cycle(7), complete(5), star(4), wheel(6), complete_bipartite(3, 4),
+              hypercube(3), hypercube(4), load_fixture("example22").graph,
+              Graph(8, list(cycle(5).edges()))]
+    graphs += [random_graph(rng, rng.randint(4, 9), 0.4) for _ in range(30)]
+    for g in graphs:
+        if g.edge_count == 0:
+            continue
+        for mode in ("auto", "min-degree", "any-degree"):
+            for embed in (False, True):
+                res = certify(g, mode, embed=embed)
+                if res.certificate is not None:
+                    verdict = verify_certificate(res.host, res.certificate)
+                    assert verdict.status == res.certificate.status, (g, mode, verdict)
+        if g.n <= 9:
+            cert = exact_strength(g).to_certificate()
+            assert verify_certificate(g, cert).status == "exact"
+    q6 = certify(hypercube(6)).certificate
+    assert verify_certificate(hypercube(6), q6).status == q6.status == "bracket"
+    for n in range(1, 8):
+        cert = hypercube_certificate(n)
+        assert verify_certificate(hypercube(n), cert).status == cert.status
 
 
 def test_to_dot_shapes():
