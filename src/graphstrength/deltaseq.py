@@ -450,9 +450,9 @@ def compose_h_plus_t(
 
 @dataclass(frozen=True)
 class EmbedResult:
-    """``certificate`` numbers ``host``: the input, or its non-isolated part
-    plus a disjoint K_{m,n} when ``added_biclique`` is (m, n).  With no
-    certificate, ``host`` is the non-isolated part that was searched."""
+    """``certificate`` numbers ``host``: the input, or the input plus a
+    disjoint K_{m,n} on the next ids when ``added_biclique`` is (m, n).  With
+    no certificate, ``host`` is the non-isolated part that was searched."""
 
     status: str  # "exact" | "bracket" | "inconclusive"
     host: Graph
@@ -526,7 +526,11 @@ def embed_minimal(h: Graph, budget: int = DEFAULT_BUDGET) -> EmbedResult:
     cert = _complete_certificate(h)
     if cert is not None:
         return EmbedResult("exact", h, cert, None, None, 0)
-    res = _engine_certificate(h, MODES, budget)
+    return _host_stage(h, _engine_certificate(h, MODES, budget), budget)
+
+
+def _host_stage(h: Graph, res: EmbedResult, budget: int) -> EmbedResult:
+    """The biclique host, once both engines have run on h and given ``res``."""
     left = budget - res.nodes_explored
     if res.certificate is not None or left <= 0:
         return res
@@ -558,11 +562,12 @@ def certify(
     Sets isolated vertices aside and certifies a complete graph, in every
     mode.  ``auto`` then tries the closed forms (cycle unions, forests,
     recognized cubes) and both sequence engines; the other modes try only
-    their engine.  With ``embed``, a graph no engine certifies goes to
-    ``embed_minimal`` for a host with one added biclique.  The witness is
-    lifted back over the isolated vertices, which take the top labels.
-    Budget rule as in ``embed_minimal``.  Raises ValueError on a graph with
-    no edges or an unknown mode.
+    their engine.  With ``embed``, every mode runs both engines (any-degree
+    mode its own first), and a graph neither certifies gets the host of
+    ``embed_minimal``: the input plus one biclique on the next ids.  The
+    witness is lifted back over the isolated vertices, which take the top
+    labels.  Budget rule as in ``embed_minimal``.  Raises ValueError on a
+    graph with no edges or an unknown mode.
     """
     if mode not in ("auto",) + MODES:
         raise ValueError(f"mode must be 'auto' or one of {MODES}")
@@ -575,16 +580,19 @@ def certify(
         cert = _closed_form_certificate(core)
     if cert is not None:
         res = EmbedResult(cert.status, core, cert, None, None, 0)
-    elif embed and mode != "any-degree":
-        # embed_minimal runs min-degree, then any-degree, then the host search
-        res = embed_minimal(core, budget)
-    else:
+    elif not embed:
         res = _engine_certificate(core, MODES if mode == "auto" else (mode,), budget)
-        if embed and res.certificate is None:
-            res = embed_minimal(core, budget)
-    if core is g or res.certificate is None or res.added_biclique is not None:
+    else:
+        # both engines before the host search, any-degree mode's own first
+        engines = MODES[::-1] if mode == "any-degree" else MODES
+        res = _host_stage(core, _engine_certificate(core, engines, budget), budget)
+    if core is g or res.certificate is None:
         return res
+    host = g
+    if res.added_biclique is not None:
+        m, n = res.added_biclique
+        host = disjoint_union(g, complete_bipartite(m, n))
     cert = res.certificate
-    lifted = replace(cert, witness=extend_over_isolated(g, cert.witness),
+    lifted = replace(cert, witness=extend_over_isolated(host, cert.witness),
                      notes=cert.notes + (f"{g.n - core.n} isolated vertices take the top labels",))
-    return replace(res, host=g, certificate=lifted)
+    return replace(res, host=host, certificate=lifted)

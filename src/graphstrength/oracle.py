@@ -13,8 +13,11 @@ is fixed for good, which makes two prunes cheap and sound:
 Exactness comes from completed infeasibility at t-1 (or from t hitting the
 absolute floor p+1, forced by the vertex labeled p having a neighbor).  The
 root choice for label p is limited to one representative per automorphism
-orbit; orbits are color-refinement classes confirmed pairwise by exact
-isomorphism tests, never refinement classes alone.
+orbit, computed once per ``exact_strength`` call.  Orbits are never
+refinement classes alone: two vertices share an orbit only when a complete
+individualization-refinement search (McKay & Piperno, "Practical graph
+isomorphism II", 2014) finds an automorphism mapping one to the other, and
+every automorphism it finds is checked edge by edge before it is used.
 
 This is exponential and deliberately capped (default 14 vertices); its job
 is to anchor the theory-backed bounds and constructions on small cases, not
@@ -49,58 +52,131 @@ def to_networkx(g: Graph) -> "nx.Graph":
     return h
 
 
-def _refinement_classes(g: Graph) -> list[int]:
-    """Stable color refinement; returns a color id per vertex."""
-    color = g.degrees()
+def _refine(g: Graph, colorings: list[list[int]]) -> list[list[int]] | None:
+    """Refine colorings together until stable, with one shared color table.
+
+    A vertex's signature is its color plus its neighbors' sorted colors; the
+    signatures of all colorings are renumbered through one sorted table, so
+    equal colors mean equal signatures across colorings.  Returns None as
+    soon as two colorings' color multisets differ: no color-preserving
+    isomorphism can map one onto the other.
+    """
+    nbrs = [list(_bits(a)) for a in g.adj]
     while True:
         keys = [
-            (color[v], tuple(sorted(color[u] for u in _bits(g.adj[v]))))
-            for v in range(g.n)
+            [(c[v], tuple(sorted([c[u] for u in nbrs[v]]))) for v in range(g.n)]
+            for c in colorings
         ]
-        remap: dict[tuple, int] = {}
-        for k in sorted(set(keys)):
-            remap[k] = len(remap)
-        new = [remap[k] for k in keys]
-        if new == color:
-            return color
-        color = new
+        first = sorted(keys[0])
+        if any(sorted(k) != first for k in keys[1:]):
+            return None
+        remap = {k: i for i, k in enumerate(sorted(set(first)))}
+        new = [[remap[k] for k in ks] for ks in keys]
+        if new == colorings:
+            return colorings
+        colorings = new
 
 
-def _same_orbit(g: "nx.Graph", base: list[int], u: int, v: int) -> bool:
-    """Is there an automorphism of g sending u to v, refining colors ``base``?"""
-    g1, g2 = g.copy(), g.copy()
-    nx.set_node_attributes(g1, {w: (base[w], w == u) for w in g1.nodes}, "c")
-    nx.set_node_attributes(g2, {w: (base[w], w == v) for w in g2.nodes}, "c")
-    matcher = nx.algorithms.isomorphism.GraphMatcher(
-        g1, g2, node_match=lambda x, y: x["c"] == y["c"]
-    )
-    return matcher.is_isomorphic()
+def _refinement_classes(g: Graph) -> list[int]:
+    """Stable color refinement; returns a color id per vertex."""
+    return _refine(g, [g.degrees()])[0]
+
+
+def _is_automorphism(g: Graph, sigma: list[int]) -> bool:
+    if sorted(sigma) != list(range(g.n)):
+        return False
+    for a in range(g.n):
+        image = 0
+        for b in _bits(g.adj[a]):
+            image |= 1 << sigma[b]
+        if image != g.adj[sigma[a]]:
+            return False
+    return True
+
+
+def _recolor(colors: list[int], w: int, color: int) -> list[int]:
+    out = list(colors)
+    out[w] = color
+    return out
+
+
+def _find_automorphism(g: Graph, colors: list[int], u: int, v: int) -> list[int] | None:
+    """An automorphism of g preserving ``colors`` and sending u to v, or None.
+
+    Individualizes u in one copy of the coloring and v in the other, refines
+    both together, and, while the coloring is not discrete, individualizes
+    the first vertex x of the smallest non-singleton cell on the left
+    against every vertex y of that color on the right, backtracking on
+    failure.  Any automorphism extending the choices so far maps x into that
+    cell, so None is the outcome of a completed search.  A discrete coloring
+    induces a map that is returned only once it is checked edge by edge.
+    """
+
+    def extend(left: list[int], right: list[int]) -> list[int] | None:
+        pair = _refine(g, [left, right])
+        if pair is None:
+            return None
+        left, right = pair
+        cells: dict[int, list[int]] = {}
+        for w in range(g.n):
+            cells.setdefault(left[w], []).append(w)
+        if len(cells) == g.n:
+            where = {c: w for w, c in enumerate(right)}
+            sigma = [where[left[w]] for w in range(g.n)]
+            return sigma if _is_automorphism(g, sigma) else None
+        color = min((c for c in cells if len(cells[c]) > 1), key=lambda c: (len(cells[c]), c))
+        x = cells[color][0]
+        fresh = len(cells)
+        for y in range(g.n):
+            if right[y] == color:
+                sigma = extend(_recolor(left, x, fresh), _recolor(right, y, fresh))
+                if sigma is not None:
+                    return sigma
+        return None
+
+    fresh = max(colors) + 1
+    return extend(_recolor(colors, u, fresh), _recolor(colors, v, fresh))
 
 
 def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
-    """True vertex orbits under Aut(g).
+    """True vertex orbits under Aut(g), as sorted tuples in sorted order.
 
     Color refinement only over-approximates orbits, so each refinement class
-    is split by exact pairwise isomorphism checks (colors individualize the
-    two candidate vertices).  Intended for small graphs.
+    is split by searching, for each vertex, an automorphism onto a
+    representative of every orbit found so far in its class.  Every
+    automorphism found merges all pairs (w, sigma(w)) in a union-find, which
+    settles most later pairs without a search.  Intended for small graphs.
     """
     base = _refinement_classes(g)
-    gx = to_networkx(g)
+    parent = list(range(g.n))
+
+    def find(w: int) -> int:
+        while parent[w] != w:
+            parent[w] = parent[parent[w]]
+            w = parent[w]
+        return w
+
     by_class: dict[int, list[int]] = {}
     for v in range(g.n):
         by_class.setdefault(base[v], []).append(v)
-    orbits: list[list[int]] = []
     for cls in by_class.values():
-        reps: list[list[int]] = []
-        for v in cls:
-            for group in reps:
-                if _same_orbit(gx, base, group[0], v):
-                    group.append(v)
+        reps = [cls[0]]
+        for v in cls[1:]:
+            if any(find(r) == find(v) for r in reps):
+                continue
+            for r in reps:
+                sigma = _find_automorphism(g, base, r, v)
+                if sigma is not None:
+                    for w in range(g.n):
+                        a, b = find(w), find(sigma[w])
+                        parent[max(a, b)] = min(a, b)
                     break
             else:
-                reps.append([v])
-        orbits.extend(reps)
-    return [tuple(sorted(o)) for o in sorted(orbits)]
+                reps.append(v)
+    orbits: dict[int, list[int]] = {}
+    for v in range(g.n):
+        orbits.setdefault(find(v), []).append(v)
+    return sorted(tuple(o) for o in orbits.values())
 
 
 @dataclass(frozen=True)
@@ -114,11 +190,15 @@ class _Budget(Exception):
     pass
 
 
-def feasible_at(g: Graph, t: int, budget: int = DEFAULT_BUDGET) -> FeasibilityResult:
+def feasible_at(
+    g: Graph, t: int, budget: int = DEFAULT_BUDGET, *, roots: list[int] | None = None
+) -> FeasibilityResult:
     """Decide whether some numbering of g has strength <= t.
 
     "infeasible" means the search space was exhausted, a completed proof;
     "budget" means neither answer was reached within ``budget`` assignments.
+    ``roots`` are the vertices tried for label p, the least of each
+    automorphism orbit; when omitted they are computed here.
     """
     if g.edge_count == 0:
         raise ValueError("feasibility is about edge sums; graph has no edges")
@@ -128,7 +208,8 @@ def feasible_at(g: Graph, t: int, budget: int = DEFAULT_BUDGET) -> FeasibilityRe
     unlabeled = g.full_mask
     nodes = 0
 
-    roots = [min(orbit) for orbit in automorphism_orbits(g)]
+    if roots is None:
+        roots = [orbit[0] for orbit in automorphism_orbits(g)]
 
     def candidates(level: int) -> list[int]:
         if level == p:
@@ -229,9 +310,10 @@ def exact_strength(
             f"{core.n} non-isolated vertices exceeds the exact-solver cap "
             f"{vertex_cap}; raise vertex_cap only if you can wait"
         )
+    roots = [orbit[0] for orbit in automorphism_orbits(core)]
     total = 0
     for t in range(core.n + 1, 2 * core.n):
-        res = feasible_at(core, t, budget - total)
+        res = feasible_at(core, t, budget - total, roots=roots)
         total += res.nodes_explored
         if res.status == "feasible":
             witness = extend_over_isolated(g, res.witness)

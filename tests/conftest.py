@@ -53,6 +53,45 @@ def random_forest(rng: random.Random, p: int) -> Graph:
     return Graph(p, edges)
 
 
+def reference_orbits(g: Graph) -> list[tuple[int, ...]]:
+    """Vertex orbits by exact VF2 pair tests (test-side reference).
+
+    Vertices of equal degree are compared with networkx's GraphMatcher, the
+    candidate pair individualized by node colors; independent of the
+    library's refinement search, and slow on large symmetric graphs.
+    """
+    gx = nx.Graph()
+    gx.add_nodes_from(range(g.n))
+    gx.add_edges_from(g.edges())
+    degree = g.degrees()
+
+    def same_orbit(u: int, v: int) -> bool:
+        g1, g2 = gx.copy(), gx.copy()
+        nx.set_node_attributes(g1, {w: (degree[w], w == u) for w in gx}, "c")
+        nx.set_node_attributes(g2, {w: (degree[w], w == v) for w in gx}, "c")
+        matcher = nx.algorithms.isomorphism.GraphMatcher(
+            g1, g2, node_match=lambda x, y: x["c"] == y["c"]
+        )
+        return matcher.is_isomorphic()
+
+    orbits: list[list[int]] = []
+    for v in range(g.n):
+        for orbit in orbits:
+            if degree[orbit[0]] == degree[v] and same_orbit(orbit[0], v):
+                orbit.append(v)
+                break
+        else:
+            orbits.append([v])
+    return sorted(tuple(o) for o in orbits)
+
+
+def is_automorphism(g: Graph, sigma: list[int]) -> bool:
+    """Is sigma a permutation of g's vertices that maps its edge set onto itself?"""
+    edges = {frozenset(e) for e in g.edges()}
+    return (sorted(sigma) == list(range(g.n))
+            and {frozenset((sigma[u], sigma[v])) for u, v in g.edges()} == edges)
+
+
 def brute_strength(g: Graph) -> int:
     """Reference value by trying every numbering (tiny graphs only)."""
     assert g.n <= 8, "brute force is factorial"

@@ -13,8 +13,8 @@ import pytest
 
 import graphstrength
 from graphstrength.cli import main
-from graphstrength.graphio import write_edgelist, write_graph6
-from graphstrength.graphs import Graph, cycle
+from graphstrength.graphio import parse_graph6, write_edgelist, write_graph6
+from graphstrength.graphs import Graph, complete_bipartite, cycle, disjoint_union, hypercube
 
 PETERSEN_G6 = "IheA@GUAo"
 
@@ -135,6 +135,24 @@ def test_label_embed(capsys):
     assert code == 0
     assert "K_{4,5}" in out
     assert "strength 29 (exact)" in out
+
+
+def test_label_embed_host_is_input_plus_biclique(capsys, tmp_path):
+    # the isolated vertex stays in the host and takes the top label
+    g = disjoint_union(hypercube(4), Graph(1, []))
+    code, out, _ = run(capsys, "label", "--graph6", write_graph6(g),
+                       "--mode", "min-degree", "--embed", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["added_biclique"] == [4, 5]
+    host = parse_graph6(payload["host_graph6"])
+    assert host == disjoint_union(g, complete_bipartite(4, 5))
+    assert payload["certificate"]["witness"]["labels"][16] == 26
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(payload["certificate"]))
+    code, out, _ = run(capsys, "verify", "--graph6", payload["host_graph6"],
+                       "--certificate", str(cert_file))
+    assert code == 0 and "verdict: exact" in out
 
 
 def test_label_embed_without_biclique_prints_plain_certificate(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from graphstrength import deltaseq
 from graphstrength.constructions import load_fixture
 from graphstrength.deltaseq import (
     best_z_sequence,
@@ -25,7 +26,7 @@ from graphstrength.graphs import (
     path,
     star,
 )
-from graphstrength.labeling import strength_of
+from graphstrength.labeling import strength_of, verify_certificate
 from graphstrength.oracle import exact_strength
 
 from conftest import random_forest, random_graph
@@ -248,3 +249,38 @@ def test_certify_routes():
         certify(Graph(3, []))
     with pytest.raises(ValueError):
         certify(cycle(5), "greedy")
+
+
+def test_certify_embed_host_keeps_isolated_vertices():
+    g = disjoint_union(hypercube(4), Graph(1, []))
+    res = certify(g, "min-degree", embed=True)
+    assert res.added_biclique == (4, 5)
+    assert res.host.n == 26
+    assert res.host == disjoint_union(g, complete_bipartite(4, 5))
+    assert res.certificate.witness.labels[16] == 26
+    assert res.certificate.value == 29
+    assert verify_certificate(res.host, res.certificate).status == "exact"
+
+
+def test_any_degree_embed_runs_each_engine_once(monkeypatch):
+    q4 = hypercube(4)
+    engine_nodes = (find_delta_sequence(q4, "any-degree", root_degree=4).nodes_explored
+                    + find_delta_sequence(q4, "min-degree").nodes_explored)
+    finds, best_z_budgets = [], []
+    find, best_z = deltaseq.find_delta_sequence, deltaseq.best_z_sequence
+
+    def counting_find(h, mode="min-degree", *args, **kwargs):
+        finds.append(mode)
+        return find(h, mode, *args, **kwargs)
+
+    def recording_best_z(h, budget, *args, **kwargs):
+        best_z_budgets.append(budget)
+        return best_z(h, budget, *args, **kwargs)
+
+    monkeypatch.setattr(deltaseq, "find_delta_sequence", counting_find)
+    monkeypatch.setattr(deltaseq, "best_z_sequence", recording_best_z)
+    res = certify(q4, "any-degree", budget=10**6, embed=True)
+    assert res.added_biclique == (4, 5) and res.certificate.value == 29
+    # any-degree, min-degree, then the biclique's own sequence
+    assert finds == ["any-degree", "min-degree", "min-degree"]
+    assert best_z_budgets == [10**6 - engine_nodes]

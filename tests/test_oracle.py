@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphstrength import oracle
 from graphstrength.graphs import (
     Graph,
     complete,
@@ -13,10 +17,17 @@ from graphstrength.graphs import (
     hypercube,
     path,
 )
-from graphstrength.labeling import strength_of
+from graphstrength.labeling import strength_of, verify_certificate
 from graphstrength.oracle import automorphism_orbits, exact_strength, feasible_at
 
-from conftest import atlas_connected, brute_strength, random_graph
+from conftest import (
+    atlas_connected,
+    brute_strength,
+    is_automorphism,
+    random_graph,
+    reference_orbits,
+    to_graph,
+)
 
 
 def petersen() -> Graph:
@@ -124,9 +135,115 @@ def test_orbits_distinguish_refinement_twins():
 
 
 def test_oracle_certificate_verifies():
-    from graphstrength.labeling import verify_certificate
-
     g = cycle(7)
     cert = exact_strength(g).to_certificate()
     assert cert.lower.name == "search"
     assert verify_certificate(g, cert).status == "exact"
+
+
+# -- orbits against the VF2 reference -------------------------------------------
+
+
+def symmetric_graphs() -> dict[str, Graph]:
+    residues = {1, 3, 4, 9, 10, 12}
+    return {
+        "K6,6": complete_bipartite(6, 6),
+        "Q4": hypercube(4),
+        "Petersen": petersen(),
+        "Paley(13)": Graph(13, [(u, v) for u in range(13) for v in range(u + 1, 13)
+                                if (v - u) % 13 in residues]),
+        "dodecahedron": to_graph(nx.dodecahedral_graph()),
+        "Desargues": to_graph(nx.desargues_graph()),
+        "K4xK4": to_graph(nx.cartesian_product(nx.complete_graph(4), nx.complete_graph(4))),
+        "2C7": disjoint_union(cycle(7), cycle(7)),
+    }
+
+
+def random_regular(d: int, seeds: range) -> list[Graph]:
+    return [to_graph(nx.random_regular_graph(d, 14, seed=s)) for s in seeds]
+
+
+def test_orbits_match_reference_on_atlas():
+    for g in atlas_connected(1, 7):
+        assert automorphism_orbits(g) == reference_orbits(g), g.edges()
+
+
+def test_orbits_match_reference_on_random_regular():
+    for g in random_regular(3, range(5)) + random_regular(4, range(5)):
+        assert automorphism_orbits(g) == reference_orbits(g), g.edges()
+
+
+@pytest.mark.parametrize("name", list(symmetric_graphs()))
+def test_orbits_match_reference_on_symmetric_graphs(name):
+    g = symmetric_graphs()[name]
+    assert automorphism_orbits(g) == reference_orbits(g)
+
+
+@st.composite
+def small_graphs(draw) -> Graph:
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, [e for e in pairs if draw(st.booleans())])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_orbits_match_reference_on_random_graphs(g):
+    assert automorphism_orbits(g) == reference_orbits(g)
+
+
+def test_every_found_map_is_an_automorphism():
+    graphs = list(symmetric_graphs().values()) + random_regular(3, range(3))
+    graphs.append(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5)]))
+    for g in graphs:
+        base = oracle._refinement_classes(g)
+        for orbit in automorphism_orbits(g):
+            u = orbit[0]
+            for v in range(g.n):
+                if base[u] != base[v]:
+                    continue
+                sigma = oracle._find_automorphism(g, base, u, v)
+                assert (sigma is not None) == (v in orbit), (g.edges(), u, v)
+                if sigma is not None:
+                    assert sigma[u] == v and is_automorphism(g, sigma)
+
+
+# -- orbits once per exact_strength ------------------------------------------------
+
+
+def test_orbits_computed_once_per_exact_strength(monkeypatch):
+    calls = []
+    original = oracle.automorphism_orbits
+
+    def counting(g):
+        calls.append(g.n)
+        return original(g)
+
+    monkeypatch.setattr(oracle, "automorphism_orbits", counting)
+    for g in (petersen(), disjoint_union(cycle(5), Graph(2, [])), complete_bipartite(3, 5)):
+        calls.clear()
+        res = exact_strength(g)
+        assert res.status == "exact"
+        assert len(calls) == 1
+    calls.clear()
+    feasible_at(cycle(4), 6)
+    assert len(calls) == 1
+
+
+def test_feasible_at_with_given_roots_is_unchanged():
+    rng = random.Random(5)
+    graphs = [petersen(), hypercube(3), complete_bipartite(3, 4), path(5)]
+    graphs += [random_graph(rng, 8, 0.4) for _ in range(6)]
+    for g in graphs:
+        if g.edge_count == 0 or not all(g.adj):
+            continue
+        roots = [o[0] for o in automorphism_orbits(g)]
+        for t in range(g.n + 1, 2 * g.n):
+            assert feasible_at(g, t) == feasible_at(g, t, roots=roots)
+
+
+def test_complete_bipartite_seven_seven_at_default_cap():
+    g = complete_bipartite(7, 7)
+    res = exact_strength(g)
+    assert res.status == "exact" and res.value == 21
+    assert verify_certificate(g, res.to_certificate()).status == "exact"
