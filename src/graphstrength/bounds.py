@@ -17,7 +17,9 @@ from scratch:
   underestimates alpha and would overstate this bound, so it never feeds it.
 * xi: the i top-labeled vertices S have at least x_i = min |N(S)\\S|
   outside neighbors; the largest outside label is >= x_i and is adjacent to
-  a label >= p - i + 1, hence str >= p + max_i (x_i - i + 1).
+  a label >= p - i + 1, hence str >= p + max_i (x_i - i + 1).  On a graph
+  proven vertex-transitive the scan for x_i only needs the sets containing
+  vertex 0: an automorphism maps every i-set onto one of them.
 
 Bounds are computed on the graph minus its isolated vertices (strength
 ignores them), and each is registered by name so certificates referencing
@@ -27,10 +29,10 @@ it can be re-verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 from .graphs import Graph, _bits, hypercube
 from .labeling import UnconfirmedBound, recompute_arg, register_lower_bound
+from .oracle import is_vertex_transitive
 
 DEFAULT_ALPHA_CAP = 40
 DEFAULT_XI_BUDGET = 2_000_000
@@ -173,37 +175,25 @@ def _xi_scan(
 
 
 def xi_profile(
-    g: Graph,
-    i_max: int = DEFAULT_XI_I_MAX,
-    budget: int = DEFAULT_XI_BUDGET,
-    jobs: int = 1,
+    g: Graph, i_max: int = DEFAULT_XI_I_MAX, budget: int = DEFAULT_XI_BUDGET
 ) -> XiProfile:
     """Exhaustive neighborhood-expansion profile up to set size i_max.
 
-    ``jobs`` > 1 splits each size's enumeration by the minimum element of S
-    across processes (a disjoint partition, so results are identical to the
-    serial run; each worker gets an equal share of the budget).
+    Each size gets its own ``budget`` of scan nodes.  On a graph proven
+    vertex-transitive only the sets containing vertex 0 are scanned: the full
+    scan visits those first and keeps its first minimum, so the result is the
+    same wherever the full scan finishes.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     i_max = min(i_max, g.n - 1) if g.n > 1 else 1
+    transitive = is_vertex_transitive(g)
     xs: list[int] = []
     wits: list[tuple[int, ...]] = []
     comps: list[bool] = []
     for i in range(1, i_max + 1):
-        firsts = list(range(g.n - i + 1))
-        if jobs > 1 and len(firsts) > 1:
-            chunks = [firsts[k::jobs] for k in range(jobs)]
-            chunks = [c for c in chunks if c]
-            share = max(1, budget // len(chunks))
-            with Pool(min(jobs, len(chunks))) as pool:
-                parts = pool.starmap(
-                    _xi_scan, [(g.adj, g.n, i, c, share) for c in chunks]
-                )
-            best, best_set, _, _ = min(parts, key=lambda r: (r[0], r[1]))
-            complete = all(p[2] for p in parts)
-        else:
-            best, best_set, complete, _ = _xi_scan(g.adj, g.n, i, firsts, budget)
+        firsts = [0] if transitive else list(range(g.n - i + 1))
+        best, best_set, complete, _ = _xi_scan(g.adj, g.n, i, firsts, budget)
         xs.append(best)
         wits.append(tuple(_bits(best_set)))
         comps.append(complete)
@@ -283,40 +273,40 @@ def recognize_hypercube(g: Graph) -> tuple[int, list[int]] | None:
 def edge_connectivity(g: Graph) -> int:
     """Minimum number of edges whose removal disconnects g (0 if already so).
 
-    Max-flow with unit capacities from vertex 0 to every other vertex,
-    shortest augmenting paths.
+    Unit-capacity max-flow from vertex 0 to every other vertex by shortest
+    augmenting paths, each stopped at delta >= kappa'.  The residual graph is
+    bitmasks: ``fwd[u]`` holds every w with a residual arc u->w, ``back[w]``
+    every such u; the BFS keeps one mask per level to read the path back.
     """
-    if g.n <= 1:
+    if g.n <= 1 or not g.is_connected():
         return 0
-    if not g.is_connected():
-        return 0
-    best = g.n  # above any possible cut
+    best = g.min_degree()
     for target in range(1, g.n):
-        cap = {}
-        for u, v in g.edges():
-            cap[u, v] = cap[v, u] = 1
+        fwd, back = list(g.adj), list(g.adj)
         flow = 0
-        while True:
-            parent = {0: -1}
-            queue = [0]
-            while queue and target not in parent:
-                u = queue.pop(0)
-                for w in _bits(g.adj[u]):
-                    if w not in parent and cap[u, w] > 0:
-                        parent[w] = u
-                        queue.append(w)
-            if target not in parent:
+        while flow < best:
+            levels, seen = [1], 1
+            while levels[-1] and not seen >> target & 1:
+                nxt = 0
+                for u in _bits(levels[-1]):
+                    nxt |= fwd[u]
+                levels.append(nxt & ~seen)
+                seen |= nxt
+            if not seen >> target & 1:
                 break
             v = target
-            while v != 0:
-                u = parent[v]
-                cap[u, v] -= 1
-                cap[v, u] += 1
+            for level in reversed(levels[:-1]):
+                arcs = level & back[v]
+                u = (arcs & -arcs).bit_length() - 1
+                if fwd[v] >> u & 1:  # no flow on v->u, so u->v fills
+                    fwd[u] ^= 1 << v
+                    back[v] ^= 1 << u
+                else:  # cancel the flow on v->u
+                    fwd[v] |= 1 << u
+                    back[u] |= 1 << v
                 v = u
             flow += 1
-            if flow >= best:
-                break
-        best = min(best, flow)
+        best = flow
     return best
 
 
@@ -384,7 +374,6 @@ def bounds_report(
     alpha_cap: int = DEFAULT_ALPHA_CAP,
     xi_i_max: int = DEFAULT_XI_I_MAX,
     xi_budget: int = DEFAULT_XI_BUDGET,
-    jobs: int = 1,
 ) -> BoundsReport:
     """Every applicable bound on strength(g), each one recomputable by name."""
     if g.edge_count == 0:
@@ -413,7 +402,7 @@ def bounds_report(
     else:
         notes.append(f"independence bound skipped: p > {alpha_cap}")
     if xi_i_max >= 1:
-        prof = xi_profile(core, xi_i_max, xi_budget, jobs)
+        prof = xi_profile(core, xi_i_max, xi_budget)
         try:
             entries.append(
                 BoundEntry(

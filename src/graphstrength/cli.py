@@ -164,7 +164,7 @@ def _write_dot(path: str, g: Graph, numbering: Numbering) -> None:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     report = bounds_report(g, alpha_cap=args.alpha_cap, xi_i_max=args.xi_max,
-                           xi_budget=args.budget, jobs=args.jobs)
+                           xi_budget=args.budget)
     if args.json:
         payload = {
             "p": report.p,
@@ -471,7 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="largest subset size for the neighborhood bound")
     sub.add_argument("--budget", type=int, default=2_000_000,
                      help="node budget for the neighborhood-bound scan")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel scan workers")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_bounds)
 

@@ -26,6 +26,7 @@ to scale.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import networkx as nx
@@ -43,6 +44,8 @@ from .labeling import (
 
 DEFAULT_BUDGET = 2_000_000
 DEFAULT_VERTEX_CAP = 14
+# Refinements ``is_vertex_transitive`` may run per vertex before it gives up.
+TRANSITIVITY_REFINES_PER_VERTEX = 2
 
 
 def to_networkx(g: Graph) -> "nx.Graph":
@@ -100,7 +103,9 @@ def _recolor(colors: list[int], w: int, color: int) -> list[int]:
     return out
 
 
-def _find_automorphism(g: Graph, colors: list[int], u: int, v: int) -> list[int] | None:
+def _find_automorphism(
+    g: Graph, colors: list[int], u: int, v: int, ticks: Iterator[int] | None = None
+) -> list[int] | None:
     """An automorphism of g preserving ``colors`` and sending u to v, or None.
 
     Individualizes u in one copy of the coloring and v in the other, refines
@@ -110,9 +115,12 @@ def _find_automorphism(g: Graph, colors: list[int], u: int, v: int) -> list[int]
     failure.  Any automorphism extending the choices so far maps x into that
     cell, so None is the outcome of a completed search.  A discrete coloring
     induces a map that is returned only once it is checked edge by edge.
+    With ``ticks``, each refinement takes one item; none left raises _Budget.
     """
 
     def extend(left: list[int], right: list[int]) -> list[int] | None:
+        if ticks is not None and next(ticks, None) is None:
+            raise _Budget
         pair = _refine(g, [left, right])
         if pair is None:
             return None
@@ -138,6 +146,21 @@ def _find_automorphism(g: Graph, colors: list[int], u: int, v: int) -> list[int]
     return extend(_recolor(colors, u, fresh), _recolor(colors, v, fresh))
 
 
+def _find(parent: list[int], w: int) -> int:
+    """Root of w in a union-find whose roots are the least of their sets."""
+    while parent[w] != w:
+        parent[w] = parent[parent[w]]
+        w = parent[w]
+    return w
+
+
+def _merge(parent: list[int], sigma: list[int]) -> None:
+    """Merge every pair (w, sigma(w)) of an automorphism in the union-find."""
+    for w, image in enumerate(sigma):
+        a, b = _find(parent, w), _find(parent, image)
+        parent[max(a, b)] = min(a, b)
+
+
 def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
     """True vertex orbits under Aut(g), as sorted tuples in sorted order.
 
@@ -149,34 +172,50 @@ def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
     """
     base = _refinement_classes(g)
     parent = list(range(g.n))
-
-    def find(w: int) -> int:
-        while parent[w] != w:
-            parent[w] = parent[parent[w]]
-            w = parent[w]
-        return w
-
     by_class: dict[int, list[int]] = {}
     for v in range(g.n):
         by_class.setdefault(base[v], []).append(v)
     for cls in by_class.values():
         reps = [cls[0]]
         for v in cls[1:]:
-            if any(find(r) == find(v) for r in reps):
+            if any(_find(parent, r) == _find(parent, v) for r in reps):
                 continue
             for r in reps:
                 sigma = _find_automorphism(g, base, r, v)
                 if sigma is not None:
-                    for w in range(g.n):
-                        a, b = find(w), find(sigma[w])
-                        parent[max(a, b)] = min(a, b)
+                    _merge(parent, sigma)
                     break
             else:
                 reps.append(v)
     orbits: dict[int, list[int]] = {}
     for v in range(g.n):
-        orbits.setdefault(find(v), []).append(v)
+        orbits.setdefault(_find(parent, v), []).append(v)
     return sorted(tuple(o) for o in orbits.values())
+
+
+def is_vertex_transitive(g: Graph) -> bool:
+    """True only when Aut(g) is proven to map vertex 0 onto every vertex.
+
+    g must be regular (one refinement class), and each v not yet merged
+    with 0 needs an automorphism 0 -> v from ``_find_automorphism``, whose
+    pairs are then merged.  The proof gives up (False: not proven) at the
+    first v without one, or after ``TRANSITIVITY_REFINES_PER_VERTEX * n``
+    refinements.
+    """
+    if not g.is_regular():
+        return False
+    ticks = iter(range(TRANSITIVITY_REFINES_PER_VERTEX * g.n))
+    parent = list(range(g.n))
+    try:
+        for v in range(1, g.n):
+            if _find(parent, v) != 0:
+                sigma = _find_automorphism(g, [0] * g.n, 0, v, ticks)
+                if sigma is None:
+                    return False
+                _merge(parent, sigma)
+    except _Budget:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import strategies as st
 
 from graphstrength.graphs import Graph
 
@@ -90,6 +91,31 @@ def is_automorphism(g: Graph, sigma: list[int]) -> bool:
     edges = {frozenset(e) for e in g.edges()}
     return (sorted(sigma) == list(range(g.n))
             and {frozenset((sigma[u], sigma[v])) for u, v in g.edges()} == edges)
+
+
+def brute_xi(g: Graph, i_max: int) -> list[int]:
+    """x_i = min |N(S)\\S| over every i-set S, i = 1..i_max (test-side reference).
+
+    Plain enumeration over ``itertools.combinations`` on neighbour sets built
+    from the edge list; nothing of the library's scan is used.
+    """
+    nbrs: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return [
+        min(len(set().union(*(nbrs[v] for v in s)) - set(s))
+            for s in itertools.combinations(range(g.n), i))
+        for i in range(1, i_max + 1)
+    ]
+
+
+@st.composite
+def small_graphs(draw, max_n: int = 10) -> Graph:
+    """Hypothesis strategy: any simple graph on 1..max_n vertices."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, [e for e in pairs if draw(st.booleans())])
 
 
 def brute_strength(g: Graph) -> int:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
+from graphstrength import oracle
 from graphstrength.bounds import (
     bounds_report,
     edge_connectivity,
@@ -27,10 +31,11 @@ from graphstrength.graphs import (
     path,
     star,
 )
+from graphstrength.cli import main
 from graphstrength.labeling import UnconfirmedBound
-from graphstrength.oracle import exact_strength
+from graphstrength.oracle import exact_strength, is_vertex_transitive
 
-from conftest import random_graph
+from conftest import brute_xi, random_graph, small_graphs, to_graph
 
 
 def petersen() -> Graph:
@@ -92,11 +97,118 @@ def test_xi_profile_closed_forms_on_cubes():
         assert prof.x[3] == 4 * n - 9
 
 
-def test_xi_parallel_equals_serial():
-    g = hypercube(4)
-    a = xi_profile(g, i_max=4, jobs=1)
-    b = xi_profile(g, i_max=4, jobs=2)
-    assert a.x == b.x and a.xi == b.xi
+# -- xi on vertex-transitive graphs ---------------------------------------------
+
+
+def circulant(n: int, jumps: tuple[int, ...]) -> Graph:
+    return Graph(n, [(v, (v + j) % n) for v in range(n) for j in jumps])
+
+
+def torus(a: int, b: int) -> Graph:
+    """C_a x C_b, vertex r*b + c at row r, column c."""
+    rows = [(r * b + c, r * b + (c + 1) % b) for r in range(a) for c in range(b)]
+    cols = [(r * b + c, (r + 1) % a * b + c) for r in range(a) for c in range(b)]
+    return Graph(a * b, rows + cols)
+
+
+def paley13() -> Graph:
+    residues = {1, 3, 4, 9, 10, 12}
+    return Graph(13, [(u, v) for u in range(13) for v in range(u + 1, 13)
+                      if (v - u) % 13 in residues])
+
+
+def transitive_graphs() -> dict[str, Graph]:
+    """Vertex-transitive graphs whose transitivity the bounded proof reaches."""
+    return {
+        "Q3": hypercube(3), "Q4": hypercube(4), "Q5": hypercube(5),
+        "C7": cycle(7), "C8": cycle(8), "Petersen": petersen(),
+        "K2,2": complete_bipartite(2, 2), "circ(10;1,2)": circulant(10, (1, 2)),
+        "circ(12;1,5)": circulant(12, (1, 5)), "circ(13;1,5)": circulant(13, (1, 5)),
+        "C3xC3": torus(3, 3), "C3xC4": torus(3, 4), "C4xC5": torus(4, 5),
+        "Paley(13)": paley13(), "2C5": cycles_union([5, 5]),
+    }
+
+
+def regular_not_transitive() -> dict[str, Graph]:
+    graphs = {"C5+C6": cycles_union([5, 6])}
+    for d, n in ((3, 10), (3, 14), (4, 11), (4, 13)):
+        for seed in range(3):
+            graphs[f"reg{d}-{n}-{seed}"] = to_graph(nx.random_regular_graph(d, n, seed=seed))
+    return graphs
+
+
+def assert_matches_brute_force(g: Graph) -> None:
+    prof = xi_profile(g)
+    assert all(prof.complete)
+    assert list(prof.x) == brute_xi(g, prof.i_max)
+    for i, (x, wit) in enumerate(zip(prof.x, prof.witnesses), start=1):
+        assert len(wit) == i
+        exterior = set().union(*(g.neighbors(v) for v in wit)) - set(wit)
+        assert len(exterior) == x
+
+
+@pytest.mark.parametrize("name", list(transitive_graphs()))
+def test_xi_matches_brute_force_on_transitive_graphs(name):
+    g = transitive_graphs()[name]
+    assert is_vertex_transitive(g)
+    assert_matches_brute_force(g)
+
+
+def test_xi_matches_brute_force_on_complete_and_bipartite_graphs():
+    # vertex-transitive, but their proof runs past its refinement cap
+    for g in (complete_bipartite(3, 3), complete_bipartite(4, 4), complete(6)):
+        assert_matches_brute_force(g)
+
+
+@pytest.mark.parametrize("name", list(regular_not_transitive()))
+def test_xi_matches_brute_force_on_regular_graphs(name):
+    g = regular_not_transitive()[name]
+    assert not is_vertex_transitive(g)
+    assert_matches_brute_force(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=9))
+def test_xi_matches_brute_force_on_random_graphs(g):
+    prof = xi_profile(g)
+    assert all(prof.complete) and list(prof.x) == brute_xi(g, prof.i_max)
+
+
+def test_xi_at_the_proof_cap_equals_reduced_scan(monkeypatch):
+    graphs = [*transitive_graphs().values(), hypercube(6)]
+    reduced = [xi_profile(g) for g in graphs]
+    monkeypatch.setattr(oracle, "TRANSITIVITY_REFINES_PER_VERTEX", 0)
+    for g, want in zip(graphs, reduced):
+        assert not is_vertex_transitive(g)
+        assert xi_profile(g) == want
+
+
+def test_transitivity_proof_stays_within_its_cap(monkeypatch):
+    calls = []
+    original = oracle._refine
+
+    def counting(g, colorings):
+        calls.append(g.n)
+        return original(g, colorings)
+
+    monkeypatch.setattr(oracle, "_refine", counting)
+    rng = random.Random(3)
+    graphs = [*transitive_graphs().values(), *regular_not_transitive().values(),
+              complete_bipartite(4, 4), complete(7), hypercube(7), Graph(1)]
+    graphs += [random_graph(rng, rng.randint(2, 16), 0.5) for _ in range(20)]
+    for g in graphs:
+        calls.clear()
+        is_vertex_transitive(g)
+        assert len(calls) <= oracle.TRANSITIVITY_REFINES_PER_VERTEX * g.n
+
+
+def test_q7_xi_profile_complete_at_default_budget(capsys):
+    prof = xi_profile(hypercube(7))
+    assert prof.x == (7, 12, 16, 19) and all(prof.complete)
+    assert main(["bounds", "--json", "--family", "hypercube:7"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {e["name"]: e["value"] for e in payload["entries"]}["xi"] == 144
+    assert not any("incomplete" in note for note in payload["notes"])
 
 
 def test_xi_budget_marks_incomplete():
@@ -149,12 +261,32 @@ def test_recognize_hypercube():
 
 def test_edge_connectivity_values():
     assert edge_connectivity(path(5)) == 1
+    assert edge_connectivity(path(2)) == 1
     assert edge_connectivity(cycle(6)) == 2
-    assert edge_connectivity(complete(5)) == 4
+    for n in range(1, 8):
+        assert edge_connectivity(complete(n)) == max(n - 1, 0)
     assert edge_connectivity(hypercube(4)) == 4
     assert edge_connectivity(disjoint_union(cycle(3), cycle(3))) == 0
     bridge = Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
     assert edge_connectivity(bridge) == 1
+    # two K5 joined by two edges: minimum degree 4, edge connectivity 2
+    k5s = disjoint_union(complete(5), complete(5))
+    assert edge_connectivity(Graph(10, k5s.edges() + [(0, 5), (1, 6)])) == 2
+    # 4-regular, kappa' = 4: some max-flow here must reuse an edge whose flow
+    # an earlier augmenting path cancelled
+    cancel = Graph(11, [(0, 3), (0, 4), (0, 5), (0, 9), (1, 6), (1, 7), (1, 8), (1, 10),
+                        (2, 3), (2, 7), (2, 8), (2, 10), (3, 6), (3, 10), (4, 5), (4, 6),
+                        (4, 9), (5, 7), (5, 9), (6, 9), (7, 8), (8, 10)])
+    assert edge_connectivity(cancel) == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=11))
+def test_edge_connectivity_matches_networkx(g):
+    gx = nx.Graph()
+    gx.add_nodes_from(range(g.n))
+    gx.add_edges_from(g.edges())
+    assert edge_connectivity(g) == nx.edge_connectivity(gx)
 
 
 def test_two_regular_helpers():

@@ -5,7 +5,6 @@ import random
 import networkx as nx
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from graphstrength import oracle
 from graphstrength.graphs import (
@@ -26,6 +25,7 @@ from conftest import (
     is_automorphism,
     random_graph,
     reference_orbits,
+    small_graphs,
     to_graph,
 )
 
@@ -177,13 +177,6 @@ def test_orbits_match_reference_on_random_regular():
 def test_orbits_match_reference_on_symmetric_graphs(name):
     g = symmetric_graphs()[name]
     assert automorphism_orbits(g) == reference_orbits(g)
-
-
-@st.composite
-def small_graphs(draw) -> Graph:
-    n = draw(st.integers(1, 10))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph(n, [e for e in pairs if draw(st.booleans())])
 
 
 @settings(max_examples=150, deadline=None)
