@@ -21,9 +21,10 @@ from scratch:
   proven vertex-transitive the scan for x_i only needs the sets containing
   vertex 0: an automorphism maps every i-set onto one of them.
 
-Bounds are computed on the graph minus its isolated vertices (strength
-ignores them), and each is registered by name so certificates referencing
-it can be re-verified.
+Bounds are computed on ``Graph.core()``, the graph minus its isolated
+vertices (strength ignores them), and each is registered by name so
+certificates referencing it can be re-verified.  An xi scan size that spends
+its node budget is marked incomplete and left out of xi.
 """
 
 from __future__ import annotations
@@ -31,17 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, _bits, hypercube
-from .labeling import UnconfirmedBound, recompute_arg, register_lower_bound
+from .labeling import BudgetExhausted, UnconfirmedBound, recompute_arg, register_lower_bound
 from .oracle import is_vertex_transitive
 
 DEFAULT_ALPHA_CAP = 40
 DEFAULT_XI_BUDGET = 2_000_000
 DEFAULT_XI_I_MAX = 4
-
-
-def _core(g: Graph) -> Graph:
-    """g minus isolated vertices (they never touch an edge sum)."""
-    return g.induced([v for v in range(g.n) if g.adj[v]])[0]
 
 
 # -- independence -------------------------------------------------------------
@@ -146,32 +142,29 @@ def _xi_scan(
     best = n + 1
     best_set = 0
     nodes = 0
-    complete = True
 
-    def rec(smask: int, ext: int, size: int, lowest_next: int) -> bool:
+    def rec(smask: int, ext: int, size: int, lowest_next: int) -> None:
         nonlocal best, best_set, nodes
         nodes += 1
         if nodes > budget:
-            return False
+            raise BudgetExhausted
         extn = ext.bit_count()
         if extn - (i - size) >= best:
-            return True
+            return
         if size == i:
             if extn < best:
                 best, best_set = extn, smask
-            return True
+            return
         for v in range(lowest_next, n - (i - size) + 1):
             ns = smask | 1 << v
-            ne = (ext | adj[v]) & ~ns
-            if not rec(ns, ne, size + 1, v + 1):
-                return False
-        return True
+            rec(ns, (ext | adj[v]) & ~ns, size + 1, v + 1)
 
-    for v in firsts:
-        if not rec(1 << v, adj[v] & ~(1 << v), 1, v + 1):
-            complete = False
-            break
-    return best, best_set, complete, nodes
+    try:
+        for v in firsts:
+            rec(1 << v, adj[v] & ~(1 << v), 1, v + 1)
+    except BudgetExhausted:
+        return best, best_set, False, nodes
+    return best, best_set, True, nodes
 
 
 def xi_profile(
@@ -378,7 +371,7 @@ def bounds_report(
     """Every applicable bound on strength(g), each one recomputable by name."""
     if g.edge_count == 0:
         raise ValueError("strength is undefined for graphs with no edges")
-    core = _core(g)
+    core, _ = g.core()
     p = core.n
     notes = []
     if core.n != g.n:
@@ -451,47 +444,47 @@ def bounds_report(
 
 
 def _reg_p_delta(g: Graph, args: tuple) -> int:
-    core = _core(g)
+    core, _ = g.core()
     return core.n + core.min_degree()
 
 
 def _reg_maxdeg(g: Graph, args: tuple) -> int:
-    return _core(g).max_degree() + 2
+    return g.core()[0].max_degree() + 2
 
 
 def _reg_kappa(g: Graph, args: tuple) -> int:
-    core = _core(g)
+    core, _ = g.core()
     return core.n + edge_connectivity(core)
 
 
 def _reg_independence(g: Graph, args: tuple) -> int:
     cap = recompute_arg(args, DEFAULT_ALPHA_CAP, "independence cap")
-    return independence_lower_bound_str(_core(g), cap=cap)
+    return independence_lower_bound_str(g.core()[0], cap=cap)
 
 
 def _reg_xi(g: Graph, args: tuple) -> int:
     i_max = recompute_arg(args, DEFAULT_XI_I_MAX, "xi set size")
-    core = _core(g)
+    core, _ = g.core()
     prof = xi_profile(core, i_max)
     return core.n + prof.xi
 
 
 def _reg_hypercube(g: Graph, args: tuple) -> int:
-    got = recognize_hypercube(_core(g))
+    got = recognize_hypercube(g.core()[0])
     if got is None or got[0] < 2:
         raise ValueError("graph is not a hypercube of dimension >= 2")
     return hypercube_lower_bound(got[0])
 
 
 def _reg_two_regular(g: Graph, args: tuple) -> int:
-    lengths = two_regular_cycle_lengths(_core(g))
+    lengths = two_regular_cycle_lengths(g.core()[0])
     if lengths is None:
         raise ValueError("graph is not a disjoint union of cycles")
     return two_regular_strength(lengths)
 
 
 def _reg_trivial(g: Graph, args: tuple) -> int:
-    core = _core(g)
+    core, _ = g.core()
     if core.n == 0:
         raise ValueError("no edges")
     return core.n + 1

@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .bounds import bounds_report
+from .bounds import DEFAULT_ALPHA_CAP, DEFAULT_XI_BUDGET, DEFAULT_XI_I_MAX, bounds_report
 from .constructions import (
     BUNDLED_FIXTURES,
     FixtureError,
@@ -55,7 +55,7 @@ from .labeling import (
     to_dot,
     verify_certificate,
 )
-from .oracle import DEFAULT_VERTEX_CAP, exact_strength
+from .oracle import DEFAULT_BUDGET as EXACT_BUDGET, DEFAULT_VERTEX_CAP, exact_strength
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -465,11 +465,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("bounds", help="print lower/upper bounds")
     _add_graph_arguments(sub)
-    sub.add_argument("--alpha-cap", type=int, default=40,
+    sub.add_argument("--alpha-cap", type=int, default=DEFAULT_ALPHA_CAP,
                      help="largest graph for the exact independence bound")
-    sub.add_argument("--xi-max", type=int, default=4,
+    sub.add_argument("--xi-max", type=int, default=DEFAULT_XI_I_MAX,
                      help="largest subset size for the neighborhood bound")
-    sub.add_argument("--budget", type=int, default=2_000_000,
+    sub.add_argument("--budget", type=int, default=DEFAULT_XI_BUDGET,
                      help="node budget for the neighborhood-bound scan")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_bounds)
@@ -488,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("exact", help="exhaustive search (small graphs)")
     _add_graph_arguments(sub)
-    sub.add_argument("--budget", type=int, default=2_000_000)
+    sub.add_argument("--budget", type=int, default=EXACT_BUDGET)
     sub.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_exact)

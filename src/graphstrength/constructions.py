@@ -248,7 +248,7 @@ class Fixture:
     def certificate(self) -> StrengthCertificate:
         """The stored numbering as an upper-bound-only (trivial-lower) certificate."""
         return StrengthCertificate(
-            lower=LowerBound("trivial", self.graph.n - len(self.graph.isolated_vertices()) + 1),
+            lower=LowerBound("trivial", self.graph.core()[0].n + 1),
             upper=self.strength,
             witness=self.numbering,
             notes=(f"stored numbering {self.name}",),

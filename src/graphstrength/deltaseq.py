@@ -32,6 +32,7 @@ from .bounds import recognize_hypercube, two_regular_cycle_lengths
 from .constructions import hypercube_certificate, label_two_regular
 from .graphs import Graph, _bits, complete_bipartite, disjoint_union
 from .labeling import (
+    BudgetExhausted,
     LowerBound,
     Numbering,
     StrengthCertificate,
@@ -217,10 +218,6 @@ class DeltaSearchResult:
     nodes_explored: int
 
 
-class _Budget(Exception):
-    pass
-
-
 def _search(
     g: Graph, mode: str, budget: int, root_degree: int | None, floor: float, target: float
 ) -> tuple[tuple[int, ...] | None, int, bool]:
@@ -272,7 +269,7 @@ def _search(
                 continue
             nodes += 1
             if nodes > budget:
-                raise _Budget
+                raise BudgetExhausted
             choices.append(v)
             if search(nxt, nz, nworst, stage + 1):
                 return True
@@ -282,7 +279,7 @@ def _search(
     try:
         # worst prefix of a real sequence can't exceed p; +1 clears the cap
         search(g.full_mask, 0, g.n + 1, 1)
-    except _Budget:
+    except BudgetExhausted:
         return best_choices, nodes, False
     return best_choices, nodes, True
 
@@ -511,26 +508,20 @@ def _engine_certificate(h: Graph, engines: tuple[str, ...], budget: int) -> Embe
 def embed_minimal(h: Graph, budget: int = DEFAULT_BUDGET) -> EmbedResult:
     """Certify strength p + delta for h itself or for h plus one biclique.
 
-    Tries, in order: a minimum-degree sequence of h; an any-degree sequence
-    rooted at a minimum-degree vertex; and finally a search for the
-    any-degree sequence with the best worst prefix sum Z, attaching
-    K_{delta, delta - min(Z, 0)} whose own sequence's final total absorbs the
-    dip, so the union is certified at |union| + delta exactly.  Complete
-    graphs short-circuit: every numbering of K_p has strength 2p - 1.
-
-    Budget rule: each engine search gets the full ``budget``, and the best-Z
-    search gets what the two engine searches left.
+    This is the min-degree embed path of ``certify``, for a graph with no
+    isolated vertex: a complete graph short-circuits, then a minimum-degree
+    sequence of h, an any-degree sequence rooted at a minimum-degree vertex,
+    and last the biclique host, under ``certify``'s budget rule.
     """
     if h.edge_count == 0 or not all(h.adj[v] for v in range(h.n)):
         raise ValueError("host must have minimum degree at least 1")
-    cert = _complete_certificate(h)
-    if cert is not None:
-        return EmbedResult("exact", h, cert, None, None, 0)
-    return _host_stage(h, _engine_certificate(h, MODES, budget), budget)
+    return certify(h, "min-degree", budget, embed=True)
 
 
 def _host_stage(h: Graph, res: EmbedResult, budget: int) -> EmbedResult:
-    """The biclique host, once both engines have run on h and given ``res``."""
+    """The biclique host once both engines gave ``res``: h's best-Z sequence
+    rooted at a minimum-degree vertex plus K_{delta, delta - min(Z, 0)}, whose
+    own final total absorbs the dip, certified at |union| + delta exactly."""
     left = budget - res.nodes_explored
     if res.certificate is not None or left <= 0:
         return res
@@ -563,18 +554,18 @@ def certify(
     mode.  ``auto`` then tries the closed forms (cycle unions, forests,
     recognized cubes) and both sequence engines; the other modes try only
     their engine.  With ``embed``, every mode runs both engines (any-degree
-    mode its own first), and a graph neither certifies gets the host of
-    ``embed_minimal``: the input plus one biclique on the next ids.  The
-    witness is lifted back over the isolated vertices, which take the top
-    labels.  Budget rule as in ``embed_minimal``.  Raises ValueError on a
-    graph with no edges or an unknown mode.
+    mode its own first), and a graph neither certifies gets a host: the
+    input plus one biclique on the next ids.  The witness is lifted back
+    over the isolated vertices, which take the top labels.  Budget rule:
+    each engine search gets the full ``budget``, and the best-Z search
+    behind the host gets what the engine searches left.  Raises ValueError
+    on a graph with no edges or an unknown mode.
     """
     if mode not in ("auto",) + MODES:
         raise ValueError(f"mode must be 'auto' or one of {MODES}")
-    core_ids = [v for v in range(g.n) if g.adj[v]]
-    if not core_ids:
+    core, _ = g.core()
+    if core.n == 0:
         raise ValueError("graph has no edges; strength is undefined")
-    core = g if len(core_ids) == g.n else g.induced(core_ids)[0]
     cert = _complete_certificate(core)
     if cert is None and mode == "auto":
         cert = _closed_form_certificate(core)

@@ -15,6 +15,9 @@ from __future__ import annotations
 from .graphs import Graph
 
 _HEADER = ">>graph6<<"
+# Largest n an edge-list header may declare: the header alone sizes the graph.
+# graph6 needs no such limit, as its data length bounds n.
+MAX_EDGELIST_VERTICES = 2**16
 
 
 class Graph6Error(ValueError):
@@ -136,6 +139,8 @@ def read_edgelist(text: str) -> Graph:
         if header is None:
             if a < 0 or b < 0:
                 raise EdgeListError(lineno, "header counts must be nonnegative")
+            if a > MAX_EDGELIST_VERTICES:
+                raise EdgeListError(lineno, f"{a} vertices exceed the limit {MAX_EDGELIST_VERTICES}")
             header = (a, b)
             continue
         if len(edges) == header[1]:

@@ -77,6 +77,13 @@ class Graph:
     def isolated_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if not self.adj[v])
 
+    def core(self) -> tuple["Graph", list[int]]:
+        """The graph minus its isolated vertices (they touch no edge sum) and
+        the new-id -> old-id map; ``self`` when no vertex is isolated."""
+        if all(self.adj):
+            return self, list(range(self.n))
+        return self.induced([v for v in range(self.n) if self.adj[v]])
+
     # -- structure ---------------------------------------------------------
 
     def components(self) -> list[tuple[int, ...]]:

@@ -64,23 +64,18 @@ def extend_over_isolated(g: Graph, core_numbering: Numbering) -> Numbering:
 
     Isolated vertices take the leftover top labels, so no edge sum changes:
     the strength of g equals the strength of its non-isolated part.
-    ``core_numbering`` must number g's non-isolated vertices in increasing
-    vertex-id order.
+    ``core_numbering`` numbers ``g.core()``, whose ids keep g's order.
     """
-    core = [v for v in range(g.n) if g.adj[v]]
-    if core_numbering.p != len(core):
+    ids = g.core()[1]
+    if core_numbering.p != len(ids):
         raise ValueError(
-            f"core numbering covers {core_numbering.p} vertices, "
-            f"graph has {len(core)} non-isolated"
+            f"core numbering covers {core_numbering.p} vertices, graph has {len(ids)} non-isolated"
         )
     labels = [0] * g.n
-    for idx, v in enumerate(core):
-        labels[v] = core_numbering.labels[idx]
-    nxt = len(core) + 1
-    for v in range(g.n):
-        if not g.adj[v]:
-            labels[v] = nxt
-            nxt += 1
+    for v, label in zip(ids, core_numbering.labels):
+        labels[v] = label
+    for label, v in enumerate(g.isolated_vertices(), start=len(ids) + 1):
+        labels[v] = label
     return Numbering(tuple(labels))
 
 
@@ -98,6 +93,11 @@ _LOWER_BOUND_REGISTRY: dict[str, Callable[[Graph, tuple], int]] = {}
 
 class UnconfirmedBound(Exception):
     """A lower-bound recomputation ran out of budget (neither confirms nor refutes)."""
+
+
+class BudgetExhausted(Exception):
+    """A node-budgeted search ran out of nodes.  Raised from the search's own
+    counter and caught in its public function, which reports a status."""
 
 
 def register_lower_bound(name: str, fn: Callable[[Graph, tuple], int]) -> None:

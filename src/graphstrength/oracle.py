@@ -33,6 +33,7 @@ import networkx as nx
 
 from .graphs import Graph, _bits
 from .labeling import (
+    BudgetExhausted,
     LowerBound,
     Numbering,
     StrengthCertificate,
@@ -115,12 +116,13 @@ def _find_automorphism(
     failure.  Any automorphism extending the choices so far maps x into that
     cell, so None is the outcome of a completed search.  A discrete coloring
     induces a map that is returned only once it is checked edge by edge.
-    With ``ticks``, each refinement takes one item; none left raises _Budget.
+    With ``ticks``, each refinement takes one item; none left raises
+    BudgetExhausted.
     """
 
     def extend(left: list[int], right: list[int]) -> list[int] | None:
         if ticks is not None and next(ticks, None) is None:
-            raise _Budget
+            raise BudgetExhausted
         pair = _refine(g, [left, right])
         if pair is None:
             return None
@@ -213,7 +215,7 @@ def is_vertex_transitive(g: Graph) -> bool:
                 if sigma is None:
                     return False
                 _merge(parent, sigma)
-    except _Budget:
+    except BudgetExhausted:
         return False
     return True
 
@@ -223,10 +225,6 @@ class FeasibilityResult:
     status: str  # "feasible" | "infeasible" | "budget"
     witness: Numbering | None
     nodes_explored: int
-
-
-class _Budget(Exception):
-    pass
 
 
 def feasible_at(
@@ -278,7 +276,7 @@ def feasible_at(
         for v in candidates(level):
             nodes += 1
             if nodes > budget:
-                raise _Budget
+                raise BudgetExhausted
             labels[v] = level
             unlabeled ^= 1 << v
             touched = []
@@ -296,7 +294,7 @@ def feasible_at(
 
     try:
         found = place(p)
-    except _Budget:
+    except BudgetExhausted:
         return FeasibilityResult("budget", None, nodes)
     if found:
         return FeasibilityResult("feasible", Numbering(tuple(labels)), nodes)
@@ -343,7 +341,7 @@ def exact_strength(
     """
     if g.edge_count == 0:
         raise ValueError("strength is undefined for graphs with no edges")
-    core, _ = g.induced([v for v in range(g.n) if g.adj[v]])
+    core, _ = g.core()
     if core.n > vertex_cap:
         raise ValueError(
             f"{core.n} non-isolated vertices exceeds the exact-solver cap "

@@ -27,6 +27,13 @@ def atlas_connected(p_min: int, p_max: int) -> list[Graph]:
     return out
 
 
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return Graph(10, outer + inner + spokes)
+
+
 def random_graph(rng: random.Random, p: int, density: float) -> Graph:
     edges = [(u, v) for u in range(p) for v in range(u + 1, p) if rng.random() < density]
     return Graph(p, edges)

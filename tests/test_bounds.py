@@ -35,14 +35,7 @@ from graphstrength.cli import main
 from graphstrength.labeling import UnconfirmedBound
 from graphstrength.oracle import exact_strength, is_vertex_transitive
 
-from conftest import brute_xi, random_graph, small_graphs, to_graph
-
-
-def petersen() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return Graph(10, outer + inner + spokes)
+from conftest import brute_xi, petersen, random_graph, small_graphs, to_graph
 
 
 def test_independence_number_frozen_values():

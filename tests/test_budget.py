@@ -1,0 +1,137 @@
+"""Budget exhaustion, pinned per search.
+
+Every node-budgeted search counts its own nodes and reports a spent budget
+as a status (or ``complete=False``).  The statuses and node counts below
+were recorded before the searches shared one exhaustion signal; they must
+not move.  The node that overshoots the budget is counted, so a search
+stopped at budget b reports b + 1 nodes.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+
+from graphstrength import oracle
+from graphstrength.bounds import _xi_scan, bounds_report, xi_profile
+from graphstrength.constructions import load_fixture
+from graphstrength.deltaseq import best_z_sequence, certify, embed_minimal, find_delta_sequence
+from graphstrength.graphs import Graph, complete_bipartite, hypercube, wheel
+from graphstrength.labeling import LowerBound, verify_certificate
+from graphstrength.oracle import exact_strength, feasible_at, is_vertex_transitive
+
+from conftest import petersen
+
+
+def graphs() -> dict[str, Graph]:
+    return {"q4": hypercube(4), "ex22": load_fixture("example22").graph, "w7": wheel(7)}
+
+
+@pytest.mark.parametrize("budget", [0, 1, 7, 100])
+def test_xi_scan_stops_one_node_past_its_budget(budget):
+    g = hypercube(5)
+    best, _, complete, nodes = _xi_scan(g.adj, g.n, 3, list(range(g.n - 2)), budget)
+    assert not complete and nodes == budget + 1
+    assert best == (33 if budget < 7 else 10)
+
+
+def test_xi_scan_within_budget_is_complete():
+    g = hypercube(5)
+    assert _xi_scan(g.adj, g.n, 2, list(range(g.n - 1)), 10**6) == (8, 3, True, 527)
+    assert _xi_scan(g.adj, g.n, 2, list(range(g.n - 1)), 527) == (8, 3, True, 527)
+    assert _xi_scan(g.adj, g.n, 2, list(range(g.n - 1)), 526)[2:] == (False, 527)
+
+
+# (graph, mode, budget) -> (status, nodes)
+FIND = {
+    ("q4", "min-degree", 0): ("budget", 1),
+    ("q4", "min-degree", 10): ("budget", 11),
+    ("q4", "min-degree", 50): ("exhausted", 16),
+    ("q4", "any-degree", 5): ("budget", 6),
+    ("q4", "any-degree", 50): ("exhausted", 16),
+    ("ex22", "min-degree", 5): ("budget", 6),
+    ("ex22", "min-degree", 10): ("exhausted", 9),
+    ("ex22", "any-degree", 3): ("budget", 4),
+    ("ex22", "any-degree", 5): ("found", 4),
+    ("w7", "min-degree", 1): ("budget", 2),
+    ("w7", "min-degree", 3): ("found", 2),
+}
+
+
+@pytest.mark.parametrize("key", list(FIND))
+def test_find_delta_sequence_budget_statuses(key):
+    name, mode, budget = key
+    res = find_delta_sequence(graphs()[name], mode, budget)
+    assert (res.status, res.nodes_explored) == FIND[key]
+
+
+# (graph, budget) -> (choices or None, nodes, complete)
+BEST_Z = {
+    ("q4", 0): (None, 1, False),
+    ("q4", 3): (None, 4, False),
+    ("q4", 5): ((0, 3, 5, 6), 6, False),
+    ("q4", 50): ((0, 3, 5, 6), 19, True),
+    ("ex22", 3): ((0, 4, 9), 4, False),
+    ("ex22", 10): ((0, 7, 8), 11, False),
+    ("ex22", 50): ((9, 0), 36, True),
+    ("w7", 5): ((1, 3), 6, False),
+    ("w7", 10): ((1, 3), 8, True),
+}
+
+
+@pytest.mark.parametrize("key", list(BEST_Z))
+def test_best_z_sequence_budget_results(key):
+    name, budget = key
+    seq, nodes, complete = best_z_sequence(graphs()[name], budget)
+    assert (seq.choices() if seq else None, nodes, complete) == BEST_Z[key]
+
+
+# (graph, threshold, budget) -> (status, nodes)
+FEASIBLE = {
+    ("petersen", 12, 0): ("infeasible", 0),
+    ("petersen", 13, 0): ("budget", 1),
+    ("petersen", 13, 5): ("budget", 6),
+    ("petersen", 13, 20): ("infeasible", 7),
+    ("petersen", 14, 5): ("budget", 6),
+    ("petersen", 14, 20): ("feasible", 11),
+    ("q4", 20, 5): ("budget", 6),
+    ("q4", 20, 20): ("infeasible", 12),
+    ("q4", 21, 1): ("budget", 2),
+    ("q4", 21, 20): ("feasible", 16),
+}
+
+
+@pytest.mark.parametrize("key", list(FEASIBLE))
+def test_feasible_at_budget_statuses(key):
+    name, t, budget = key
+    g = petersen() if name == "petersen" else graphs()[name]
+    res = feasible_at(g, t, budget)
+    assert (res.status, res.nodes_explored) == FEASIBLE[key]
+
+
+def test_transitivity_proof_gives_up_at_its_refinement_cap(monkeypatch):
+    # K_{6,6} is vertex-transitive, but its proof needs more refinements
+    # than the cap allows, so it is reported as not proven
+    g = complete_bipartite(6, 6)
+    assert not is_vertex_transitive(g)
+    monkeypatch.setattr(oracle, "TRANSITIVITY_REFINES_PER_VERTEX", 100)
+    assert is_vertex_transitive(g)
+
+
+def test_public_searches_report_a_spent_budget():
+    # none of these raises: each search turns its exhaustion into a status
+    q4 = hypercube(4)
+    res = exact_strength(q4, budget=0, vertex_cap=16)
+    assert (res.status, res.lower, res.upper, res.nodes_explored) == ("bracket", 20, 31, 1)
+    for res in (certify(q4, "min-degree", budget=0, embed=True), embed_minimal(q4, budget=0)):
+        assert (res.status, res.nodes_explored) == ("inconclusive", 2)
+    assert not any(xi_profile(hypercube(5), budget=0).complete)
+    report = bounds_report(hypercube(5), xi_budget=0)
+    assert "expansion profile incomplete within budget; skipped" in report.notes
+
+    cube = hypercube(3)
+    cert = exact_strength(cube).to_certificate()
+    starved = replace(cert, lower=LowerBound("search", cert.lower.value, (0,)))
+    verdict = verify_certificate(cube, starved)
+    assert verdict.status == "invalid" and "unconfirmed" in verdict.reasons[0]

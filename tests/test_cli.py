@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import graphstrength
-from graphstrength.cli import main
-from graphstrength.graphio import parse_graph6, write_edgelist, write_graph6
+from graphstrength import bounds, deltaseq, oracle
+from graphstrength.cli import _build_parser, main
+from graphstrength.graphio import MAX_EDGELIST_VERTICES, parse_graph6, write_edgelist, write_graph6
 from graphstrength.graphs import Graph, complete_bipartite, cycle, disjoint_union, hypercube
 
 PETERSEN_G6 = "IheA@GUAo"
@@ -326,6 +327,14 @@ def test_missing_edges_file(capsys):
     assert code == 2
 
 
+def test_oversized_edge_list_header(capsys, tmp_path):
+    f = tmp_path / "huge.edges"
+    f.write_text(f"{MAX_EDGELIST_VERTICES + 1} 1\n0 1\n")
+    code, out, err = run(capsys, "label", "--json", "--edges", str(f))
+    assert code == 2 and out == ""
+    assert "line 1" in err and "exceed the limit" in err
+
+
 def test_unknown_fixture(capsys):
     code, _, err = run(capsys, "label", "--fixture", "q9")
     assert code == 2
@@ -335,6 +344,20 @@ def test_edgeless_graph_rejected(capsys):
     code, _, err = run(capsys, "label", "--graph6", "C?")
     assert code == 2
     assert "no edges" in err
+
+
+def test_parser_defaults_are_library_constants():
+    # verify refuses recompute arguments above these constants, so the CLI
+    # defaults must be the constants themselves
+    parse = _build_parser().parse_args
+    args = parse(["bounds", "--family", "cycle:5"])
+    assert args.alpha_cap == bounds.DEFAULT_ALPHA_CAP
+    assert args.xi_max == bounds.DEFAULT_XI_I_MAX
+    assert args.budget == bounds.DEFAULT_XI_BUDGET
+    args = parse(["exact", "--family", "cycle:5"])
+    assert args.budget == oracle.DEFAULT_BUDGET
+    assert args.vertex_cap == oracle.DEFAULT_VERTEX_CAP
+    assert parse(["label", "--family", "cycle:5"]).budget == deltaseq.DEFAULT_BUDGET
 
 
 def test_version(capsys):

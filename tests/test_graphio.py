@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from graphstrength.graphio import (
+    MAX_EDGELIST_VERTICES,
     EdgeListError,
     Graph6Error,
     parse_graph6,
@@ -117,3 +118,13 @@ def test_edgelist_errors_carry_line_numbers():
     with pytest.raises(EdgeListError) as err:
         read_edgelist("3 1\n0 1 2\n")
     assert err.value.line == 2
+
+
+def test_edgelist_vertex_count_limit():
+    g = read_edgelist(f"{MAX_EDGELIST_VERTICES} 1\n0 1\n")
+    assert g.n == MAX_EDGELIST_VERTICES and g.edge_count == 1
+    # refused at the header, before anything is sized by it
+    for n in (MAX_EDGELIST_VERTICES + 1, 10**10):
+        with pytest.raises(EdgeListError) as err:
+            read_edgelist(f"{n} 1\n0 1\n")
+        assert err.value.line == 1 and "exceed the limit" in str(err.value)

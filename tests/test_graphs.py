@@ -96,6 +96,16 @@ def test_components_and_connectivity():
     assert g.isolated_vertices() == (5,)
 
 
+def test_core_drops_isolated_vertices():
+    g = Graph(7, [(1, 2), (2, 4), (4, 6)])
+    core, ids = g.core()
+    assert ids == [1, 2, 4, 6]
+    assert core == path(4)
+    c5 = cycle(5)
+    assert c5.core() == (c5, [0, 1, 2, 3, 4]) and c5.core()[0] is c5
+    assert Graph(3).core() == (Graph(0), [])
+
+
 def test_bipartition_canonical_and_odd_cycles():
     side0, side1 = path(4).bipartition()
     assert side0 == (0, 2) and side1 == (1, 3)

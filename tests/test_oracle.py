@@ -23,18 +23,12 @@ from conftest import (
     atlas_connected,
     brute_strength,
     is_automorphism,
+    petersen,
     random_graph,
     reference_orbits,
     small_graphs,
     to_graph,
 )
-
-
-def petersen() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return Graph(10, outer + inner + spokes)
 
 
 def test_matches_brute_force_on_all_small_connected(atlas_small):
