@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 bad input, 3 inconclusive (bracket, not exact),
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -455,7 +456,10 @@ def _cmd_repro(args: argparse.Namespace) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: building it costs about 20 times what
+    parsing one command line with it does, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="graphstrength",
         description="Vertex numberings minimizing the largest edge label sum.",

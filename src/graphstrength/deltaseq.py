@@ -16,7 +16,12 @@ again optimal whenever d_1 equals the minimum degree.
 
 Searches here are deterministic: candidates are tried by (degree, id)
 ascending, budgets count choice applications, and "exhausted" is reported
-only when the whole pruned tree was actually explored within budget.
+only when the whole pruned tree was actually explored within budget.  Both
+searches run one DFS, ``_search``.  It keeps, for one call, a table of
+proven bounds keyed by the set of vertices that remain; a subtree the table
+rules out holds no strict improvement on the incumbent, so the table only
+saves nodes and never changes what a completed search returns.  Its size
+is at most the number of nodes counted, so the budget bounds it.
 
 ``certify`` is the labeling pipeline: closed forms first, then these
 searches, then a biclique host; the ``label`` command only formats its
@@ -120,23 +125,33 @@ class DeltaSequence:
         return " -> ".join(parts)
 
 
-def _split_isolated(g: Graph, mask: int) -> tuple[int, int]:
+def _stage(adj: list[int], mask: int) -> tuple[int, list[tuple[int, int]]]:
+    """One walk over a stage: (isolated vertices as a mask, the rest as
+    (residual degree, id) pairs sorted ascending).
+
+    An isolated vertex has no neighbour in ``mask``, so ``adj[v] & mask`` is
+    already v's degree in what remains once the isolated vertices are split
+    off.  The stage is terminal (empty, or one clique) exactly when the
+    lowest degree is r - 1, r the number of pairs; see ``_terminal``.
+    """
     iso = 0
-    for v in _bits(mask):
-        if not g.adj[v] & mask:
-            iso |= 1 << v
-    return iso, mask ^ iso
+    degrees = []
+    rest = mask
+    while rest:  # _bits, inlined: this walk is the search's inner loop
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        d = (adj[v] & mask).bit_count()
+        if d:
+            degrees.append((d, v))
+        else:
+            iso |= low
+    degrees.sort()
+    return iso, degrees
 
 
-def _residual_degree(g: Graph, mask: int, v: int) -> int:
-    return (g.adj[v] & mask).bit_count()
-
-
-def _is_clique(g: Graph, mask: int) -> bool:
-    for v in _bits(mask):
-        if (g.adj[v] & mask) | 1 << v != mask:
-            return False
-    return True
+def _terminal(degrees: list[tuple[int, int]]) -> bool:
+    return not degrees or degrees[0][0] == len(degrees) - 1
 
 
 def replay(g: Graph, choices: tuple[int, ...] | list[int], mode: str = "min-degree") -> DeltaSequence:
@@ -154,25 +169,27 @@ def replay(g: Graph, choices: tuple[int, ...] | list[int], mode: str = "min-degr
         raise ValueError("empty graph has no reduction sequence")
     if not all(g.adj[v] for v in range(g.n)):
         raise ValueError("strip isolated vertices first (stage 1 must have none)")
+    adj = g.adj
     mask = g.full_mask
     steps: list[DeltaStep] = []
     z = 0
     for idx, u in enumerate(choices, start=1):
-        iso, residual = _split_isolated(g, mask)
-        if not residual or _is_clique(g, residual):
+        iso, degrees = _stage(adj, mask)
+        if _terminal(degrees):
             raise ValueError(
                 f"stage {idx} is already terminal; {len(choices) - idx + 1} choices left over"
             )
+        residual = mask ^ iso
         if not residual >> u & 1:
             raise ValueError(f"choice {u} at stage {idx} is not in the remaining graph")
-        d = _residual_degree(g, residual, u)
+        d = (adj[u] & residual).bit_count()
         if mode == "min-degree":
-            dmin = min(_residual_degree(g, residual, w) for w in _bits(residual))
+            dmin = degrees[0][0]
             if d != dmin:
                 raise ValueError(
                     f"choice {u} at stage {idx} has degree {d}, minimum is {dmin}"
                 )
-        nxt = residual & ~(g.adj[u] | 1 << u)
+        nxt = residual & ~(adj[u] | 1 << u)
         if not nxt:
             raise ValueError(
                 f"choice {u} at stage {idx} deletes the whole remaining graph"
@@ -186,19 +203,20 @@ def replay(g: Graph, choices: tuple[int, ...] | list[int], mode: str = "min-degr
                 d=d,
                 m=m,
                 isolated=tuple(_bits(iso)),
-                neighbors=tuple(_bits(g.adj[u] & residual)),
+                neighbors=tuple(_bits(adj[u] & residual)),
                 y=y,
                 z=z,
             )
         )
         mask = nxt
-    iso, residual = _split_isolated(g, mask)
-    if residual and not _is_clique(g, residual):
+    iso, degrees = _stage(adj, mask)
+    if not _terminal(degrees):
         raise ValueError(
             f"choices ran out at stage {len(choices) + 1}: remaining graph is not terminal"
         )
+    residual = mask ^ iso
     m = iso.bit_count()
-    r = residual.bit_count()
+    r = len(degrees)
     d_term = max(r - 1, 0)
     y = m + 1 - d_term
     if not choices:
@@ -228,44 +246,65 @@ def _search(
     incumbent, which starts at ``floor``; the search stops once the
     incumbent reaches ``target``.  Returns (incumbent's choices or None,
     nodes explored, complete); complete is False when the budget ran out.
+
+    From stage 2 on, what lies below a node depends only on its vertex set
+    (the mask): the best worst-prefix a continuation can add to the running
+    total z is a function R(mask).  When a child's subtree was explored to
+    the end (no budget exit, no target return) and the child's running
+    minimum still beats the incumbent afterwards, branch and bound has
+    proven R(child) <= best - z(child).  ``bound`` keeps the least such
+    value per mask, and a later child whose z plus its mask's bound cannot
+    beat the incumbent is skipped without being counted.  No leaf under it
+    could strictly beat the incumbent, and only a strict improvement
+    replaces the incumbent, so the incumbents follow one another exactly as
+    without the table: a search that completes without it returns the same
+    choices and completes with it, in no more nodes, and a search that ran
+    out of budget without it may get further.  The table lives for one call
+    and holds at most one entry per counted node, so the budget bounds its
+    memory.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if g.n == 0 or not all(g.adj[v] for v in range(g.n)):
         raise ValueError("strip isolated vertices first")
-    if _is_clique(g, g.full_mask):
+    if _terminal(_stage(g.adj, g.full_mask)[1]):
         raise ValueError("graph is a single clique: already terminal, "
                          "strength is 2p-1 directly")
     adj = g.adj
+    min_degree = mode == "min-degree"
     nodes = 0
     best: float = floor
     best_choices: tuple[int, ...] | None = None
     choices: list[int] = []
+    bound: dict[int, float] = {}
 
     def search(mask: int, z: int, worst: float, stage: int) -> bool:
         """Explore below this stage; True once the target is reached."""
         nonlocal nodes, best, best_choices
-        iso, residual = _split_isolated(g, mask)
+        iso, degrees = _stage(adj, mask)
         m = iso.bit_count()
-        if not residual or _is_clique(g, residual):
-            final = min(worst, z + m + 1 - max(residual.bit_count() - 1, 0))
+        if _terminal(degrees):
+            final = min(worst, z + m + 1 - max(len(degrees) - 1, 0))
             if final > best:
                 best, best_choices = final, tuple(choices)
             return best >= target
-        degree = {v: (adj[v] & residual).bit_count() for v in _bits(residual)}
-        pool = sorted(degree, key=degree.__getitem__)  # stable: ties by id
-        if mode == "min-degree":
-            pool = [v for v in pool if degree[v] == degree[pool[0]]]
-        if stage == 1 and root_degree is not None:
-            pool = [v for v in pool if degree[v] == root_degree]
-        for v in pool:
-            # stage 1 only fixes d_1; prefix sums start at stage 2
-            nz = z + m + 1 - degree[v] if stage > 1 else 0
-            nworst = min(worst, nz) if stage > 1 else worst
+        residual = mask ^ iso
+        dmin = degrees[0][0]
+        for d, v in degrees:
+            if min_degree and d != dmin:
+                break
+            if stage == 1:
+                # stage 1 only fixes d_1; prefix sums start at stage 2
+                if root_degree is not None and d != root_degree:
+                    continue
+                nz, nworst = 0, worst
+            else:
+                nz = z + m + 1 - d
+                nworst = min(worst, nz)
             if nworst <= best:
-                continue
+                break  # nz only falls as the degree rises
             nxt = residual & ~(adj[v] | 1 << v)
-            if not nxt:
+            if not nxt or nz + bound.get(nxt, inf) <= best:
                 continue
             nodes += 1
             if nodes > budget:
@@ -274,6 +313,8 @@ def _search(
             if search(nxt, nz, nworst, stage + 1):
                 return True
             choices.pop()
+            if nworst > best and best - nz < bound.get(nxt, inf):
+                bound[nxt] = best - nz
         return False
 
     try:
@@ -281,6 +322,10 @@ def _search(
         search(g.full_mask, 0, g.n + 1, 1)
     except BudgetExhausted:
         return best_choices, nodes, False
+    finally:
+        # search refers to itself, so its closure (the table with it) would
+        # outlive this call until the cycle collector runs
+        bound.clear()
     return best_choices, nodes, True
 
 
@@ -332,6 +377,12 @@ def label_from_sequence(g: Graph, seq: DeltaSequence) -> Numbering:
     """
     if replay(g, seq.choices(), seq.mode) != seq:
         raise ValueError("sequence was not produced from this graph")
+    return _numbering(g, seq)
+
+
+def _numbering(g: Graph, seq: DeltaSequence) -> Numbering:
+    """``label_from_sequence`` for a sequence ``replay`` built from g itself,
+    as every sequence of ``certify`` is; the strength check still runs."""
     if not seq.satisfies_condition:
         raise ValueError(
             f"sequence has a negative prefix sum ({seq.min_prefix}); "
@@ -384,21 +435,15 @@ def forest_delta_sequence(t: Graph) -> DeltaSequence:
     choices: list[int] = []
     mask = t.full_mask
     while True:
-        iso, residual = _split_isolated(t, mask)
-        if not residual or _is_clique(t, residual):
+        iso, degrees = _stage(t.adj, mask)
+        if _terminal(degrees):
             break
-        pick = None
-        for v in _bits(residual):
-            if _residual_degree(t, residual, v) != 1:
-                continue
-            nbr = next(_bits(t.adj[v] & residual))
-            if _residual_degree(t, residual, nbr) >= 2:
-                pick = v
-                break
-        if pick is None:
-            pick = next(
-                v for v in _bits(residual) if _residual_degree(t, residual, v) == 1
-            )
+        residual = mask ^ iso
+        degree = {v: d for d, v in degrees}
+        # pendants come first, by id; a forest that is not terminal has one
+        pendants = [v for d, v in degrees if d == 1]
+        pick = next((v for v in pendants if degree[next(_bits(t.adj[v] & residual))] >= 2),
+                    pendants[0])
         choices.append(pick)
         mask = residual & ~(t.adj[pick] | 1 << pick)
     seq = replay(t, choices, "min-degree")
@@ -477,7 +522,7 @@ def _closed_form_certificate(h: Graph) -> StrengthCertificate | None:
         return label_two_regular(h)[1]
     if h.is_forest():
         seq = forest_delta_sequence(h)
-        witness = label_from_sequence(h, seq)
+        witness = _numbering(h, seq)
         return _p_delta_certificate(h, witness, f"leaf-peeling sequence: {seq.render()}")
     cube = recognize_hypercube(h)
     if cube is None or cube[0] < 2:
@@ -498,7 +543,7 @@ def _engine_certificate(h: Graph, engines: tuple[str, ...], budget: int) -> Embe
         res = find_delta_sequence(h, engine, budget, root_degree=root)
         spent += res.nodes_explored
         if res.status == "found":
-            witness = label_from_sequence(h, res.sequence)
+            witness = _numbering(h, res.sequence)
             note = f"{engine} sequence: {res.sequence.render()}"
             return EmbedResult("exact", h, _p_delta_certificate(h, witness, note),
                                res.sequence, None, spent)
@@ -537,7 +582,7 @@ def _host_stage(h: Graph, res: EmbedResult, budget: int) -> EmbedResult:
     if t_res.status != "found":  # pragma: no cover - bicliques always reduce
         raise AssertionError("biclique sequence search failed")
     union, seq = compose_h_plus_t(h, h_seq, biclique, t_res.sequence)
-    witness = label_from_sequence(union, seq)
+    witness = _numbering(union, seq)
     note = f"host extended by K_{{{m},{n}}}; spliced sequence: {seq.render()}"
     cert = _p_delta_certificate(union, witness, note)
     if cert.status != "exact":  # pragma: no cover - d1 = delta by construction

@@ -7,7 +7,9 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from graphstrength.graphs import Graph
+from graphstrength.deltaseq import MODES
+from graphstrength.graphs import Graph, _bits
+from graphstrength.labeling import BudgetExhausted
 
 
 def to_graph(nxg) -> Graph:
@@ -133,6 +135,95 @@ def brute_strength(g: Graph) -> int:
     for perm in itertools.permutations(range(1, g.n + 1)):
         best = min(best, max(perm[u] + perm[v] for u, v in edges))
     return best
+
+
+# -- the sequence DFS without its bound table (test-side reference) ----------
+#
+# ``deltaseq._search`` as it stood before it walked each stage once and kept
+# a per-call bound table, copied unchanged apart from its name.  The
+# library's search must return the same choices whenever this one completes,
+# in no more nodes.
+
+
+def _split_isolated(g: Graph, mask: int) -> tuple[int, int]:
+    iso = 0
+    for v in _bits(mask):
+        if not g.adj[v] & mask:
+            iso |= 1 << v
+    return iso, mask ^ iso
+
+
+def _is_clique(g: Graph, mask: int) -> bool:
+    for v in _bits(mask):
+        if (g.adj[v] & mask) | 1 << v != mask:
+            return False
+    return True
+
+
+def reference_search(
+    g: Graph, mode: str, budget: int, root_degree: int | None, floor: float, target: float
+) -> tuple[tuple[int, ...] | None, int, bool]:
+    """Depth-first search for the sequence whose worst prefix sum is largest.
+
+    Candidates go by (degree, id), only minimum-degree ones in min-degree
+    mode.  A branch is cut once its worst prefix sum cannot beat the
+    incumbent, which starts at ``floor``; the search stops once the
+    incumbent reaches ``target``.  Returns (incumbent's choices or None,
+    nodes explored, complete); complete is False when the budget ran out.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    if g.n == 0 or not all(g.adj[v] for v in range(g.n)):
+        raise ValueError("strip isolated vertices first")
+    if _is_clique(g, g.full_mask):
+        raise ValueError("graph is a single clique: already terminal, "
+                         "strength is 2p-1 directly")
+    adj = g.adj
+    nodes = 0
+    best: float = floor
+    best_choices: tuple[int, ...] | None = None
+    choices: list[int] = []
+
+    def search(mask: int, z: int, worst: float, stage: int) -> bool:
+        """Explore below this stage; True once the target is reached."""
+        nonlocal nodes, best, best_choices
+        iso, residual = _split_isolated(g, mask)
+        m = iso.bit_count()
+        if not residual or _is_clique(g, residual):
+            final = min(worst, z + m + 1 - max(residual.bit_count() - 1, 0))
+            if final > best:
+                best, best_choices = final, tuple(choices)
+            return best >= target
+        degree = {v: (adj[v] & residual).bit_count() for v in _bits(residual)}
+        pool = sorted(degree, key=degree.__getitem__)  # stable: ties by id
+        if mode == "min-degree":
+            pool = [v for v in pool if degree[v] == degree[pool[0]]]
+        if stage == 1 and root_degree is not None:
+            pool = [v for v in pool if degree[v] == root_degree]
+        for v in pool:
+            # stage 1 only fixes d_1; prefix sums start at stage 2
+            nz = z + m + 1 - degree[v] if stage > 1 else 0
+            nworst = min(worst, nz) if stage > 1 else worst
+            if nworst <= best:
+                continue
+            nxt = residual & ~(adj[v] | 1 << v)
+            if not nxt:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExhausted
+            choices.append(v)
+            if search(nxt, nz, nworst, stage + 1):
+                return True
+            choices.pop()
+        return False
+
+    try:
+        # worst prefix of a real sequence can't exceed p; +1 clears the cap
+        search(g.full_mask, 0, g.n + 1, 1)
+    except BudgetExhausted:
+        return best_choices, nodes, False
+    return best_choices, nodes, True
 
 
 @pytest.fixture(scope="session")

@@ -365,3 +365,21 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "graphstrength" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_keeps_calls_apart(capsys):
+    _build_parser.cache_clear()
+    code, out, _ = run(capsys, "label", "--json", "--family", "cycle:5")
+    assert code == 0 and out.startswith("{")
+    # a flag given to the first call does not carry over to the second
+    code, out, _ = run(capsys, "label", "--family", "cycle:5")
+    assert code == 0 and not out.startswith("{")
+    assert (_build_parser.cache_info().misses, _build_parser.cache_info().hits) == (1, 1)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["label", "--family", "cycle:5", "--no-such-flag"])
+        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert "graphstrength" in capsys.readouterr().out

@@ -284,3 +284,24 @@ def test_any_degree_embed_runs_each_engine_once(monkeypatch):
     # any-degree, min-degree, then the biclique's own sequence
     assert finds == ["any-degree", "min-degree", "min-degree"]
     assert best_z_budgets == [10**6 - engine_nodes]
+
+
+@pytest.mark.parametrize("name, embed, replays", [
+    ("example21", False, 1),  # its min-degree sequence
+    ("q4", True, 3),  # best-Z, the biclique's sequence, the spliced sequence
+])
+def test_certify_replays_each_sequence_once(monkeypatch, name, embed, replays):
+    # every sequence certify labels comes out of replay; labeling it must
+    # not replay it again
+    g = hypercube(4) if name == "q4" else load_fixture(name).graph
+    calls = []
+    original = deltaseq.replay
+
+    def counting_replay(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(deltaseq, "replay", counting_replay)
+    res = certify(g, "min-degree", embed=embed)
+    assert res.status == "exact"
+    assert len(calls) == replays
