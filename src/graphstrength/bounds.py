@@ -19,7 +19,12 @@ from scratch:
   outside neighbors; the largest outside label is >= x_i and is adjacent to
   a label >= p - i + 1, hence str >= p + max_i (x_i - i + 1).  On a graph
   proven vertex-transitive the scan for x_i only needs the sets containing
-  vertex 0: an automorphism maps every i-set onto one of them.
+  vertex 0: an automorphism maps every i-set onto one of them.  The scan
+  never visits a set S + v with v at distance >= 3 from S once the bound
+  rules it out: such a v touches neither S nor N(S), so the exterior is
+  |N(S)\\S| + deg(v) >= |N(S)\\S| + delta.  It still counts every such
+  set as a node, so an xi node is every set position the plain
+  enumeration visits, bulk-counted ones included.
 
 Bounds are computed on ``Graph.core()``, the graph minus its isolated
 vertices (strength ignores them), and each is registered by name so
@@ -129,39 +134,102 @@ class XiProfile:
         return max(vals)
 
 
+def _radius2_balls(adj: tuple[int, ...]) -> list[int]:
+    """N^2[v] per vertex: v and every vertex within distance 2 of it."""
+    balls = []
+    for v, a in enumerate(adj):
+        ball = a | 1 << v
+        while a:
+            low = a & -a
+            ball |= adj[low.bit_length() - 1]
+            a ^= low
+        balls.append(ball)
+    return balls
+
+
 def _xi_scan(
-    adj: tuple[int, ...], n: int, i: int, firsts: list[int], budget: int
+    adj: tuple[int, ...],
+    n: int,
+    i: int,
+    firsts: list[int],
+    budget: int,
+    balls: list[int] | None = None,
 ) -> tuple[int, int, bool, int]:
     """Min exterior over sets of size i whose minimum element is in ``firsts``.
 
+    Every first must be at most n - i, the largest minimum an i-set can have.
     Returns (min_value, witness_mask, complete, nodes).  Enumerates by
     increasing minimum element; each added vertex can shrink the exterior by
     at most one (only by joining S itself), giving the pruning bound
-    |N(S')\\S'| - (i - |S'|).
+    |N(S')\\S'| - (i - |S'|).  A parent applies it to each child in its own
+    loop and recurses only into the children that survive.
+
+    Children beyond distance 2 are counted without being visited.  A child v
+    outside ``balls[s]`` = N^2[s] for every s in S (built here when not
+    given) is at distance >= 3 from S, so it is adjacent to neither S nor
+    its exterior, and the child's exterior is exactly |ext| + deg(v) >=
+    |ext| + delta.  Once that fails the pruning bound, only the candidates
+    inside the balls are visited.  ``nodes`` still counts every set position
+    the plain enumeration visits, bulk-counted ones included and in the same
+    order, so a budget runs out at the same set and leaves the same result.
     """
+    if balls is None:
+        balls = _radius2_balls(adj)
+    delta = min(map(int.bit_count, adj), default=0)
     best = n + 1
     best_set = 0
     nodes = 0
 
-    def rec(smask: int, ext: int, size: int, lowest_next: int) -> None:
+    def expand(smask: int, ext: int, near: int, size: int, lowest_next: int) -> None:
+        """Visit the children of a set of size < i that survived its prune."""
         nonlocal best, best_set, nodes
-        nodes += 1
+        left = i - size - 1
+        end = n - left
+        window = (1 << end) - (1 << lowest_next)
+        # the least a far child's exterior can be, less what the rest can shrink
+        cut = ext.bit_count() + delta - left
+        cands = window & near if cut >= best else window
+        # the nodes counted once position v is visited: base + v + 1
+        base = nodes - lowest_next
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            if base + v >= budget:
+                nodes = budget + 1
+                raise BudgetExhausted
+            ns = smask | low
+            cext = (ext | adj[v]) & ~ns
+            c = cext.bit_count()
+            if c - left >= best:
+                continue
+            if left:
+                nodes = base + v + 1
+                expand(ns, cext, near | balls[v], size + 1, v + 1)
+                base = nodes - v - 1
+            else:
+                best, best_set = c, ns
+            if cut >= best:  # best fell: skip the far children from here on
+                cands &= near
+        nodes = base + end
         if nodes > budget:
+            nodes = budget + 1
             raise BudgetExhausted
-        extn = ext.bit_count()
-        if extn - (i - size) >= best:
-            return
-        if size == i:
-            if extn < best:
-                best, best_set = extn, smask
-            return
-        for v in range(lowest_next, n - (i - size) + 1):
-            ns = smask | 1 << v
-            rec(ns, (ext | adj[v]) & ~ns, size + 1, v + 1)
 
     try:
         for v in firsts:
-            rec(1 << v, adj[v] & ~(1 << v), 1, v + 1)
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExhausted
+            s = 1 << v
+            ext = adj[v] & ~s
+            c = ext.bit_count()
+            if c - (i - 1) >= best:
+                continue
+            if i > 1:
+                expand(s, ext, balls[v], 1, v + 1)
+            else:
+                best, best_set = c, s
     except BudgetExhausted:
         return best, best_set, False, nodes
     return best, best_set, True, nodes
@@ -181,12 +249,13 @@ def xi_profile(
         raise ValueError("empty graph")
     i_max = min(i_max, g.n - 1) if g.n > 1 else 1
     transitive = is_vertex_transitive(g)
+    balls = _radius2_balls(g.adj)
     xs: list[int] = []
     wits: list[tuple[int, ...]] = []
     comps: list[bool] = []
     for i in range(1, i_max + 1):
         firsts = [0] if transitive else list(range(g.n - i + 1))
-        best, best_set, complete, _ = _xi_scan(g.adj, g.n, i, firsts, budget)
+        best, best_set, complete, _ = _xi_scan(g.adj, g.n, i, firsts, budget, balls)
         xs.append(best)
         wits.append(tuple(_bits(best_set)))
         comps.append(complete)

@@ -20,8 +20,8 @@ only when the whole pruned tree was actually explored within budget.  Both
 searches run one DFS, ``_search``.  It keeps, for one call, a table of
 proven bounds keyed by the set of vertices that remain; a subtree the table
 rules out holds no strict improvement on the incumbent, so the table only
-saves nodes and never changes what a completed search returns.  Its size
-is at most the number of nodes counted, so the budget bounds it.
+saves nodes and never changes what a completed search returns.  It stops
+taking new sets at ``BOUND_TABLE_CAP`` entries, which bounds its memory.
 
 ``certify`` is the labeling pipeline: closed forms first, then these
 searches, then a biclique host; the ``label`` command only formats its
@@ -46,6 +46,8 @@ from .labeling import (
 )
 
 DEFAULT_BUDGET = 10**6
+# most vertex sets _search's bound table holds, which bounds its memory
+BOUND_TABLE_CAP = 1 << 16
 
 MODES = ("min-degree", "any-degree")
 
@@ -260,8 +262,10 @@ def _search(
     without the table: a search that completes without it returns the same
     choices and completes with it, in no more nodes, and a search that ran
     out of budget without it may get further.  The table lives for one call
-    and holds at most one entry per counted node, so the budget bounds its
-    memory.
+    and takes new masks only while it holds fewer than ``BOUND_TABLE_CAP``
+    entries; masks already stored keep being tightened.  A mask left out
+    only costs the nodes the table would have saved, so the cap bounds its
+    memory without changing what a completed search returns.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -313,7 +317,8 @@ def _search(
             if search(nxt, nz, nworst, stage + 1):
                 return True
             choices.pop()
-            if nworst > best and best - nz < bound.get(nxt, inf):
+            if (nworst > best and best - nz < bound.get(nxt, inf)
+                    and (len(bound) < BOUND_TABLE_CAP or nxt in bound)):
                 bound[nxt] = best - nz
         return False
 

@@ -226,6 +226,44 @@ def reference_search(
     return best_choices, nodes, True
 
 
+def reference_xi_scan(
+    adj: tuple[int, ...], n: int, i: int, firsts: list[int], budget: int
+) -> tuple[int, int, bool, int]:
+    """Min exterior over sets of size i whose minimum element is in ``firsts``.
+
+    Returns (min_value, witness_mask, complete, nodes).  Enumerates by
+    increasing minimum element; each added vertex can shrink the exterior by
+    at most one (only by joining S itself), giving the pruning bound
+    |N(S')\\S'| - (i - |S'|).
+    """
+    best = n + 1
+    best_set = 0
+    nodes = 0
+
+    def rec(smask: int, ext: int, size: int, lowest_next: int) -> None:
+        nonlocal best, best_set, nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExhausted
+        extn = ext.bit_count()
+        if extn - (i - size) >= best:
+            return
+        if size == i:
+            if extn < best:
+                best, best_set = extn, smask
+            return
+        for v in range(lowest_next, n - (i - size) + 1):
+            ns = smask | 1 << v
+            rec(ns, (ext | adj[v]) & ~ns, size + 1, v + 1)
+
+    try:
+        for v in firsts:
+            rec(1 << v, adj[v] & ~(1 << v), 1, v + 1)
+    except BudgetExhausted:
+        return best, best_set, False, nodes
+    return best, best_set, True, nodes
+
+
 @pytest.fixture(scope="session")
 def atlas_small() -> list[Graph]:
     return atlas_connected(3, 6)

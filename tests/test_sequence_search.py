@@ -3,7 +3,8 @@
 ``deltaseq._search`` skips a child whose vertex set already carries a bound
 that rules out a strict improvement.  That may only save nodes: whenever
 ``conftest.reference_search`` completes, the library's search returns the
-same choices and completes too, and it never counts more nodes.
+same choices and completes too, and it never counts more nodes.  The same
+holds with the table capped at any size (``deltaseq.BOUND_TABLE_CAP``).
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import gc
 import random
 import tracemalloc
 from math import inf
+from unittest import mock
 
 import networkx as nx
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -46,6 +49,25 @@ def _root(g: Graph, root: str) -> int | None:
     st.one_of(st.integers(0, 40), st.just(10**6)),
 )
 def test_search_matches_the_reference(g, mode, root, kind, budget):
+    _check_against_the_reference(g, mode, root, kind, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    small_graphs(max_n=10),
+    st.sampled_from(MODES),
+    st.sampled_from(("none", "delta", "delta+1")),
+    st.sampled_from(sorted(BOUNDS)),
+    st.one_of(st.integers(0, 40), st.just(10**6)),
+    st.sampled_from((0, 1, 8)),
+)
+def test_capped_table_matches_the_reference(g, mode, root, kind, budget, cap):
+    # a mask the full table leaves out only costs nodes the table would save
+    with mock.patch.object(deltaseq, "BOUND_TABLE_CAP", cap):
+        _check_against_the_reference(g, mode, root, kind, budget)
+
+
+def _check_against_the_reference(g, mode, root, kind, budget):
     g = _core(g)
     assume(g is not None)
     args = (mode, budget, _root(g, root), *BOUNDS[kind])
@@ -63,6 +85,16 @@ def test_search_matches_the_reference(g, mode, root, kind, budget):
 def test_search_matches_the_reference_on_larger_random_graphs():
     # 9-13 vertices: deep enough trees that a mask recurs at a z within one
     # of the incumbent, where an off-by-one in the table changes the answer
+    _check_larger_random_graphs()
+
+
+@pytest.mark.parametrize("cap", [0, 1, 8])
+def test_capped_table_matches_the_reference_on_larger_random_graphs(monkeypatch, cap):
+    monkeypatch.setattr(deltaseq, "BOUND_TABLE_CAP", cap)
+    _check_larger_random_graphs()
+
+
+def _check_larger_random_graphs():
     rng = random.Random(11)
     for _ in range(300):
         g = _core(random_graph(rng, rng.randint(9, 13), rng.choice((0.3, 0.4, 0.5))))
@@ -154,9 +186,7 @@ def test_certify_embed_matches_the_reference_search(monkeypatch):
 def test_search_frees_its_table_on_return():
     # the nested DFS refers to itself, so its closure, table included, is
     # garbage only to the cycle collector; the table must go at return
-    a, b = 5, 10
-    torus = Graph(a * b, [(i * b + j, (i + 1) % a * b + j) for i in range(a) for j in range(b)]
-                  + [(i * b + j, i * b + (j + 1) % b) for i in range(a) for j in range(b)])
+    torus = _torus(5, 10)
     gc.disable()
     tracemalloc.start()
     try:
@@ -168,3 +198,24 @@ def test_search_frees_its_table_on_return():
         gc.enable()
     assert (nodes, complete) == (2001, False)
     assert peak > 100_000 and kept < peak // 4
+
+
+def test_table_cap_bounds_its_memory(monkeypatch):
+    # 4000 nodes stay far below the default cap, so the first run is uncapped
+    torus = _torus(5, 10)
+    peaks = []
+    for cap in (deltaseq.BOUND_TABLE_CAP, 16):
+        monkeypatch.setattr(deltaseq, "BOUND_TABLE_CAP", cap)
+        tracemalloc.start()
+        try:
+            _, nodes, complete = best_z_sequence(torus, 4000, root_degree=4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (nodes, complete) == (4001, False)
+    assert peaks[1] < peaks[0] // 4
+
+
+def _torus(a: int, b: int) -> Graph:
+    return Graph(a * b, [(i * b + j, (i + 1) % a * b + j) for i in range(a) for j in range(b)]
+                 + [(i * b + j, i * b + (j + 1) % b) for i in range(a) for j in range(b)])

@@ -1,0 +1,130 @@
+"""The xi scan against the plain enumeration it replaced.
+
+``bounds._xi_scan`` prunes each child in its parent's loop and counts the
+children at distance >= 3 from the set in bulk when the distance-2 argument
+rules them out.  Neither may change anything it returns: the value, the
+witness, completion and the node count must equal
+``conftest.reference_xi_scan``'s at every budget, so a scan that runs out
+stops at the same set.
+"""
+
+from __future__ import annotations
+
+import random
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphstrength.bounds import _radius2_balls, _xi_scan
+from graphstrength.graphs import Graph, _bits, hypercube
+
+from conftest import reference_xi_scan, small_graphs, to_graph
+
+
+def _firsts(g: Graph, i: int, transitive: bool) -> list[int]:
+    return [0] if transitive else list(range(g.n - i + 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    small_graphs(max_n=10),
+    st.integers(1, 5),
+    st.booleans(),
+    st.one_of(st.integers(0, 600), st.just(10**6)),
+)
+def test_scan_matches_the_reference(g, i, transitive, budget):
+    i = min(i, g.n)
+    firsts = _firsts(g, i, transitive)
+    want = reference_xi_scan(g.adj, g.n, i, firsts, budget)
+    assert _xi_scan(g.adj, g.n, i, firsts, budget) == want
+    assert _xi_scan(g.adj, g.n, i, firsts, budget, _radius2_balls(g.adj)) == want
+
+
+def _larger_graphs() -> list[Graph]:
+    rng = random.Random(8)
+    graphs = [hypercube(5), to_graph(nx.grid_2d_graph(5, 7, periodic=True)),
+              to_graph(nx.grid_2d_graph(6, 8, periodic=True))]
+    for d in (3, 4, 5):
+        for _ in range(2):
+            n = rng.randrange(30, 65) // 2 * 2
+            graphs.append(to_graph(nx.random_regular_graph(d, n, seed=rng.randrange(10**6))))
+    return graphs
+
+
+def test_scan_matches_the_reference_on_larger_graphs():
+    # 30-64 vertices: far enough apart that most children lie beyond
+    # distance 2, so the bulk count decides most node counts
+    rng = random.Random(9)
+    for g in _larger_graphs():
+        balls = _radius2_balls(g.adj)
+        for i in range(1, 6):
+            for transitive in (True, False):
+                firsts = _firsts(g, i, transitive)
+                full = reference_xi_scan(g.adj, g.n, i, firsts, 10**7)
+                assert full[2] and _xi_scan(g.adj, g.n, i, firsts, 10**7, balls) == full
+                for budget in [0, full[3] - 1] + [rng.randrange(full[3]) for _ in range(3)]:
+                    want = reference_xi_scan(g.adj, g.n, i, firsts, budget)
+                    assert not want[2]
+                    assert _xi_scan(g.adj, g.n, i, firsts, budget, balls) == want
+
+
+class _CountingAdj(tuple):
+    """Adjacency masks that count the reads by index (the scan reads one per
+    set it examines)."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        type(self).reads += 1
+        return super().__getitem__(k)
+
+
+def _examined_children(g: Graph, i: int, firsts: list[int]) -> int:
+    """Children the distance-2 argument leaves to be examined, in a full scan.
+
+    The plain enumeration, with distances from networkx: a child v of a set
+    S that survived its prune goes unexamined exactly when v lies at
+    distance >= 3 from S and |ext(S)| + delta - (vertices still to add
+    after v) >= best when the enumeration reaches v.
+    """
+    dist = dict(nx.all_pairs_shortest_path_length(nx.Graph(g.edges())))
+    delta = g.min_degree()
+    best = g.n + 1
+    examined = 0
+
+    def rec(s: tuple[int, ...], ext: int) -> None:
+        nonlocal best, examined
+        left = i - len(s)
+        if ext.bit_count() - left >= best:
+            return
+        if not left:
+            best = ext.bit_count()
+            return
+        for v in range(s[-1] + 1, g.n - left + 1):
+            far = all(dist.get(u, {}).get(v, 3) >= 3 for u in s)
+            if not far or ext.bit_count() + delta - (left - 1) < best:
+                examined += 1
+            ns = s + (v,)
+            rec(ns, (ext | g.adj[v]) & ~sum(1 << u for u in ns))
+
+    for v in firsts:
+        rec((v,), g.adj[v])
+    return examined
+
+
+def test_children_beyond_distance_two_are_not_examined():
+    for g in _larger_graphs()[:5]:
+        adj = _CountingAdj(g.adj)
+        balls = _radius2_balls(g.adj)
+        for i in (2, 3, 4):
+            firsts = _firsts(g, i, False)
+            _CountingAdj.reads = 0
+            assert _xi_scan(adj, g.n, i, firsts, 10**7, balls)[2]
+            assert _CountingAdj.reads - len(firsts) == _examined_children(g, i, firsts)
+
+
+def test_radius2_balls():
+    g = to_graph(nx.path_graph(6))
+    assert [list(_bits(b)) for b in _radius2_balls(g.adj)] == [
+        [0, 1, 2], [0, 1, 2, 3], [0, 1, 2, 3, 4], [1, 2, 3, 4, 5], [2, 3, 4, 5], [3, 4, 5]]
