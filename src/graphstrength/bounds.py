@@ -157,21 +157,25 @@ def _xi_scan(
 ) -> tuple[int, int, bool, int]:
     """Min exterior over sets of size i whose minimum element is in ``firsts``.
 
-    Every first must be at most n - i, the largest minimum an i-set can have.
-    Returns (min_value, witness_mask, complete, nodes).  Enumerates by
-    increasing minimum element; each added vertex can shrink the exterior by
-    at most one (only by joining S itself), giving the pruning bound
-    |N(S')\\S'| - (i - |S'|).  A parent applies it to each child in its own
-    loop and recurses only into the children that survive.
+    ``firsts`` must be a prefix 0..k-1 with k <= n - i + 1, as n - i is the
+    largest minimum an i-set can have.  Returns (min_value, witness_mask,
+    complete, nodes).  Enumerates by increasing minimum element; each added
+    vertex can shrink the exterior by at most one (only by joining S
+    itself), giving the pruning bound |N(S')\\S'| - (i - |S'|).  A parent
+    applies it to each child in its own loop and recurses only into the
+    children that survive.  The scan starts from the empty set, whose
+    children are the firsts.
 
     Children beyond distance 2 are counted without being visited.  A child v
     outside ``balls[s]`` = N^2[s] for every s in S (built here when not
     given) is at distance >= 3 from S, so it is adjacent to neither S nor
     its exterior, and the child's exterior is exactly |ext| + deg(v) >=
     |ext| + delta.  Once that fails the pruning bound, only the candidates
-    inside the balls are visited.  ``nodes`` still counts every set position
-    the plain enumeration visits, bulk-counted ones included and in the same
-    order, so a budget runs out at the same set and leaves the same result.
+    inside the balls are visited.  The empty set has no balls, so at the
+    first level every remaining first is counted in bulk once delta - (i - 1)
+    fails the bound.  ``nodes`` still counts every set position the plain
+    enumeration visits, bulk-counted ones included and in the same order, so
+    a budget runs out at the same set and leaves the same result.
     """
     if balls is None:
         balls = _radius2_balls(adj)
@@ -180,11 +184,10 @@ def _xi_scan(
     best_set = 0
     nodes = 0
 
-    def expand(smask: int, ext: int, near: int, size: int, lowest_next: int) -> None:
-        """Visit the children of a set of size < i that survived its prune."""
+    def expand(smask: int, ext: int, near: int, size: int, lowest_next: int, end: int) -> None:
+        """Visit children lowest_next..end-1 of a surviving set of size < i."""
         nonlocal best, best_set, nodes
         left = i - size - 1
-        end = n - left
         window = (1 << end) - (1 << lowest_next)
         # the least a far child's exterior can be, less what the rest can shrink
         cut = ext.bit_count() + delta - left
@@ -205,7 +208,7 @@ def _xi_scan(
                 continue
             if left:
                 nodes = base + v + 1
-                expand(ns, cext, near | balls[v], size + 1, v + 1)
+                expand(ns, cext, near | balls[v], size + 1, v + 1, n - left + 1)
                 base = nodes - v - 1
             else:
                 best, best_set = c, ns
@@ -217,19 +220,7 @@ def _xi_scan(
             raise BudgetExhausted
 
     try:
-        for v in firsts:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExhausted
-            s = 1 << v
-            ext = adj[v] & ~s
-            c = ext.bit_count()
-            if c - (i - 1) >= best:
-                continue
-            if i > 1:
-                expand(s, ext, balls[v], 1, v + 1)
-            else:
-                best, best_set = c, s
+        expand(0, 0, 0, 0, 0, len(firsts))
     except BudgetExhausted:
         return best, best_set, False, nodes
     return best, best_set, True, nodes
@@ -265,6 +256,10 @@ def xi_profile(
 # -- hypercubes ---------------------------------------------------------------
 
 _SMALL_CUBE_LOWER = {2: 6, 3: 11, 4: 21}
+
+# strength of the stored q5 and q6 table numberings (fixtures/), both below
+# the doubling bound
+HYPERCUBE_TABLE_UPPER = {5: 40, 6: 79}
 
 
 def hypercube_lower_bound(n: int) -> int:
@@ -489,6 +484,11 @@ def bounds_report(
                 "iterated doubling of a numbering of the square",
             )
         )
+        if n in HYPERCUBE_TABLE_UPPER:
+            entries.append(
+                BoundEntry("hypercube-table", "upper", HYPERCUBE_TABLE_UPPER[n],
+                           "stored table numbering")
+            )
         notes.append(f"recognized: hypercube of dimension {n}")
     lengths = two_regular_cycle_lengths(core)
     if lengths is not None:

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bounds import (
+    HYPERCUBE_TABLE_UPPER,
     hypercube_lower_bound,
     hypercube_upper_bound,
     two_regular_cycle_lengths,
@@ -223,7 +224,8 @@ def hypercube_certificate(n: int) -> StrengthCertificate:
         notes = ("doubled from the stored 64-vertex table numbering",)
     require(g == hypercube(n), f"doubling did not build the {n}-cube")
     upper = strength_of(g, f)
-    require(upper == hypercube_upper_bound(n) or n in (5, 6), f"Q{n} numbering reached {upper}")
+    want = HYPERCUBE_TABLE_UPPER.get(n, hypercube_upper_bound(n))
+    require(upper == want, f"Q{n} numbering reached {upper}, not {want}")
     return StrengthCertificate(lower=lower, upper=upper, witness=f, notes=notes)
 
 
@@ -243,16 +245,6 @@ class Fixture:
     numbering: Numbering
     strength: int
     notes: tuple[str, ...] = ()
-
-    @property
-    def certificate(self) -> StrengthCertificate:
-        """The stored numbering as an upper-bound-only (trivial-lower) certificate."""
-        return StrengthCertificate(
-            lower=LowerBound("trivial", self.graph.core()[0].n + 1),
-            upper=self.strength,
-            witness=self.numbering,
-            notes=(f"stored numbering {self.name}",),
-        )
 
 
 def fixture_directory() -> Path:

@@ -79,10 +79,6 @@ class Terminal:
     def r(self) -> int:
         return len(self.clique)
 
-    @property
-    def kind(self) -> str:
-        return "clique" if self.clique else "isolated"
-
 
 @dataclass(frozen=True)
 class DeltaSequence:

@@ -119,29 +119,6 @@ class Graph:
             return False
         return k is None or degs == {k} or (not degs and k == 0)
 
-    def bipartition(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """Proper 2-coloring as (side0, side1), or None if an odd cycle exists.
-
-        Vertex 0 of each component lands on side 0, so the split is canonical.
-        """
-        color = [-1] * self.n
-        for start in range(self.n):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in _bits(self.adj[u]):
-                    if color[w] == -1:
-                        color[w] = color[u] ^ 1
-                        stack.append(w)
-                    elif color[w] == color[u]:
-                        return None
-        side0 = tuple(v for v in range(self.n) if color[v] == 0)
-        side1 = tuple(v for v in range(self.n) if color[v] == 1)
-        return side0, side1
-
     def induced(self, vertices: Sequence[int]) -> tuple["Graph", list[int]]:
         """Induced subgraph on ``vertices`` plus the new-id -> old-id map.
 
@@ -173,17 +150,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
-
-
-def neighborhood_exterior(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
-    """N(S) \\ S: vertices outside S with at least one neighbor inside S."""
-    smask = 0
-    for v in vertices:
-        smask |= 1 << v
-    nmask = 0
-    for v in _bits(smask):
-        nmask |= g.adj[v]
-    return frozenset(_bits(nmask & ~smask))
 
 
 def disjoint_union(*graphs: Graph) -> Graph:

@@ -33,9 +33,6 @@ class Numbering:
     def is_bijection(self) -> bool:
         return sorted(self.labels) == list(range(1, len(self.labels) + 1))
 
-    def vertex_with_label(self, label: int) -> int:
-        return self.labels.index(label)
-
     def to_json(self) -> dict:
         return {"p": self.p, "labels": list(self.labels)}
 

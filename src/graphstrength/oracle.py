@@ -81,11 +81,6 @@ def _refine(g: Graph, colorings: list[list[int]]) -> list[list[int]] | None:
         colorings = new
 
 
-def _refinement_classes(g: Graph) -> list[int]:
-    """Stable color refinement; returns a color id per vertex."""
-    return _refine(g, [g.degrees()])[0]
-
-
 def _is_automorphism(g: Graph, sigma: list[int]) -> bool:
     if sorted(sigma) != list(range(g.n)):
         return False
@@ -172,7 +167,7 @@ def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
     automorphism found merges all pairs (w, sigma(w)) in a union-find, which
     settles most later pairs without a search.  Intended for small graphs.
     """
-    base = _refinement_classes(g)
+    base = _refine(g, [g.degrees()])[0]
     parent = list(range(g.n))
     by_class: dict[int, list[int]] = {}
     for v in range(g.n):

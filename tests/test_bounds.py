@@ -5,7 +5,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from graphstrength import oracle
 from graphstrength.bounds import (
@@ -32,7 +32,8 @@ from graphstrength.graphs import (
     star,
 )
 from graphstrength.cli import main
-from graphstrength.labeling import UnconfirmedBound
+from graphstrength.deltaseq import certify
+from graphstrength.labeling import UnconfirmedBound, recompute_lower_bound
 from graphstrength.oracle import exact_strength, is_vertex_transitive
 
 from conftest import brute_xi, petersen, random_graph, small_graphs, to_graph
@@ -307,6 +308,31 @@ def test_bounds_report_sandwich_and_exactness():
 
     report = bounds_report(star(6))
     assert report.exact and report.best_lower == 8
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_report_upper_matches_the_cube_certificate(n):
+    q = hypercube(n)
+    assert bounds_report(q).best_upper == certify(q).certificate.upper
+
+
+def _assert_lower_entries_recompute(g: Graph) -> None:
+    for e in bounds_report(g).entries:
+        if e.side == "lower":
+            assert recompute_lower_bound(g, e.name, e.args) == e.value, e
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=10))
+def test_report_lower_entries_recompute(g):
+    assume(g.edge_count)
+    _assert_lower_entries_recompute(g)
+
+
+def test_report_lower_entries_recompute_on_cubes_and_a_torus():
+    torus = to_graph(nx.grid_2d_graph(4, 5, periodic=True))
+    for g in (hypercube(4), hypercube(5), torus):
+        _assert_lower_entries_recompute(g)
 
 
 def test_bounds_report_handles_isolated_vertices():

@@ -11,7 +11,6 @@ import pytest
 from graphstrength.bounds import two_regular_strength
 from graphstrength.constructions import (
     BUNDLED_FIXTURES,
-    Fixture,
     FixtureError,
     double_bipartite,
     fixture_directory,
@@ -210,13 +209,6 @@ def test_q6_marginal_divergences_are_reported():
     assert any("col 010" in n and "74" in n for n in diverging)
     # q5 marginals all agree
     assert not [n for n in load_fixture("q5").notes if "stored" in n]
-
-
-def test_fixture_certificate_property():
-    fx = load_fixture("example21")
-    cert = fx.certificate
-    assert cert.status == "bracket"
-    assert verify_certificate(fx.graph, cert).ok
 
 
 def _copy_fixtures(tmp_path: Path) -> Path:

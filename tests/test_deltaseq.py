@@ -62,7 +62,7 @@ def test_find_delta_sequence_on_cycles():
     res = find_delta_sequence(cycle(4))
     assert res.status == "found"
     seq = res.sequence
-    assert seq.d1 == 2 and seq.terminal.kind == "isolated"
+    assert seq.d1 == 2 and not seq.terminal.clique
     assert seq.render() == "(d1=2) -> (1K1, z2=2)"
     num = label_from_sequence(cycle(4), seq)
     assert strength_of(cycle(4), num) == 6

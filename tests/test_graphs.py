@@ -106,15 +106,6 @@ def test_core_drops_isolated_vertices():
     assert Graph(3).core() == (Graph(0), [])
 
 
-def test_bipartition_canonical_and_odd_cycles():
-    side0, side1 = path(4).bipartition()
-    assert side0 == (0, 2) and side1 == (1, 3)
-    assert cycle(5).bipartition() is None
-    q = hypercube(3)
-    side0, _ = q.bipartition()
-    assert all(v.bit_count() % 2 == 0 for v in side0)
-
-
 def test_forest_detection():
     assert path(6).is_forest()
     assert disjoint_union(path(3), star(4)).is_forest()
@@ -150,15 +141,6 @@ def test_generate_dispatch():
         generate("cycle", [3, 4])
     with pytest.raises(ValueError):
         generate("complete-bipartite", [3])
-
-
-def test_neighborhood_exterior():
-    from graphstrength.graphs import neighborhood_exterior
-
-    g = star(4)
-    assert neighborhood_exterior(g, [0]) == frozenset({1, 2, 3, 4})
-    assert neighborhood_exterior(g, [1]) == frozenset({0})
-    assert neighborhood_exterior(g, [1, 2]) == frozenset({0})
 
 
 def test_min_max_degree_random_agreement():

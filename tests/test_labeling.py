@@ -54,7 +54,6 @@ def test_strength_of_rejects_bad_input():
 def test_numbering_helpers():
     f = Numbering((3, 1, 2))
     assert f.p == 3 and f.is_bijection()
-    assert f.vertex_with_label(3) == 0
     assert Numbering.from_json(f.to_json()) == f
     assert not Numbering((1, 1, 3)).is_bijection()
 

@@ -2,7 +2,7 @@
 
 ``bounds._xi_scan`` prunes each child in its parent's loop and counts the
 children at distance >= 3 from the set in bulk when the distance-2 argument
-rules them out.  Neither may change anything it returns: the value, the
+rules them out; the firsts are the children of the empty set.  Neither may change anything it returns: the value, the
 witness, completion and the node count must equal
 ``conftest.reference_xi_scan``'s at every budget, so a scan that runs out
 stops at the same set.
@@ -80,12 +80,13 @@ class _CountingAdj(tuple):
         return super().__getitem__(k)
 
 
-def _examined_children(g: Graph, i: int, firsts: list[int]) -> int:
+def _examined_children(g: Graph, i: int) -> int:
     """Children the distance-2 argument leaves to be examined, in a full scan.
 
-    The plain enumeration, with distances from networkx: a child v of a set
-    S that survived its prune goes unexamined exactly when v lies at
-    distance >= 3 from S and |ext(S)| + delta - (vertices still to add
+    The plain enumeration from the empty set, whose children are the firsts
+    0..n-i, with distances from networkx: a child v of a set S that survived
+    its prune goes unexamined exactly when v lies at distance >= 3 from S
+    (always, when S is empty) and |ext(S)| + delta - (vertices still to add
     after v) >= best when the enumeration reaches v.
     """
     dist = dict(nx.all_pairs_shortest_path_length(nx.Graph(g.edges())))
@@ -101,15 +102,14 @@ def _examined_children(g: Graph, i: int, firsts: list[int]) -> int:
         if not left:
             best = ext.bit_count()
             return
-        for v in range(s[-1] + 1, g.n - left + 1):
+        for v in range(s[-1] + 1 if s else 0, g.n - left + 1):
             far = all(dist.get(u, {}).get(v, 3) >= 3 for u in s)
             if not far or ext.bit_count() + delta - (left - 1) < best:
                 examined += 1
             ns = s + (v,)
             rec(ns, (ext | g.adj[v]) & ~sum(1 << u for u in ns))
 
-    for v in firsts:
-        rec((v,), g.adj[v])
+    rec((), 0)
     return examined
 
 
@@ -118,10 +118,9 @@ def test_children_beyond_distance_two_are_not_examined():
         adj = _CountingAdj(g.adj)
         balls = _radius2_balls(g.adj)
         for i in (2, 3, 4):
-            firsts = _firsts(g, i, False)
             _CountingAdj.reads = 0
-            assert _xi_scan(adj, g.n, i, firsts, 10**7, balls)[2]
-            assert _CountingAdj.reads - len(firsts) == _examined_children(g, i, firsts)
+            assert _xi_scan(adj, g.n, i, _firsts(g, i, False), 10**7, balls)[2]
+            assert _CountingAdj.reads == _examined_children(g, i)
 
 
 def test_radius2_balls():
