@@ -10,7 +10,9 @@ from scratch:
   edge of that star, whose other end carries >= 1.
 * p + edge connectivity: valid on its own, though kappa' <= delta always
   (cutting a min-degree vertex free), so p + delta dominates it; kept
-  because it is part of the certified-bounds contract.
+  because it is part of the certified-bounds contract.  kappa' takes
+  max-flows only between the vertices of a dominating set (Matula's
+  lemma: a cut below delta leaves a dominated vertex on each side).
 * independence: the alpha + 1 vertices with the top labels cannot all be
   pairwise non-adjacent, and the two smallest of those labels sum to
   2p - 2*alpha + 1.  alpha must be exact - a greedy independent set
@@ -234,13 +236,16 @@ def xi_profile(
     Each size gets its own ``budget`` of scan nodes.  On a graph proven
     vertex-transitive only the sets containing vertex 0 are scanned: the full
     scan visits those first and keeps its first minimum, so the result is the
-    same wherever the full scan finishes.
+    same wherever the full scan finishes.  The radius-2 balls are built
+    once per profile; when 2 delta >= n - 1 every ball is the whole vertex
+    set, since any two non-adjacent vertices share a neighbor.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     i_max = min(i_max, g.n - 1) if g.n > 1 else 1
     transitive = is_vertex_transitive(g)
-    balls = _radius2_balls(g.adj)
+    full = 2 * g.min_degree() >= g.n - 1
+    balls = [g.full_mask] * g.n if full else _radius2_balls(g.adj)
     xs: list[int] = []
     wits: list[tuple[int, ...]] = []
     comps: list[bool] = []
@@ -330,15 +335,28 @@ def recognize_hypercube(g: Graph) -> tuple[int, list[int]] | None:
 def edge_connectivity(g: Graph) -> int:
     """Minimum number of edges whose removal disconnects g (0 if already so).
 
-    Unit-capacity max-flow from vertex 0 to every other vertex by shortest
-    augmenting paths, each stopped at delta >= kappa'.  The residual graph is
-    bitmasks: ``fwd[u]`` holds every w with a residual arc u->w, ``back[w]``
-    every such u; the BFS keeps one mask per level to read the path back.
+    Unit-capacity max-flows from vertex 0 to the rest of a dominating set D,
+    by shortest augmenting paths, each stopped at delta >= kappa'.  D is
+    built greedily in vertex order, so it starts at 0.  This is Matula's
+    reduction (D. W. Matula, "Determining edge connectivity in O(nm)", FOCS
+    1987): a side of k <= delta vertices has at least k(delta - k + 1) >=
+    delta edges leaving it, so a cut below delta has more than delta > kappa'
+    vertices on each side; each side then holds a vertex no cut edge
+    touches, whose closed neighborhood lies in that side and meets D.  So
+    some flow crosses a minimum cut, and with |D| = 1 kappa' is delta.  The
+    residual graph is bitmasks: ``fwd[u]`` holds every w with a residual arc
+    u->w, ``back[w]`` every such u; the BFS keeps one mask per level to read
+    the path back.
     """
     if g.n <= 1 or not g.is_connected():
         return 0
     best = g.min_degree()
-    for target in range(1, g.n):
+    dominating, covered = [], 0
+    for v in range(g.n):
+        if not covered >> v & 1:
+            dominating.append(v)
+            covered |= g.adj[v] | 1 << v
+    for target in dominating[1:]:
         fwd, back = list(g.adj), list(g.adj)
         flow = 0
         while flow < best:

@@ -18,6 +18,9 @@ refinement classes alone: two vertices share an orbit only when a complete
 individualization-refinement search (McKay & Piperno, "Practical graph
 isomorphism II", 2014) finds an automorphism mapping one to the other, and
 every automorphism it finds is checked edge by edge before it is used.
+Its color refinement runs from a queue of splitter cells with Hopcroft's
+rule, so refining after one vertex is individualized costs time near the
+new cell's neighborhood rather than a recount of every vertex.
 
 This is exponential and deliberately capped (default 14 vertices); its job
 is to anchor the theory-backed bounds and constructions on small cases, not
@@ -26,8 +29,10 @@ to scale.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import networkx as nx
 
@@ -56,29 +61,110 @@ def to_networkx(g: Graph) -> "nx.Graph":
     return h
 
 
-def _refine(g: Graph, colorings: list[list[int]]) -> list[list[int]] | None:
-    """Refine colorings together until stable, with one shared color table.
+def _neighbor_lists(g: Graph) -> list[list[int]]:
+    return [list(_bits(a)) for a in g.adj]
 
-    A vertex's signature is its color plus its neighbors' sorted colors; the
-    signatures of all colorings are renumbered through one sorted table, so
-    equal colors mean equal signatures across colorings.  Returns None as
-    soon as two colorings' color multisets differ: no color-preserving
-    isomorphism can map one onto the other.
+
+def _refine(
+    g: Graph,
+    colorings: list[list[int]],
+    splitters: list[int] | None = None,
+    nbrs: list[list[int]] | None = None,
+) -> list[list[int]] | None:
+    """Refine colorings together to equitable ones, or None if they part.
+
+    Cells are numbered alike on every side and kept as vertex lists, with a
+    queue of splitter cells.  A splitter W counts |N(v) & W| only for the
+    neighbors v of W; each cell W touches splits by that count, fragments
+    in increasing count, the first keeping the cell's number and the rest
+    taking new ones.  A cell already queued queues all its fragments;
+    otherwise all but its first largest one are queued (Hopcroft's rule:
+    counts against the one left out follow from the counts against the cell
+    and the others).  Returns None as soon as the sides differ in the cells
+    a splitter touches, the counts or the fragment sizes: no
+    color-preserving isomorphism can map one onto the other.  Once every
+    cell is a singleton the queue is dropped: all it could still show is
+    that a side's vertex map onto the first side is no automorphism, and
+    that is checked directly.
+
+    With ``splitters`` None the colorings may use any color values; cells
+    are numbered by sorted value and all are queued.  Otherwise colors are
+    cell numbers (a number no vertex has is an empty cell) and only
+    ``splitters`` are queued, which is enough when the rest of the coloring
+    is already equitable, for instance after one vertex of an equitable
+    coloring moved into a new cell of its own.  ``nbrs`` are the neighbor
+    lists, built here when not given.
     """
-    nbrs = [list(_bits(a)) for a in g.adj]
-    while True:
-        keys = [
-            [(c[v], tuple(sorted([c[u] for u in nbrs[v]]))) for v in range(g.n)]
-            for c in colorings
-        ]
-        first = sorted(keys[0])
-        if any(sorted(k) != first for k in keys[1:]):
-            return None
-        remap = {k: i for i, k in enumerate(sorted(set(first)))}
-        new = [[remap[k] for k in ks] for ks in keys]
-        if new == colorings:
-            return colorings
-        colorings = new
+    if nbrs is None:
+        nbrs = _neighbor_lists(g)
+    if splitters is None:
+        number = {c: i for i, c in enumerate(sorted(set().union(*colorings)))}
+        colorings = [[number[c] for c in cs] for cs in colorings]
+        splitters = range(len(number))
+        k = len(number)
+    else:
+        colorings = [list(cs) for cs in colorings]
+        k = 1 + max(map(max, colorings))
+    sides = []
+    for cs in colorings:
+        cells: list[list[int]] = [[] for _ in range(k)]
+        for v, c in enumerate(cs):
+            cells[c].append(v)
+        sides.append((cs, cells))
+    if any([len(c) for c in cells] != [len(c) for c in sides[0][1]] for _, cells in sides[1:]):
+        return None
+    queue = deque(splitters)
+    queued = [False] * k
+    for w in queue:
+        queued[w] = True
+    discrete = g.n + k - len(set(colorings[0]))  # k once every vertex is alone
+    while queue and k < discrete:
+        w = queue.popleft()
+        queued[w] = False
+        splits = []
+        for cs, cells in sides:
+            groups: dict[tuple[int, int], list[int]] = {}
+            for v, m in Counter(chain.from_iterable(map(nbrs.__getitem__, cells[w]))).items():
+                groups.setdefault((cs[v], m), []).append(v)
+            splits.append(groups)
+        first, cells0 = splits[0], sides[0][1]
+        if len(splits) > 1:
+            shape = {key: len(vs) for key, vs in first.items()}
+            if any({key: len(vs) for key, vs in groups.items()} != shape for groups in splits[1:]):
+                return None
+        parts: dict[int, list[int]] = {}  # the counts in each cell that splits
+        for (c, m), vs in first.items():
+            if len(vs) < len(cells0[c]):
+                parts.setdefault(c, []).append(m)
+        for c in sorted(parts):
+            counts = sorted(parts[c])
+            sizes = [len(first[c, m]) for m in counts]
+            untouched = len(cells0[c]) - sum(sizes)
+            if untouched:
+                sizes.insert(0, untouched)
+            moved = counts if untouched else counts[1:]
+            for (cs, cells), groups in zip(sides, splits):
+                for f, m in enumerate(moved, start=k):
+                    for v in groups[c, m]:
+                        cs[v] = f
+                    cells.append(groups[c, m])
+                cells[c] = [v for v in cells[c] if cs[v] == c]
+            grow = [c, *range(k, k + len(moved))]
+            k += len(moved)
+            queued += [False] * len(moved)
+            # c is queued already, or else one largest fragment stays out
+            del grow[0 if queued[c] else sizes.index(max(sizes))]
+            for f in grow:
+                queued[f] = True
+            queue.extend(grow)
+    if k == discrete:
+        for cs in colorings[1:]:
+            where = [0] * k
+            for v, c in enumerate(cs):
+                where[c] = v
+            if not _is_automorphism(g, [where[c] for c in colorings[0]]):
+                return None
+    return colorings
 
 
 def _is_automorphism(g: Graph, sigma: list[int]) -> bool:
@@ -100,7 +186,12 @@ def _recolor(colors: list[int], w: int, color: int) -> list[int]:
 
 
 def _find_automorphism(
-    g: Graph, colors: list[int], u: int, v: int, ticks: Iterator[int] | None = None
+    g: Graph,
+    colors: list[int],
+    u: int,
+    v: int,
+    ticks: Iterator[int] | None = None,
+    nbrs: list[list[int]] | None = None,
 ) -> list[int] | None:
     """An automorphism of g preserving ``colors`` and sending u to v, or None.
 
@@ -108,17 +199,24 @@ def _find_automorphism(
     both together, and, while the coloring is not discrete, individualizes
     the first vertex x of the smallest non-singleton cell on the left
     against every vertex y of that color on the right, backtracking on
-    failure.  Any automorphism extending the choices so far maps x into that
-    cell, so None is the outcome of a completed search.  A discrete coloring
-    induces a map that is returned only once it is checked edge by edge.
-    With ``ticks``, each refinement takes one item; none left raises
-    BudgetExhausted.
+    failure.  Each refinement queues only the new singleton cell, which is
+    enough because the coloring before it is equitable: ``colors`` should
+    be (a ``_refine`` result, or one color on a regular graph), and if it
+    is not, the search prunes less but stays complete.  Any automorphism
+    extending the choices so far maps x into that cell, so None is the
+    outcome of a completed search.  A discrete coloring induces a map that
+    is returned only once it is checked edge by edge.  With ``ticks``, each
+    refinement takes one item; none left raises BudgetExhausted.  ``nbrs``
+    are the neighbor lists, built here when not given.
     """
+    if nbrs is None:
+        nbrs = _neighbor_lists(g)
 
-    def extend(left: list[int], right: list[int]) -> list[int] | None:
+    def extend(left: list[int], right: list[int], x: int, y: int) -> list[int] | None:
         if ticks is not None and next(ticks, None) is None:
             raise BudgetExhausted
-        pair = _refine(g, [left, right])
+        fresh = max(left) + 1
+        pair = _refine(g, [_recolor(left, x, fresh), _recolor(right, y, fresh)], [fresh], nbrs)
         if pair is None:
             return None
         left, right = pair
@@ -131,16 +229,14 @@ def _find_automorphism(
             return sigma if _is_automorphism(g, sigma) else None
         color = min((c for c in cells if len(cells[c]) > 1), key=lambda c: (len(cells[c]), c))
         x = cells[color][0]
-        fresh = len(cells)
         for y in range(g.n):
             if right[y] == color:
-                sigma = extend(_recolor(left, x, fresh), _recolor(right, y, fresh))
+                sigma = extend(left, right, x, y)
                 if sigma is not None:
                     return sigma
         return None
 
-    fresh = max(colors) + 1
-    return extend(_recolor(colors, u, fresh), _recolor(colors, v, fresh))
+    return extend(colors, colors, u, v)
 
 
 def _find(parent: list[int], w: int) -> int:
@@ -167,7 +263,8 @@ def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
     automorphism found merges all pairs (w, sigma(w)) in a union-find, which
     settles most later pairs without a search.  Intended for small graphs.
     """
-    base = _refine(g, [g.degrees()])[0]
+    nbrs = _neighbor_lists(g)
+    base = _refine(g, [g.degrees()], None, nbrs)[0]
     parent = list(range(g.n))
     by_class: dict[int, list[int]] = {}
     for v in range(g.n):
@@ -178,7 +275,7 @@ def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
             if any(_find(parent, r) == _find(parent, v) for r in reps):
                 continue
             for r in reps:
-                sigma = _find_automorphism(g, base, r, v)
+                sigma = _find_automorphism(g, base, r, v, nbrs=nbrs)
                 if sigma is not None:
                     _merge(parent, sigma)
                     break
@@ -202,11 +299,12 @@ def is_vertex_transitive(g: Graph) -> bool:
     if not g.is_regular():
         return False
     ticks = iter(range(TRANSITIVITY_REFINES_PER_VERTEX * g.n))
+    nbrs = _neighbor_lists(g)
     parent = list(range(g.n))
     try:
         for v in range(1, g.n):
             if _find(parent, v) != 0:
-                sigma = _find_automorphism(g, [0] * g.n, 0, v, ticks)
+                sigma = _find_automorphism(g, [0] * g.n, 0, v, ticks, nbrs)
                 if sigma is None:
                     return False
                 _merge(parent, sigma)

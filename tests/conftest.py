@@ -36,6 +36,13 @@ def petersen() -> Graph:
     return Graph(10, outer + inner + spokes)
 
 
+def torus(a: int, b: int) -> Graph:
+    """C_a x C_b, vertex r*b + c at row r, column c."""
+    rows = [(r * b + c, r * b + (c + 1) % b) for r in range(a) for c in range(b)]
+    cols = [(r * b + c, (r + 1) % a * b + c) for r in range(a) for c in range(b)]
+    return Graph(a * b, rows + cols)
+
+
 def random_graph(rng: random.Random, p: int, density: float) -> Graph:
     edges = [(u, v) for u in range(p) for v in range(u + 1, p) if rng.random() < density]
     return Graph(p, edges)
@@ -262,6 +269,79 @@ def reference_xi_scan(
     except BudgetExhausted:
         return best, best_set, False, nodes
     return best, best_set, True, nodes
+
+
+# -- color refinement and edge connectivity as they stood before (test-side) --
+#
+# ``oracle._refine`` before its splitter queue and ``bounds.edge_connectivity``
+# before its dominating set, copied unchanged apart from their names.  The
+# library must give the same per-side partitions, the same None outcomes
+# and the same edge connectivity.
+
+
+def reference_refine(g: Graph, colorings: list[list[int]]) -> list[list[int]] | None:
+    """Refine colorings together until stable, with one shared color table.
+
+    A vertex's signature is its color plus its neighbors' sorted colors; the
+    signatures of all colorings are renumbered through one sorted table, so
+    equal colors mean equal signatures across colorings.  Returns None as
+    soon as two colorings' color multisets differ: no color-preserving
+    isomorphism can map one onto the other.
+    """
+    nbrs = [list(_bits(a)) for a in g.adj]
+    while True:
+        keys = [
+            [(c[v], tuple(sorted([c[u] for u in nbrs[v]]))) for v in range(g.n)]
+            for c in colorings
+        ]
+        first = sorted(keys[0])
+        if any(sorted(k) != first for k in keys[1:]):
+            return None
+        remap = {k: i for i, k in enumerate(sorted(set(first)))}
+        new = [[remap[k] for k in ks] for ks in keys]
+        if new == colorings:
+            return colorings
+        colorings = new
+
+
+def reference_edge_connectivity(g: Graph) -> int:
+    """Minimum number of edges whose removal disconnects g (0 if already so).
+
+    Unit-capacity max-flow from vertex 0 to every other vertex by shortest
+    augmenting paths, each stopped at delta >= kappa'.  The residual graph is
+    bitmasks: ``fwd[u]`` holds every w with a residual arc u->w, ``back[w]``
+    every such u; the BFS keeps one mask per level to read the path back.
+    """
+    if g.n <= 1 or not g.is_connected():
+        return 0
+    best = g.min_degree()
+    for target in range(1, g.n):
+        fwd, back = list(g.adj), list(g.adj)
+        flow = 0
+        while flow < best:
+            levels, seen = [1], 1
+            while levels[-1] and not seen >> target & 1:
+                nxt = 0
+                for u in _bits(levels[-1]):
+                    nxt |= fwd[u]
+                levels.append(nxt & ~seen)
+                seen |= nxt
+            if not seen >> target & 1:
+                break
+            v = target
+            for level in reversed(levels[:-1]):
+                arcs = level & back[v]
+                u = (arcs & -arcs).bit_length() - 1
+                if fwd[v] >> u & 1:  # no flow on v->u, so u->v fills
+                    fwd[u] ^= 1 << v
+                    back[v] ^= 1 << u
+                else:  # cancel the flow on v->u
+                    fwd[v] |= 1 << u
+                    back[u] |= 1 << v
+                v = u
+            flow += 1
+        best = flow
+    return best
 
 
 @pytest.fixture(scope="session")

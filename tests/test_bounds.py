@@ -36,7 +36,15 @@ from graphstrength.deltaseq import certify
 from graphstrength.labeling import UnconfirmedBound, recompute_lower_bound
 from graphstrength.oracle import exact_strength, is_vertex_transitive
 
-from conftest import brute_xi, petersen, random_graph, small_graphs, to_graph
+from conftest import (
+    brute_xi,
+    petersen,
+    random_graph,
+    reference_edge_connectivity,
+    small_graphs,
+    to_graph,
+    torus,
+)
 
 
 def test_independence_number_frozen_values():
@@ -96,13 +104,6 @@ def test_xi_profile_closed_forms_on_cubes():
 
 def circulant(n: int, jumps: tuple[int, ...]) -> Graph:
     return Graph(n, [(v, (v + j) % n) for v in range(n) for j in jumps])
-
-
-def torus(a: int, b: int) -> Graph:
-    """C_a x C_b, vertex r*b + c at row r, column c."""
-    rows = [(r * b + c, r * b + (c + 1) % b) for r in range(a) for c in range(b)]
-    cols = [(r * b + c, (r + 1) % a * b + c) for r in range(a) for c in range(b)]
-    return Graph(a * b, rows + cols)
 
 
 def paley13() -> Graph:
@@ -181,9 +182,9 @@ def test_transitivity_proof_stays_within_its_cap(monkeypatch):
     calls = []
     original = oracle._refine
 
-    def counting(g, colorings):
+    def counting(g, colorings, splitters=None, nbrs=None):
         calls.append(g.n)
-        return original(g, colorings)
+        return original(g, colorings, splitters, nbrs)
 
     monkeypatch.setattr(oracle, "_refine", counting)
     rng = random.Random(3)
@@ -281,6 +282,41 @@ def test_edge_connectivity_matches_networkx(g):
     gx.add_nodes_from(range(g.n))
     gx.add_edges_from(g.edges())
     assert edge_connectivity(g) == nx.edge_connectivity(gx)
+
+
+def planted_cut(rng: random.Random) -> Graph:
+    """Two dense random blobs joined by 1-4 edges, vertex ids shuffled: kappa' < delta."""
+    a, b = rng.randint(6, 12), rng.randint(6, 12)
+    edges = random_graph(rng, a, 0.8).edges()
+    edges += [(a + u, a + v) for u, v in random_graph(rng, b, 0.8).edges()]
+    edges += [(rng.randrange(a), a + rng.randrange(b)) for _ in range(rng.randint(1, 4))]
+    ids = list(range(a + b))
+    rng.shuffle(ids)
+    return Graph(a + b, [(ids[u], ids[v]) for u, v in edges])
+
+
+def test_edge_connectivity_on_planted_small_cuts():
+    rng = random.Random(11)
+    below_delta = 0
+    for _ in range(60):
+        g = planted_cut(rng)
+        gx = nx.Graph(g.edges())
+        gx.add_nodes_from(range(g.n))
+        kappa = edge_connectivity(g)
+        assert kappa == nx.edge_connectivity(gx) == reference_edge_connectivity(g)
+        below_delta += kappa < g.min_degree()
+    assert below_delta >= 40
+
+
+def test_edge_connectivity_with_a_universal_vertex():
+    # vertex 0 dominates everything, so no flow runs and kappa' = delta
+    rng = random.Random(12)
+    for n in range(2, 16):
+        rest = random_graph(rng, n - 1, 0.3)
+        g = Graph(n, [(0, v) for v in range(1, n)] + [(u + 1, v + 1) for u, v in rest.edges()])
+        gx = nx.Graph(g.edges())
+        assert edge_connectivity(g) == g.min_degree() == nx.edge_connectivity(gx)
+        assert edge_connectivity(g) == reference_edge_connectivity(g)
 
 
 def test_two_regular_helpers():

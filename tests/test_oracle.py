@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from time import perf_counter
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphstrength import oracle
 from graphstrength.graphs import (
@@ -17,7 +19,12 @@ from graphstrength.graphs import (
     path,
 )
 from graphstrength.labeling import strength_of, verify_certificate
-from graphstrength.oracle import automorphism_orbits, exact_strength, feasible_at
+from graphstrength.oracle import (
+    automorphism_orbits,
+    exact_strength,
+    feasible_at,
+    is_vertex_transitive,
+)
 
 from conftest import (
     atlas_connected,
@@ -26,8 +33,10 @@ from conftest import (
     petersen,
     random_graph,
     reference_orbits,
+    reference_refine,
     small_graphs,
     to_graph,
+    torus,
 )
 
 
@@ -234,3 +243,77 @@ def test_complete_bipartite_seven_seven_at_default_cap():
     res = exact_strength(g)
     assert res.status == "exact" and res.value == 21
     assert verify_certificate(g, res.to_certificate()).status == "exact"
+
+
+# -- splitter-queue refinement against the full-recompute reference ----------------
+
+
+def refinement_graphs() -> list[Graph]:
+    """Seeded regular graphs, tori and Q5: large cells, many rounds to equitable."""
+    graphs = [to_graph(nx.random_regular_graph(d, n, seed=s))
+              for d, n in ((3, 20), (4, 17), (5, 24)) for s in range(2)]
+    graphs += [torus(3, 5), torus(4, 6), torus(5, 5), hypercube(5)]
+    return graphs
+
+
+def partitions(colorings: list[list[int]] | None) -> list[set[frozenset[int]]] | None:
+    """Each side's coloring as a set partition of its vertices."""
+    if colorings is None:
+        return None
+    out = []
+    for colors in colorings:
+        cells: dict[int, set[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, set()).add(v)
+        out.append({frozenset(cell) for cell in cells.values()})
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_graphs(), st.sampled_from(refinement_graphs())), st.data())
+def test_refine_matches_the_reference(g, data):
+    u, v, x, y = (data.draw(st.integers(0, g.n - 1)) for _ in range(4))
+    colors = data.draw(st.one_of(st.just(g.degrees()),
+                                 st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n)))
+    fresh = max(colors) + 1
+    pair = [oracle._recolor(colors, u, fresh), oracle._recolor(colors, v, fresh)]
+    got = oracle._refine(g, pair)
+    want = reference_refine(g, pair)
+    assert partitions(got) == partitions(want)
+    if got is None:
+        return
+    # individualize one more pair of an equitable coloring, queueing only it
+    left, right = got
+    right_same = [w for w in range(g.n) if right[w] == left[x]]
+    y = right_same[y % len(right_same)]
+    fresh = max(left) + 1
+    pair = [oracle._recolor(left, x, fresh), oracle._recolor(right, y, fresh)]
+    got = oracle._refine(g, pair, [fresh])
+    assert partitions(got) == partitions(reference_refine(g, pair))
+
+
+def test_refine_matches_the_reference_on_random_colorings():
+    # cells that split three ways while queued, and pairs of colorings that part
+    rng = random.Random(1)
+    for _ in range(1500):
+        g = random_graph(rng, rng.randint(3, 14), rng.random())
+        colors = [rng.randint(0, 2) for _ in range(g.n)]
+        assert partitions(oracle._refine(g, [colors])) == partitions(reference_refine(g, [colors]))
+        other = rng.sample(colors, g.n) if rng.random() < 0.5 else [rng.randint(0, 3) for _ in colors]
+        got = oracle._refine(g, [colors, other])
+        assert partitions(got) == partitions(reference_refine(g, [colors, other]))
+
+
+def test_orbits_and_transitivity_match_the_reference_refinement(monkeypatch):
+    graphs = [*refinement_graphs(), *symmetric_graphs().values(), *random_regular(3, range(3))]
+    graphs += [cycle(12), complete_bipartite(4, 4), complete(6), Graph(1)]
+    got = [(automorphism_orbits(g), is_vertex_transitive(g)) for g in graphs]
+    monkeypatch.setattr(oracle, "_refine", lambda g, colorings, splitters=None, nbrs=None:
+                        reference_refine(g, colorings))
+    assert got == [(automorphism_orbits(g), is_vertex_transitive(g)) for g in graphs]
+
+
+def test_transitivity_proof_on_a_long_cycle_is_fast():
+    t0 = perf_counter()
+    assert is_vertex_transitive(cycle(2000))
+    assert perf_counter() - t0 < 3.0
