@@ -218,7 +218,8 @@ def _cmd_label(args: argparse.Namespace) -> int:
             _write_dot(args.dot, g, res.certificate.witness)
         return _print_certificate(g, res.certificate, args.json)
     if args.embed:
-        print(f"inconclusive: search budget {args.budget} exhausted", file=sys.stderr)
+        print(f"inconclusive: no certificate after {res.nodes_explored} search nodes",
+              file=sys.stderr)
         return EXIT_INCONCLUSIVE
     print("no exact numbering route succeeded; best bounds:", file=sys.stderr)
     print(bounds_report(res.host).render(), file=sys.stderr)
@@ -247,8 +248,10 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         print(json.dumps({"status": "bracket", "lower": res.lower, "upper": res.upper,
                           "nodes_explored": res.nodes_explored}, indent=2, sort_keys=True))
     else:
+        # a search stopped by the recursion limit has not spent its budget
+        why = "budget exhausted" if res.nodes_explored > args.budget else "search stopped"
         print(f"inconclusive: strength in [{res.lower}, {res.upper}] "
-              f"(budget exhausted after {res.nodes_explored} nodes)")
+              f"({why} after {res.nodes_explored} nodes)")
     return EXIT_INCONCLUSIVE
 
 

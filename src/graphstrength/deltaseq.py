@@ -243,7 +243,8 @@ def _search(
     mode.  A branch is cut once its worst prefix sum cannot beat the
     incumbent, which starts at ``floor``; the search stops once the
     incumbent reaches ``target``.  Returns (incumbent's choices or None,
-    nodes explored, complete); complete is False when the budget ran out.
+    nodes explored, complete); complete is False when the budget ran out
+    or the search, one call deep per stage, reached the recursion limit.
 
     From stage 2 on, what lies below a node depends only on its vertex set
     (the mask): the best worst-prefix a continuation can add to the running
@@ -321,7 +322,7 @@ def _search(
     try:
         # worst prefix of a real sequence can't exceed p; +1 clears the cap
         search(g.full_mask, 0, g.n + 1, 1)
-    except BudgetExhausted:
+    except (BudgetExhausted, RecursionError):
         return best_choices, nodes, False
     finally:
         # search refers to itself, so its closure (the table with it) would

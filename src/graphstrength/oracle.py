@@ -11,16 +11,16 @@ is fixed for good, which makes two prunes cheap and sound:
   counting argument on nested label intervals).
 
 Exactness comes from completed infeasibility at t-1 (or from t hitting the
-absolute floor p+1, forced by the vertex labeled p having a neighbor).  The
-root choice for label p is limited to one representative per automorphism
-orbit, computed once per ``exact_strength`` call.  Orbits are never
-refinement classes alone: two vertices share an orbit only when a complete
-individualization-refinement search (McKay & Piperno, "Practical graph
-isomorphism II", 2014) finds an automorphism mapping one to the other, and
-every automorphism it finds is checked edge by edge before it is used.
-Its color refinement runs from a queue of splitter cells with Hopcroft's
-rule, so refining after one vertex is individualized costs time near the
-new cell's neighborhood rather than a recount of every vertex.
+absolute floor p+1, forced by the vertex labeled p having a neighbor).
+
+Automorphism orbits and vertex transitivity (the xi scan's reduction) are
+never read off refinement classes: two vertices are merged only when a
+complete individualization-refinement search (McKay & Piperno, "Practical
+graph isomorphism II", 2014) finds an automorphism mapping one to the
+other, checked edge by edge before it is used.  Its color refinement runs
+from a queue of splitter cells with Hopcroft's rule, so refining after one
+vertex is individualized costs time near the new cell's neighborhood
+rather than a recount of every vertex.
 
 This is exponential and deliberately capped (default 14 vertices); its job
 is to anchor the theory-backed bounds and constructions on small cases, not
@@ -293,8 +293,9 @@ def is_vertex_transitive(g: Graph) -> bool:
     g must be regular (one refinement class), and each v not yet merged
     with 0 needs an automorphism 0 -> v from ``_find_automorphism``, whose
     pairs are then merged.  The proof gives up (False: not proven) at the
-    first v without one, or after ``TRANSITIVITY_REFINES_PER_VERTEX * n``
-    refinements.
+    first v without one, after ``TRANSITIVITY_REFINES_PER_VERTEX * n``
+    refinements, or when the search, one call deep per individualized
+    vertex, reaches the recursion limit.
     """
     if not g.is_regular():
         return False
@@ -308,7 +309,7 @@ def is_vertex_transitive(g: Graph) -> bool:
                 if sigma is None:
                     return False
                 _merge(parent, sigma)
-    except BudgetExhausted:
+    except (BudgetExhausted, RecursionError):
         return False
     return True
 
@@ -320,15 +321,14 @@ class FeasibilityResult:
     nodes_explored: int
 
 
-def feasible_at(
-    g: Graph, t: int, budget: int = DEFAULT_BUDGET, *, roots: list[int] | None = None
-) -> FeasibilityResult:
+def feasible_at(g: Graph, t: int, budget: int = DEFAULT_BUDGET) -> FeasibilityResult:
     """Decide whether some numbering of g has strength <= t.
 
     "infeasible" means the search space was exhausted, a completed proof;
-    "budget" means neither answer was reached within ``budget`` assignments.
-    ``roots`` are the vertices tried for label p, the least of each
-    automorphism orbit; when omitted they are computed here.
+    "budget" means neither answer was reached within ``budget`` assignments,
+    or the search, one call deep per label, reached the recursion limit.
+    Every vertex is tried for label p, as for the other labels: one root per
+    automorphism orbit saved too few nodes to pay for computing the orbits.
     """
     if g.edge_count == 0:
         raise ValueError("feasibility is about edge sums; graph has no edges")
@@ -338,17 +338,10 @@ def feasible_at(
     unlabeled = g.full_mask
     nodes = 0
 
-    if roots is None:
-        roots = [orbit[0] for orbit in automorphism_orbits(g)]
-
     def candidates(level: int) -> list[int]:
-        if level == p:
-            pool = roots
-        else:
-            pool = list(_bits(unlabeled))
         avail = max(0, min(level - 1, t - level))
         good = []
-        for v in pool:
+        for v in _bits(unlabeled):
             if caps[v] < level:
                 continue
             pending = (g.adj[v] & unlabeled).bit_count()
@@ -387,7 +380,7 @@ def feasible_at(
 
     try:
         found = place(p)
-    except BudgetExhausted:
+    except (BudgetExhausted, RecursionError):
         return FeasibilityResult("budget", None, nodes)
     if found:
         return FeasibilityResult("feasible", Numbering(tuple(labels)), nodes)
@@ -429,8 +422,8 @@ def exact_strength(
     scan starts at the unconditional floor p'+1 - the vertex labeled p' has a
     neighbor, forcing some edge sum to at least p'+1 - so the first feasible
     threshold is exact, every smaller one having been refuted exhaustively.
-    On budget exhaustion the result is the honest bracket
-    [first unrefuted threshold, 2p'-1].
+    When a search stops on the budget or the recursion limit, the result is
+    the honest bracket [first unrefuted threshold, 2p'-1].
     """
     if g.edge_count == 0:
         raise ValueError("strength is undefined for graphs with no edges")
@@ -440,10 +433,9 @@ def exact_strength(
             f"{core.n} non-isolated vertices exceeds the exact-solver cap "
             f"{vertex_cap}; raise vertex_cap only if you can wait"
         )
-    roots = [orbit[0] for orbit in automorphism_orbits(core)]
     total = 0
     for t in range(core.n + 1, 2 * core.n):
-        res = feasible_at(core, t, budget - total, roots=roots)
+        res = feasible_at(core, t, budget - total)
         total += res.nodes_explored
         if res.status == "feasible":
             witness = extend_over_isolated(g, res.witness)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from contextlib import contextmanager
 
 import networkx as nx
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 from graphstrength.deltaseq import MODES
 from graphstrength.graphs import Graph, _bits
-from graphstrength.labeling import BudgetExhausted
+from graphstrength.labeling import BudgetExhausted, Numbering
+from graphstrength.oracle import DEFAULT_BUDGET, FeasibilityResult, automorphism_orbits
 
 
 def to_graph(nxg) -> Graph:
@@ -124,6 +127,20 @@ def brute_xi(g: Graph, i_max: int) -> list[int]:
             for s in itertools.combinations(range(g.n), i))
         for i in range(1, i_max + 1)
     ]
+
+
+@contextmanager
+def shallow_stack(room: int = 60):
+    """Lower the recursion limit to the current stack depth plus ``room``."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + room)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @st.composite
@@ -342,6 +359,88 @@ def reference_edge_connectivity(g: Graph) -> int:
             flow += 1
         best = flow
     return best
+
+
+# -- the threshold search with orbit roots at label p (test-side reference) ----
+#
+# ``oracle.feasible_at`` as it stood when it tried one vertex per automorphism
+# orbit for label p, copied unchanged apart from its name.  The library now
+# tries every vertex for label p in the same (degree, id) order, and must
+# give the same status and witness in no fewer nodes.
+
+
+def reference_feasible_at(
+    g: Graph, t: int, budget: int = DEFAULT_BUDGET, *, roots: list[int] | None = None
+) -> FeasibilityResult:
+    """Decide whether some numbering of g has strength <= t.
+
+    "infeasible" means the search space was exhausted, a completed proof;
+    "budget" means neither answer was reached within ``budget`` assignments.
+    ``roots`` are the vertices tried for label p, the least of each
+    automorphism orbit; when omitted they are computed here.
+    """
+    if g.edge_count == 0:
+        raise ValueError("feasibility is about edge sums; graph has no edges")
+    p = g.n
+    labels = [0] * p
+    caps = [p] * p  # max label each vertex may still take
+    unlabeled = g.full_mask
+    nodes = 0
+
+    if roots is None:
+        roots = [orbit[0] for orbit in automorphism_orbits(g)]
+
+    def candidates(level: int) -> list[int]:
+        if level == p:
+            pool = roots
+        else:
+            pool = list(_bits(unlabeled))
+        avail = max(0, min(level - 1, t - level))
+        good = []
+        for v in pool:
+            if caps[v] < level:
+                continue
+            pending = (g.adj[v] & unlabeled).bit_count()
+            if pending > avail:
+                continue
+            good.append(v)
+        good.sort(key=lambda v: (g.adj[v].bit_count(), v))
+        return good
+
+    def hall_violated() -> bool:
+        pend = sorted(caps[v] for v in _bits(unlabeled))
+        return any(c < i + 1 for i, c in enumerate(pend))
+
+    def place(level: int) -> bool:
+        nonlocal unlabeled, nodes
+        if level == 0:
+            return True
+        for v in candidates(level):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExhausted
+            labels[v] = level
+            unlabeled ^= 1 << v
+            touched = []
+            for w in _bits(g.adj[v] & unlabeled):
+                if caps[w] > t - level:
+                    touched.append((w, caps[w]))
+                    caps[w] = t - level
+            if not hall_violated() and place(level - 1):
+                return True
+            for w, old in touched:
+                caps[w] = old
+            unlabeled ^= 1 << v
+            labels[v] = 0
+        return False
+
+    try:
+        found = place(p)
+    except BudgetExhausted:
+        return FeasibilityResult("budget", None, nodes)
+    if found:
+        return FeasibilityResult("feasible", Numbering(tuple(labels)), nodes)
+    return FeasibilityResult("infeasible", None, nodes)
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,14 @@ Every node-budgeted search counts its own nodes and reports a spent budget
 as a status (or ``complete=False``).  The statuses and node counts below
 were recorded before the searches shared one exhaustion signal; they must
 not move, except the two sequence searches marked below, which complete
-in fewer nodes since the sequence DFS keeps a per-call bound table.  The
-node that overshoots the budget is counted, so a search stopped at budget
-b reports b + 1 nodes.
+in fewer nodes since the sequence DFS keeps a per-call bound table, and
+the two threshold searches marked below, which need more nodes since every
+vertex, not one per automorphism orbit, is tried for label p.  The node
+that overshoots the budget is counted, so a search stopped at budget b
+reports b + 1 nodes.
+
+The recursion limit stops a search like a spent budget: deep inputs end in
+a "budget" status, never a RecursionError or a claim of exhaustion.
 """
 
 from __future__ import annotations
@@ -19,11 +24,11 @@ from graphstrength import oracle
 from graphstrength.bounds import _xi_scan, bounds_report, xi_profile
 from graphstrength.constructions import load_fixture
 from graphstrength.deltaseq import best_z_sequence, certify, embed_minimal, find_delta_sequence
-from graphstrength.graphs import Graph, complete_bipartite, hypercube, wheel
+from graphstrength.graphs import Graph, complete, complete_bipartite, hypercube, path, wheel
 from graphstrength.labeling import LowerBound, verify_certificate
 from graphstrength.oracle import exact_strength, feasible_at, is_vertex_transitive
 
-from conftest import petersen
+from conftest import petersen, shallow_stack
 
 
 def graphs() -> dict[str, Graph]:
@@ -94,13 +99,15 @@ FEASIBLE = {
     ("petersen", 12, 0): ("infeasible", 0),
     ("petersen", 13, 0): ("budget", 1),
     ("petersen", 13, 5): ("budget", 6),
-    ("petersen", 13, 20): ("infeasible", 7),
+    ("petersen", 13, 20): ("budget", 21),  # ("infeasible", 7) with orbit roots
     ("petersen", 14, 5): ("budget", 6),
     ("petersen", 14, 20): ("feasible", 11),
     ("q4", 20, 5): ("budget", 6),
-    ("q4", 20, 20): ("infeasible", 12),
+    ("q4", 20, 20): ("budget", 21),  # ("infeasible", 12) with orbit roots
     ("q4", 21, 1): ("budget", 2),
     ("q4", 21, 20): ("feasible", 16),
+    ("petersen", 13, 100): ("infeasible", 70),
+    ("q4", 20, 200): ("infeasible", 192),
 }
 
 
@@ -137,3 +144,22 @@ def test_public_searches_report_a_spent_budget():
     starved = replace(cert, lower=LowerBound("search", cert.lower.value, (0,)))
     verdict = verify_certificate(cube, starved)
     assert verdict.status == "invalid" and "unconfirmed" in verdict.reasons[0]
+
+
+def test_sequence_search_stops_at_the_recursion_limit():
+    g = path(400)  # one stage per call, and min-degree mode needs them all
+    with shallow_stack():
+        res = find_delta_sequence(g, "min-degree", 10**6)
+    assert res.status == "budget" and res.nodes_explored < 100
+
+
+def test_transitivity_proof_stops_at_the_recursion_limit():
+    with shallow_stack():  # one call per vertex individualized: K_n needs n
+        assert not is_vertex_transitive(complete(120))
+
+
+def test_threshold_search_stops_at_the_recursion_limit():
+    with shallow_stack():
+        res = exact_strength(path(200), vertex_cap=200)
+    assert (res.status, res.lower, res.upper) == ("bracket", 201, 399)
+    assert res.nodes_explored < 200

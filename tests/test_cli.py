@@ -17,6 +17,8 @@ from graphstrength.cli import _build_parser, main
 from graphstrength.graphio import MAX_EDGELIST_VERTICES, parse_graph6, write_edgelist, write_graph6
 from graphstrength.graphs import Graph, complete_bipartite, cycle, disjoint_union, hypercube
 
+from conftest import shallow_stack
+
 PETERSEN_G6 = "IheA@GUAo"
 
 
@@ -189,6 +191,13 @@ def test_label_inconclusive_prints_bounds_to_stderr(capsys):
     assert "best bounds" in err and "--embed" in err
 
 
+def test_label_embed_inconclusive_reports_nodes_not_a_spent_budget(capsys):
+    code, out, err = run(capsys, "label", "--family", "hypercube:4",
+                         "--mode", "min-degree", "--embed", "--budget", "0")
+    assert code == 3 and out == ""
+    assert err == "inconclusive: no certificate after 2 search nodes\n"
+
+
 # -- exact -----------------------------------------------------------------------
 
 
@@ -205,6 +214,17 @@ def test_exact_budget_bracket(capsys):
     payload = json.loads(out)
     assert payload["status"] == "bracket"
     assert payload["lower"] <= 21 <= payload["upper"]
+
+
+def test_exact_bracket_says_why_the_search_stopped(capsys):
+    code, out, _ = run(capsys, "exact", "--family", "hypercube:4",
+                       "--budget", "10", "--vertex-cap", "16")
+    assert code == 3
+    assert out == "inconclusive: strength in [20, 31] (budget exhausted after 11 nodes)\n"
+    with shallow_stack():
+        code, out, _ = run(capsys, "exact", "--family", "path:200", "--vertex-cap", "200")
+    assert code == 3
+    assert out.startswith("inconclusive: strength in [201, 399] (search stopped after ")
 
 
 def test_exact_rejects_oversize(capsys):
@@ -280,6 +300,12 @@ def test_repro_single_check(capsys):
     assert code == 0
     assert out.startswith("ok two-regular")
     assert "1 passed, 0 failed" in out
+
+
+def test_repro_runs_every_check(capsys):
+    code, out, _ = run(capsys, "repro")
+    assert code == 0
+    assert out.endswith("9 passed, 0 failed\n")
 
 
 def test_repro_checks_survive_python_O(tmp_path):

@@ -5,7 +5,7 @@ from time import perf_counter
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphstrength import oracle
@@ -32,6 +32,7 @@ from conftest import (
     is_automorphism,
     petersen,
     random_graph,
+    reference_feasible_at,
     reference_orbits,
     reference_refine,
     small_graphs,
@@ -204,45 +205,41 @@ def test_every_found_map_is_an_automorphism():
                     assert sigma[u] == v and is_automorphism(g, sigma)
 
 
-# -- orbits once per exact_strength ------------------------------------------------
-
-
-def test_orbits_computed_once_per_exact_strength(monkeypatch):
-    calls = []
-    original = oracle.automorphism_orbits
-
-    def counting(g):
-        calls.append(g.n)
-        return original(g)
-
-    monkeypatch.setattr(oracle, "automorphism_orbits", counting)
-    for g in (petersen(), disjoint_union(cycle(5), Graph(2, [])), complete_bipartite(3, 5)):
-        calls.clear()
-        res = exact_strength(g)
-        assert res.status == "exact"
-        assert len(calls) == 1
-    calls.clear()
-    feasible_at(cycle(4), 6)
-    assert len(calls) == 1
-
-
-def test_feasible_at_with_given_roots_is_unchanged():
-    rng = random.Random(5)
-    graphs = [petersen(), hypercube(3), complete_bipartite(3, 4), path(5)]
-    graphs += [random_graph(rng, 8, 0.4) for _ in range(6)]
-    for g in graphs:
-        if g.edge_count == 0 or not all(g.adj):
-            continue
-        roots = [o[0] for o in automorphism_orbits(g)]
-        for t in range(g.n + 1, 2 * g.n):
-            assert feasible_at(g, t) == feasible_at(g, t, roots=roots)
-
-
 def test_complete_bipartite_seven_seven_at_default_cap():
     g = complete_bipartite(7, 7)
     res = exact_strength(g)
     assert res.status == "exact" and res.value == 21
     assert verify_certificate(g, res.to_certificate()).status == "exact"
+
+
+# -- every root for label p against the orbit-rooted reference ---------------------
+
+
+def assert_matches_orbit_roots(g: Graph) -> None:
+    """Same status and witness as the reference at every threshold p+1..2p-1,
+    in no fewer nodes: an orbit's other vertices only repeat its refutation."""
+    for t in range(g.n + 1, 2 * g.n):
+        got, want = feasible_at(g, t), reference_feasible_at(g, t)
+        assert (got.status, got.witness) == (want.status, want.witness), (g.edges(), t)
+        assert got.nodes_explored >= want.nodes_explored, (g.edges(), t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_feasible_at_matches_orbit_roots_on_random_graphs(g):
+    assume(g.edge_count)
+    assert_matches_orbit_roots(g.core()[0])
+
+
+def orbit_root_graphs() -> dict[str, Graph]:
+    """The symmetric graphs plus C13(1,5), where orbit roots saved the most time."""
+    c13 = Graph(13, [(u, (u + d) % 13) for u in range(13) for d in (1, 5)])
+    return {**symmetric_graphs(), "C13(1,5)": c13}
+
+
+@pytest.mark.parametrize("name", list(orbit_root_graphs()))
+def test_feasible_at_matches_orbit_roots_on_symmetric_graphs(name):
+    assert_matches_orbit_roots(orbit_root_graphs()[name])
 
 
 # -- splitter-queue refinement against the full-recompute reference ----------------
