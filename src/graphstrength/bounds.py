@@ -528,49 +528,50 @@ def bounds_report(
 
 
 # -- registry hook-up ---------------------------------------------------------
+# Only the oracle's "search" bound reads ``upper``; these ignore it.
 
 
-def _reg_p_delta(g: Graph, args: tuple) -> int:
+def _reg_p_delta(g: Graph, args: tuple, upper: int | None) -> int:
     core, _ = g.core()
     return core.n + core.min_degree()
 
 
-def _reg_maxdeg(g: Graph, args: tuple) -> int:
+def _reg_maxdeg(g: Graph, args: tuple, upper: int | None) -> int:
     return g.core()[0].max_degree() + 2
 
 
-def _reg_kappa(g: Graph, args: tuple) -> int:
+def _reg_kappa(g: Graph, args: tuple, upper: int | None) -> int:
     core, _ = g.core()
     return core.n + edge_connectivity(core)
 
 
-def _reg_independence(g: Graph, args: tuple) -> int:
+def _reg_independence(g: Graph, args: tuple, upper: int | None) -> int:
     cap = recompute_arg(args, DEFAULT_ALPHA_CAP, "independence cap")
     return independence_lower_bound_str(g.core()[0], cap=cap)
 
 
-def _reg_xi(g: Graph, args: tuple) -> int:
+def _reg_xi(g: Graph, args: tuple, upper: int | None) -> int:
     i_max = recompute_arg(args, DEFAULT_XI_I_MAX, "xi set size")
     core, _ = g.core()
     prof = xi_profile(core, i_max)
     return core.n + prof.xi
 
 
-def _reg_hypercube(g: Graph, args: tuple) -> int:
+def _reg_hypercube(g: Graph, args: tuple, upper: int | None) -> int:
     got = recognize_hypercube(g.core()[0])
     if got is None or got[0] < 2:
         raise ValueError("graph is not a hypercube of dimension >= 2")
     return hypercube_lower_bound(got[0])
 
 
-def _reg_two_regular(g: Graph, args: tuple) -> int:
+def _reg_two_regular(g: Graph, args: tuple, upper: int | None) -> int:
     lengths = two_regular_cycle_lengths(g.core()[0])
     if lengths is None:
         raise ValueError("graph is not a disjoint union of cycles")
     return two_regular_strength(lengths)
 
 
-def _reg_trivial(g: Graph, args: tuple) -> int:
+def _reg_trivial(g: Graph, args: tuple, upper: int | None) -> int:
     core, _ = g.core()
     if core.n == 0:
         raise ValueError("no edges")

@@ -84,8 +84,8 @@ def require(ok: bool, message: str) -> None:
 
 # -- certificates ------------------------------------------------------------
 
-# name -> fn(g, args) -> int; populated by bounds/oracle modules at import.
-_LOWER_BOUND_REGISTRY: dict[str, Callable[[Graph, tuple], int]] = {}
+# name -> fn(g, args, upper) -> int; populated by bounds/oracle modules at import.
+_LOWER_BOUND_REGISTRY: dict[str, Callable[[Graph, tuple, int | None], int]] = {}
 
 
 class UnconfirmedBound(Exception):
@@ -97,7 +97,10 @@ class BudgetExhausted(Exception):
     counter and caught in its public function, which reports a status."""
 
 
-def register_lower_bound(name: str, fn: Callable[[Graph, tuple], int]) -> None:
+def register_lower_bound(name: str, fn: Callable[[Graph, tuple, int | None], int]) -> None:
+    """Register ``fn(g, args, upper)``, the bound's value on g.  ``upper`` is
+    None or the strength of a numbering of g, computed from g (so strength
+    <= upper); a bound may use it to reach its value more cheaply."""
     _LOWER_BOUND_REGISTRY[name] = fn
 
 
@@ -107,22 +110,28 @@ def lower_bound_names() -> tuple[str, ...]:
 
 def recompute_arg(args: tuple, default: int, what: str) -> int:
     """A bound's recompute argument, or ``default`` when absent.  It comes
-    from untrusted certificate JSON, so a larger search than the library
-    default is refused before it starts."""
-    value = int(args[0]) if args else default
+    from untrusted certificate JSON, so anything but a non-negative int is
+    refused, and so is a larger search than the library default, before it
+    starts."""
+    if not args:
+        return default
+    value = args[0]
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
     if value > default:
         raise ValueError(f"{what} {value} exceeds the limit {default}")
     return value
 
 
-def recompute_lower_bound(g: Graph, name: str, args: tuple) -> int:
+def recompute_lower_bound(g: Graph, name: str, args: tuple, upper: int | None = None) -> int:
+    """The named bound's value on g; ``upper`` as in ``register_lower_bound``."""
     try:
         fn = _LOWER_BOUND_REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown lower bound {name!r}; known: {', '.join(lower_bound_names())}"
         ) from None
-    return fn(g, args)
+    return fn(g, args, upper)
 
 
 @dataclass(frozen=True)
@@ -200,8 +209,10 @@ def verify_certificate(g: Graph, cert: StrengthCertificate) -> CertificateVerdic
     """Recheck a certificate from scratch against g.
 
     The witness must be a bijection whose strength equals ``upper``, and the
-    named lower bound must recompute to the claimed value.  Any mismatch, or
-    a lower bound above the witness strength, makes the verdict "invalid".
+    named lower bound must recompute to the claimed value; the recompute is
+    handed the witness strength computed here, never the claimed ``upper``.
+    Any mismatch, or a lower bound above the witness strength, makes the
+    verdict "invalid".
     """
     reasons: list[str] = []
     if cert.witness.p != g.n:
@@ -217,7 +228,7 @@ def verify_certificate(g: Graph, cert: StrengthCertificate) -> CertificateVerdic
         reasons.append(f"witness strength is {actual}, certificate claims {cert.upper}")
     recomputed: int | None = None
     try:
-        recomputed = recompute_lower_bound(g, cert.lower.name, cert.lower.args)
+        recomputed = recompute_lower_bound(g, cert.lower.name, cert.lower.args, actual)
     except UnconfirmedBound as e:
         reasons.append(f"lower bound {cert.lower.name!r} unconfirmed: {e}")
         return CertificateVerdict("invalid", tuple(reasons))

@@ -10,8 +10,11 @@ is fixed for good, which makes two prunes cheap and sound:
 * the unlabeled caps, sorted, must dominate 1, 2, 3, ... (a Hall-style
   counting argument on nested label intervals).
 
-Exactness comes from completed infeasibility at t-1 (or from t hitting the
-absolute floor p+1, forced by the vertex labeled p having a neighbor).
+Exactness comes from the scan's start and completed refutations: the scan
+starts at max(p + delta, 2p - 2*alpha + 1), two lower bounds, and every
+threshold from there up to the first feasible one is refuted exhaustively.
+Feasibility is monotone in t, so a claimed strength s with a witness is
+confirmed by the start reaching s or by one refutation at s - 1.
 
 Automorphism orbits and vertex transitivity (the xi scan's reduction) are
 never read off refinement classes: two vertices are merged only when a
@@ -329,51 +332,43 @@ def feasible_at(g: Graph, t: int, budget: int = DEFAULT_BUDGET) -> FeasibilityRe
     or the search, one call deep per label, reached the recursion limit.
     Every vertex is tried for label p, as for the other labels: one root per
     automorphism orbit saved too few nodes to pay for computing the orbits.
+
+    Candidates for a label are taken in (degree, id) order, sorted once per
+    call.  A vertex's cap is t minus its largest labeled neighbor's label,
+    so both prunes read ``reach[l]``, the neighbors of the vertices labeled
+    l or more.  The Hall test after label l is placed needs one count, of
+    the unlabeled vertices with cap at most t - l, which are the reached
+    ones: the parent node passed the test, and no count below t - l can
+    have grown since.
     """
     if g.edge_count == 0:
         raise ValueError("feasibility is about edge sums; graph has no edges")
     p = g.n
+    adj = g.adj
+    order = sorted(range(p), key=lambda v: (adj[v].bit_count(), v))
     labels = [0] * p
-    caps = [p] * p  # max label each vertex may still take
+    reach = [0] * (p + 2)  # reach[p + 1] stays empty
     unlabeled = g.full_mask
     nodes = 0
-
-    def candidates(level: int) -> list[int]:
-        avail = max(0, min(level - 1, t - level))
-        good = []
-        for v in _bits(unlabeled):
-            if caps[v] < level:
-                continue
-            pending = (g.adj[v] & unlabeled).bit_count()
-            if pending > avail:
-                continue
-            good.append(v)
-        good.sort(key=lambda v: (g.adj[v].bit_count(), v))
-        return good
-
-    def hall_violated() -> bool:
-        pend = sorted(caps[v] for v in _bits(unlabeled))
-        return any(c < i + 1 for i, c in enumerate(pend))
 
     def place(level: int) -> bool:
         nonlocal unlabeled, nodes
         if level == 0:
             return True
-        for v in candidates(level):
+        room = max(0, t - level)
+        avail = min(level - 1, room)
+        # cap >= level: no labeled neighbor (labels placed are > level) above t - level
+        free = unlabeled & ~reach[min(p + 1, max(t - level + 1, level + 1))]
+        for v in [v for v in order if free >> v & 1 and (adj[v] & unlabeled).bit_count() <= avail]:
             nodes += 1
             if nodes > budget:
                 raise BudgetExhausted
             labels[v] = level
             unlabeled ^= 1 << v
-            touched = []
-            for w in _bits(g.adj[v] & unlabeled):
-                if caps[w] > t - level:
-                    touched.append((w, caps[w]))
-                    caps[w] = t - level
-            if not hall_violated() and place(level - 1):
+            reach[level] = reach[level + 1] | adj[v]
+            # Hall: the reached vertices left all have cap <= room, so at most room of them
+            if (unlabeled & reach[level]).bit_count() <= room and place(level - 1):
                 return True
-            for w, old in touched:
-                caps[w] = old
             unlabeled ^= 1 << v
             labels[v] = 0
         return False
@@ -412,18 +407,30 @@ class OracleResult:
         )
 
 
+def _scan_start(core: Graph) -> int:
+    """max(p + delta, 2p - 2*alpha + 1) on a graph without isolated vertices:
+    both are lower bounds on its strength.  alpha must be exact, so the
+    independence term is left out above the independence cap."""
+    from .bounds import DEFAULT_ALPHA_CAP, independence_lower_bound_str  # bounds imports oracle
+
+    start = core.n + core.min_degree()
+    if core.n <= DEFAULT_ALPHA_CAP:
+        start = max(start, independence_lower_bound_str(core))
+    return start
+
+
 def exact_strength(
     g: Graph, budget: int = DEFAULT_BUDGET, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> OracleResult:
-    """Exact strength by scanning thresholds upward from the floor p'+1.
+    """Exact strength by scanning thresholds upward from a lower bound.
 
     Isolated vertices are split off first (they never affect edge sums) and
     re-attached to the witness afterwards; p' is the non-isolated count.  The
-    scan starts at the unconditional floor p'+1 - the vertex labeled p' has a
-    neighbor, forcing some edge sum to at least p'+1 - so the first feasible
-    threshold is exact, every smaller one having been refuted exhaustively.
-    When a search stops on the budget or the recursion limit, the result is
-    the honest bracket [first unrefuted threshold, 2p'-1].
+    scan starts at L = max(p' + delta, 2p' - 2*alpha + 1) (``_scan_start``),
+    a lower bound, so the first feasible threshold is exact: every smaller
+    one is below L or refuted exhaustively.  When a search stops on the
+    budget or the recursion limit, the result is the honest bracket [first
+    unrefuted threshold, 2p'-1].
     """
     if g.edge_count == 0:
         raise ValueError("strength is undefined for graphs with no edges")
@@ -434,7 +441,7 @@ def exact_strength(
             f"{vertex_cap}; raise vertex_cap only if you can wait"
         )
     total = 0
-    for t in range(core.n + 1, 2 * core.n):
+    for t in range(_scan_start(core), 2 * core.n):
         res = feasible_at(core, t, budget - total)
         total += res.nodes_explored
         if res.status == "feasible":
@@ -445,8 +452,21 @@ def exact_strength(
     raise AssertionError("threshold 2p-1 is always feasible")  # pragma: no cover
 
 
-def _search_bound(g: Graph, args: tuple) -> int:
+def _search_bound(g: Graph, args: tuple, upper: int | None) -> int:
+    """The strength of g.  With ``upper``, a witness strength, it is upper when
+    the scan start reaches it or when upper - 1 is refuted (feasibility is
+    monotone in t); otherwise, or when upper - 1 is feasible, the full scan
+    gives it."""
     budget = recompute_arg(args, DEFAULT_BUDGET, "search budget")
+    core, _ = g.core()
+    if upper is not None and g.edge_count and core.n <= DEFAULT_VERTEX_CAP:
+        if _scan_start(core) >= upper:
+            return upper
+        res = feasible_at(core, upper - 1, budget)
+        if res.status == "infeasible":
+            return upper
+        if res.status == "budget":
+            raise UnconfirmedBound(f"budget {budget} exhausted refuting threshold {upper - 1}")
     res = exact_strength(g, budget=budget)
     if res.status != "exact":
         raise UnconfirmedBound(f"budget {budget} exhausted at [{res.lower}, {res.upper}]")

@@ -139,11 +139,24 @@ def test_public_searches_report_a_spent_budget():
     report = bounds_report(hypercube(5), xi_budget=0)
     assert "expansion profile incomplete within budget; skipped" in report.notes
 
+    # Petersen: str 14 is above the scan start max(p + delta, 2p - 2*alpha + 1)
+    # = 13, so confirming a search certificate needs the refutation at 13
+    g = petersen()
+    cert = exact_strength(g).to_certificate()
+    starved = replace(cert, lower=LowerBound("search", cert.lower.value, (0,)))
+    verdict = verify_certificate(g, starved)
+    assert cert.upper == 14
+    assert verdict.status == "invalid" and "unconfirmed" in verdict.reasons[0]
+    assert "refuting threshold 13" in verdict.reasons[0]
+
+
+def test_a_starved_search_certificate_needs_no_search_when_a_cheap_bound_reaches_it():
+    # Q3: p + delta = 11 is already the witness strength, so budget 0 suffices
     cube = hypercube(3)
     cert = exact_strength(cube).to_certificate()
     starved = replace(cert, lower=LowerBound("search", cert.lower.value, (0,)))
     verdict = verify_certificate(cube, starved)
-    assert verdict.status == "invalid" and "unconfirmed" in verdict.reasons[0]
+    assert (verdict.status, verdict.reasons, verdict.recomputed_lower) == ("exact", (), 11)
 
 
 def test_sequence_search_stops_at_the_recursion_limit():

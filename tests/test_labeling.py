@@ -24,6 +24,7 @@ from graphstrength.labeling import (
     UnconfirmedBound,
     extend_over_isolated,
     lower_bound_names,
+    recompute_arg,
     recompute_lower_bound,
     strength_of,
     to_dot,
@@ -178,6 +179,35 @@ def test_verify_refuses_oversized_recompute_arguments(monkeypatch, name, args, s
 def test_verify_reports_malformed_recompute_arguments(args):
     cert = StrengthCertificate(LowerBound("xi", 8, args=args), 8, Numbering((1, 6, 2, 5, 3, 4)))
     assert verify_certificate(cycle(6), cert).status == "invalid"
+
+
+@pytest.mark.parametrize("arg", [True, False, 1.5, 4.0, -5, "4", None])
+def test_recompute_arg_refuses_anything_but_a_non_negative_int(arg):
+    with pytest.raises(ValueError, match="search budget must be a non-negative integer"):
+        recompute_arg((arg,), 100, "search budget")
+
+
+def test_recompute_arg_accepts_a_non_negative_int_up_to_the_limit():
+    assert recompute_arg((), 100, "search budget") == 100
+    assert recompute_arg((0,), 100, "search budget") == 0
+    assert recompute_arg((100,), 100, "search budget") == 100
+    with pytest.raises(ValueError, match="exceeds the limit 100"):
+        recompute_arg((101,), 100, "search budget")
+
+
+@pytest.mark.parametrize("arg", [True, 1.5, -5])
+def test_verify_rejects_a_malformed_budget_before_searching(monkeypatch, arg):
+    def no_search(*_args, **_kwargs):
+        raise AssertionError("a malformed argument must not start a search")
+
+    monkeypatch.setattr("graphstrength.oracle.feasible_at", no_search)
+    monkeypatch.setattr("graphstrength.oracle.exact_strength", no_search)
+    g = cycle(8)
+    cert = StrengthCertificate(LowerBound("search", 10, args=(arg,)), 10,
+                               Numbering((1, 8, 2, 7, 3, 6, 4, 5)))
+    verdict = verify_certificate(g, cert)
+    assert verdict.status == "invalid"
+    assert verdict.reasons == (f"search budget must be a non-negative integer, got {arg!r}",)
 
 
 def test_every_emitted_certificate_verifies():

@@ -18,7 +18,7 @@ from graphstrength.graphs import (
     hypercube,
     path,
 )
-from graphstrength.labeling import strength_of, verify_certificate
+from graphstrength.labeling import extend_over_isolated, require, strength_of, verify_certificate
 from graphstrength.oracle import (
     automorphism_orbits,
     exact_strength,
@@ -106,7 +106,8 @@ def test_budget_reports_bracket_not_exhaustion():
     res = exact_strength(hypercube(4), budget=10, vertex_cap=16)
     assert res.status == "bracket"
     assert res.witness is None
-    # thresholds 17..19 are refuted cheaply; the budget dies inside t=20
+    # the scan starts at p + delta = 20 (alpha = 8 gives only 17), and the
+    # budget dies inside t=20
     assert res.lower == 20 and res.upper == 31
     with pytest.raises(ValueError):
         res.value
@@ -240,6 +241,67 @@ def orbit_root_graphs() -> dict[str, Graph]:
 @pytest.mark.parametrize("name", list(orbit_root_graphs()))
 def test_feasible_at_matches_orbit_roots_on_symmetric_graphs(name):
     assert_matches_orbit_roots(orbit_root_graphs()[name])
+
+
+# -- the sort-free node and the scan start against what they replaced ----------------
+
+
+def assert_matches_the_sorting_search(g: Graph, thresholds: range, budget: int) -> None:
+    """Node for node: the reference with every vertex a root is the search that
+    sorted its candidates and its caps at every node."""
+    for t in thresholds:
+        got = feasible_at(g, t, budget)
+        want = reference_feasible_at(g, t, budget, roots=list(range(g.n)))
+        require((got.status, got.witness, got.nodes_explored)
+                == (want.status, want.witness, want.nodes_explored), f"{g.edges()} t={t}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.integers(0, 60))
+def test_feasible_at_matches_the_sorting_search_on_random_graphs(g, budget):
+    assume(g.edge_count)
+    assert_matches_the_sorting_search(g, range(1, 2 * g.n), oracle.DEFAULT_BUDGET)
+    assert_matches_the_sorting_search(g, range(g.n + 1, 2 * g.n), budget)
+
+
+@pytest.mark.parametrize("name", list(orbit_root_graphs()))
+def test_feasible_at_matches_the_sorting_search_on_symmetric_graphs(name):
+    g = orbit_root_graphs()[name]
+    assert_matches_the_sorting_search(g, range(g.n + 1, 2 * g.n), oracle.DEFAULT_BUDGET)
+
+
+def scan_from_the_floor(g: Graph) -> tuple[str, int, object, int]:
+    """exact_strength as it was when its scan started at p' + 1."""
+    core, _ = g.core()
+    total = 0
+    for t in range(core.n + 1, 2 * core.n):
+        res = feasible_at(core, t)
+        total += res.nodes_explored
+        if res.status == "feasible":
+            return "exact", t, extend_over_isolated(g, res.witness), total
+    raise AssertionError("threshold 2p-1 is always feasible")
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_scan_from_the_lower_bound_matches_the_scan_from_the_floor(g):
+    assume(g.edge_count)
+    res = exact_strength(g)
+    status, value, witness, nodes = scan_from_the_floor(g)
+    require((res.status, res.lower, res.upper, res.witness) == (status, value, value, witness),
+            f"{g.edges()}: {res} against {value}")
+    require(res.nodes_explored <= nodes, f"{g.edges()}: {res.nodes_explored} > {nodes} nodes")
+
+
+def test_scan_start_skips_the_thresholds_below_the_cheap_bounds():
+    # Q4: p + delta = 20 beats 2p - 2*alpha + 1 = 17; K5 with a pendant vertex:
+    # 2p - 2*alpha + 1 = 9 beats 7; Petersen: both give 13, one below its strength
+    require(oracle._scan_start(hypercube(4)) == 20, "Q4")
+    pendant = Graph(6, [*complete(5).edges(), (0, 5)])
+    require(oracle._scan_start(pendant) == 9, "K5 plus a pendant vertex")
+    require(oracle._scan_start(petersen()) == 13, "Petersen")
+    # above the independence cap only p + delta is used
+    require(oracle._scan_start(path(200)) == 201, "path(200)")
 
 
 # -- splitter-queue refinement against the full-recompute reference ----------------

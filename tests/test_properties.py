@@ -6,11 +6,24 @@ below also runs through the split into a core and back.
 
 from __future__ import annotations
 
-from hypothesis import assume, given, settings
+from dataclasses import replace
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from graphstrength import labeling
 from graphstrength.bounds import bounds_report
 from graphstrength.deltaseq import certify
-from graphstrength.labeling import verify_certificate
+from graphstrength.labeling import (
+    LowerBound,
+    Numbering,
+    StrengthCertificate,
+    recompute_lower_bound,
+    require,
+    strength_of,
+    verify_certificate,
+)
 from graphstrength.oracle import exact_strength
 
 from conftest import brute_strength, small_graphs
@@ -38,3 +51,64 @@ def test_bounds_sandwich_the_oracle_and_brute_force(g):
     report = bounds_report(g)
     value = exact_strength(g).value
     assert report.best_lower <= value == brute_strength(g) <= report.best_upper
+
+
+# -- the search bound's one refutation against its full rerun ----------------------
+#
+# verify hands the search bound the checked witness strength s, which it proves
+# by the scan start or one refutation at s - 1, falling back to the full scan
+# when s - 1 is feasible.  Without that value (``upper`` None) the bound runs
+# the full scan, which is how every search certificate was checked before.
+
+
+def verify_by_full_rerun(g, cert) -> labeling.CertificateVerdict:
+    full = labeling.recompute_lower_bound
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(labeling, "recompute_lower_bound",
+                   lambda g, name, args, upper=None: full(g, name, args))
+        return verify_certificate(g, cert)
+
+
+def shuffled_numbering(g, rnd) -> Numbering:
+    labels = list(range(1, g.n + 1))
+    rnd.shuffle(labels)
+    return Numbering(tuple(labels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=7), st.randoms(use_true_random=False))
+def test_search_bound_with_a_witness_strength_equals_the_full_rerun(g, rnd):
+    assume(g.edge_count > 0)
+    value = recompute_lower_bound(g, "search", ())
+    require(value == brute_strength(g), f"{g.edges()}: search gives {value}")
+    for upper in (value, strength_of(g, shuffled_numbering(g, rnd))):
+        got = recompute_lower_bound(g, "search", (), upper)
+        require(got == value, f"{g.edges()}: with upper {upper} the bound is {got}, not {value}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_doctored_search_certificates_get_the_verdicts_of_the_full_rerun(g, rnd):
+    assume(g.edge_count > 0)
+    cert = exact_strength(g).to_certificate()
+    value = cert.upper
+    other = shuffled_numbering(g, rnd)
+    other_strength = strength_of(g, other)
+    doctored = {
+        "claim too high": (replace(cert, lower=LowerBound("search", value + 1)), "invalid"),
+        "claim too low": (replace(cert, lower=LowerBound("search", value - 1)), "invalid"),
+        "upper below its witness": (replace(cert, upper=value - 1), "invalid"),
+        "exact at a worse witness": (
+            StrengthCertificate(LowerBound("search", other_strength), other_strength, other),
+            "exact" if other_strength == value else "invalid",
+        ),
+        "search on a bracket": (
+            StrengthCertificate(LowerBound("search", value), other_strength, other),
+            "exact" if other_strength == value else "bracket",
+        ),
+    }
+    for name, (doctored_cert, status) in doctored.items():
+        got = verify_certificate(g, doctored_cert)
+        want = verify_by_full_rerun(g, doctored_cert)
+        require(got == want, f"{g.edges()} {name}: {got} against the full rerun's {want}")
+        require(got.status == status, f"{g.edges()} {name}: {got.status}, expected {status}")
