@@ -5,9 +5,8 @@ from scratch:
 
 * p + delta: the vertex labeled p has at least delta neighbors carrying
   distinct labels, the largest >= delta, so some edge sums to >= p + delta.
-* max degree + 2: among a max-degree vertex v and its Delta neighbors, the
-  largest of their Delta + 1 distinct labels is >= Delta + 1 and sits on an
-  edge of that star, whose other end carries >= 1.
+  On the core it dominates max degree + 2 (Delta + 2 <= p + 1 <= p + delta),
+  which is therefore not reported.
 * p + edge connectivity: valid on its own, though kappa' <= delta always
   (cutting a min-degree vertex free), so p + delta dominates it; kept
   because it is part of the certified-bounds contract.  kappa' takes
@@ -237,15 +236,13 @@ def xi_profile(
     vertex-transitive only the sets containing vertex 0 are scanned: the full
     scan visits those first and keeps its first minimum, so the result is the
     same wherever the full scan finishes.  The radius-2 balls are built
-    once per profile; when 2 delta >= n - 1 every ball is the whole vertex
-    set, since any two non-adjacent vertices share a neighbor.
+    once per profile.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     i_max = min(i_max, g.n - 1) if g.n > 1 else 1
     transitive = is_vertex_transitive(g)
-    full = 2 * g.min_degree() >= g.n - 1
-    balls = [g.full_mask] * g.n if full else _radius2_balls(g.adj)
+    balls = _radius2_balls(g.adj)
     xs: list[int] = []
     wits: list[tuple[int, ...]] = []
     comps: list[bool] = []
@@ -462,7 +459,6 @@ def bounds_report(
         )
     entries = [
         BoundEntry("p+delta", "lower", p + core.min_degree(), f"minimum degree {core.min_degree()}"),
-        BoundEntry("maxdeg+2", "lower", core.max_degree() + 2, f"maximum degree {core.max_degree()}"),
         BoundEntry("2p-1", "upper", 2 * p - 1, "no edge sum can exceed p + (p-1)"),
     ]
     kappa = edge_connectivity(core)
@@ -536,10 +532,6 @@ def _reg_p_delta(g: Graph, args: tuple, upper: int | None) -> int:
     return core.n + core.min_degree()
 
 
-def _reg_maxdeg(g: Graph, args: tuple, upper: int | None) -> int:
-    return g.core()[0].max_degree() + 2
-
-
 def _reg_kappa(g: Graph, args: tuple, upper: int | None) -> int:
     core, _ = g.core()
     return core.n + edge_connectivity(core)
@@ -579,7 +571,6 @@ def _reg_trivial(g: Graph, args: tuple, upper: int | None) -> int:
 
 
 register_lower_bound("p+delta", _reg_p_delta)
-register_lower_bound("maxdeg+2", _reg_maxdeg)
 register_lower_bound("p+edge-connectivity", _reg_kappa)
 register_lower_bound("independence", _reg_independence)
 register_lower_bound("xi", _reg_xi)

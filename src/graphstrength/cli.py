@@ -459,6 +459,14 @@ def _cmd_repro(args: argparse.Namespace) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+def non_negative_int(text: str) -> int:
+    """The argparse type of every budget and cap."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: building it costs about 20 times what
@@ -472,11 +480,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("bounds", help="print lower/upper bounds")
     _add_graph_arguments(sub)
-    sub.add_argument("--alpha-cap", type=int, default=DEFAULT_ALPHA_CAP,
+    sub.add_argument("--alpha-cap", type=non_negative_int, default=DEFAULT_ALPHA_CAP,
                      help="largest graph for the exact independence bound")
-    sub.add_argument("--xi-max", type=int, default=DEFAULT_XI_I_MAX,
+    sub.add_argument("--xi-max", type=non_negative_int, default=DEFAULT_XI_I_MAX,
                      help="largest subset size for the neighborhood bound")
-    sub.add_argument("--budget", type=int, default=DEFAULT_XI_BUDGET,
+    sub.add_argument("--budget", type=non_negative_int, default=DEFAULT_XI_BUDGET,
                      help="node budget for the neighborhood-bound scan")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_bounds)
@@ -486,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", choices=("auto", "min-degree", "any-degree"),
                      default="auto",
                      help="auto tries closed forms first, then both engines")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=non_negative_int, default=DEFAULT_BUDGET)
     sub.add_argument("--embed", action="store_true",
                      help="if the graph itself resists, certify it inside a host")
     sub.add_argument("--json", action="store_true")
@@ -495,8 +503,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("exact", help="exhaustive search (small graphs)")
     _add_graph_arguments(sub)
-    sub.add_argument("--budget", type=int, default=EXACT_BUDGET)
-    sub.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
+    sub.add_argument("--budget", type=non_negative_int, default=EXACT_BUDGET)
+    sub.add_argument("--vertex-cap", type=non_negative_int, default=DEFAULT_VERTEX_CAP)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_exact)
 

@@ -38,10 +38,18 @@ class Numbering:
 
     @staticmethod
     def from_json(obj: dict) -> "Numbering":
-        labels = tuple(int(x) for x in obj["labels"])
-        if int(obj.get("p", len(labels))) != len(labels):
+        labels = tuple(_json_int(x, "label") for x in obj["labels"])
+        if _json_int(obj.get("p", len(labels)), "p") != len(labels):
             raise ValueError("numbering JSON: p does not match labels length")
         return Numbering(labels)
+
+
+def _json_int(value: object, what: str) -> int:
+    """A number read from certificate JSON, which must be a real int: a
+    float, string, bool or null is refused, not coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def strength_of(g: Graph, numbering: Numbering) -> int:
@@ -145,7 +153,8 @@ class LowerBound:
 
     @staticmethod
     def from_json(obj: dict) -> "LowerBound":
-        return LowerBound(str(obj["name"]), int(obj["value"]), tuple(obj.get("args", ())))
+        return LowerBound(str(obj["name"]), _json_int(obj["value"], "lower bound value"),
+                          tuple(obj.get("args", ())))
 
 
 @dataclass(frozen=True)
@@ -181,7 +190,7 @@ class StrengthCertificate:
     def from_json(obj: dict) -> "StrengthCertificate":
         return StrengthCertificate(
             lower=LowerBound.from_json(obj["lower"]),
-            upper=int(obj["upper"]),
+            upper=_json_int(obj["upper"], "upper"),
             witness=Numbering.from_json(obj["witness"]),
             notes=tuple(str(s) for s in obj.get("notes", ())),
         )

@@ -13,8 +13,8 @@ is fixed for good, which makes two prunes cheap and sound:
 Exactness comes from the scan's start and completed refutations: the scan
 starts at max(p + delta, 2p - 2*alpha + 1), two lower bounds, and every
 threshold from there up to the first feasible one is refuted exhaustively.
-Feasibility is monotone in t, so a claimed strength s with a witness is
-confirmed by the start reaching s or by one refutation at s - 1.
+Feasibility is monotone in t, so verify confirms a claimed strength s with
+a witness by p + delta reaching s or by one refutation at s - 1.
 
 Automorphism orbits and vertex transitivity (the xi scan's reduction) are
 never read off refinement classes: two vertices are merged only when a
@@ -33,7 +33,7 @@ to scale.
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -71,7 +71,7 @@ def _neighbor_lists(g: Graph) -> list[list[int]]:
 def _refine(
     g: Graph,
     colorings: list[list[int]],
-    splitters: list[int] | None = None,
+    splitters: Iterable[int],
     nbrs: list[list[int]] | None = None,
 ) -> list[list[int]] | None:
     """Refine colorings together to equitable ones, or None if they part.
@@ -90,24 +90,17 @@ def _refine(
     that a side's vertex map onto the first side is no automorphism, and
     that is checked directly.
 
-    With ``splitters`` None the colorings may use any color values; cells
-    are numbered by sorted value and all are queued.  Otherwise colors are
-    cell numbers (a number no vertex has is an empty cell) and only
-    ``splitters`` are queued, which is enough when the rest of the coloring
-    is already equitable, for instance after one vertex of an equitable
-    coloring moved into a new cell of its own.  ``nbrs`` are the neighbor
-    lists, built here when not given.
+    Colors are cell numbers (a number no vertex has is an empty cell) and
+    only ``splitters`` are queued, which is enough when the rest of the
+    coloring is already equitable, for instance after one vertex of an
+    equitable coloring moved into a new cell of its own; queueing every
+    cell refines any coloring.  ``nbrs`` are the neighbor lists, built here
+    when not given.
     """
     if nbrs is None:
         nbrs = _neighbor_lists(g)
-    if splitters is None:
-        number = {c: i for i, c in enumerate(sorted(set().union(*colorings)))}
-        colorings = [[number[c] for c in cs] for cs in colorings]
-        splitters = range(len(number))
-        k = len(number)
-    else:
-        colorings = [list(cs) for cs in colorings]
-        k = 1 + max(map(max, colorings))
+    colorings = [list(cs) for cs in colorings]
+    k = 1 + max(map(max, colorings))
     sides = []
     for cs in colorings:
         cells: list[list[int]] = [[] for _ in range(k)]
@@ -264,10 +257,13 @@ def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
     is split by searching, for each vertex, an automorphism onto a
     representative of every orbit found so far in its class.  Every
     automorphism found merges all pairs (w, sigma(w)) in a union-find, which
-    settles most later pairs without a search.  Intended for small graphs.
+    settles most later pairs without a search.  Refinement starts from one
+    cell, which splits by degree first.  Intended for small graphs.
     """
+    if g.n == 0:
+        return []
     nbrs = _neighbor_lists(g)
-    base = _refine(g, [g.degrees()], None, nbrs)[0]
+    base = _refine(g, [[0] * g.n], [0], nbrs)[0]
     parent = list(range(g.n))
     by_class: dict[int, list[int]] = {}
     for v in range(g.n):
@@ -407,18 +403,6 @@ class OracleResult:
         )
 
 
-def _scan_start(core: Graph) -> int:
-    """max(p + delta, 2p - 2*alpha + 1) on a graph without isolated vertices:
-    both are lower bounds on its strength.  alpha must be exact, so the
-    independence term is left out above the independence cap."""
-    from .bounds import DEFAULT_ALPHA_CAP, independence_lower_bound_str  # bounds imports oracle
-
-    start = core.n + core.min_degree()
-    if core.n <= DEFAULT_ALPHA_CAP:
-        start = max(start, independence_lower_bound_str(core))
-    return start
-
-
 def exact_strength(
     g: Graph, budget: int = DEFAULT_BUDGET, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> OracleResult:
@@ -426,12 +410,15 @@ def exact_strength(
 
     Isolated vertices are split off first (they never affect edge sums) and
     re-attached to the witness afterwards; p' is the non-isolated count.  The
-    scan starts at L = max(p' + delta, 2p' - 2*alpha + 1) (``_scan_start``),
-    a lower bound, so the first feasible threshold is exact: every smaller
-    one is below L or refuted exhaustively.  When a search stops on the
-    budget or the recursion limit, the result is the honest bracket [first
+    scan starts at L = max(p' + delta, 2p' - 2*alpha + 1), a lower bound, so
+    the first feasible threshold is exact: every smaller one is below L or
+    refuted exhaustively.  alpha must be exact, so the independence term is
+    left out above the independence cap.  When a search stops on the budget
+    or the recursion limit, the result is the honest bracket [first
     unrefuted threshold, 2p'-1].
     """
+    from .bounds import DEFAULT_ALPHA_CAP, independence_lower_bound_str  # bounds imports oracle
+
     if g.edge_count == 0:
         raise ValueError("strength is undefined for graphs with no edges")
     core, _ = g.core()
@@ -440,8 +427,11 @@ def exact_strength(
             f"{core.n} non-isolated vertices exceeds the exact-solver cap "
             f"{vertex_cap}; raise vertex_cap only if you can wait"
         )
+    start = core.n + core.min_degree()
+    if core.n <= DEFAULT_ALPHA_CAP:
+        start = max(start, independence_lower_bound_str(core))
     total = 0
-    for t in range(_scan_start(core), 2 * core.n):
+    for t in range(start, 2 * core.n):
         res = feasible_at(core, t, budget - total)
         total += res.nodes_explored
         if res.status == "feasible":
@@ -453,14 +443,15 @@ def exact_strength(
 
 
 def _search_bound(g: Graph, args: tuple, upper: int | None) -> int:
-    """The strength of g.  With ``upper``, a witness strength, it is upper when
-    the scan start reaches it or when upper - 1 is refuted (feasibility is
-    monotone in t); otherwise, or when upper - 1 is feasible, the full scan
-    gives it."""
+    """The strength of g.  With ``upper``, a witness strength, and a core
+    within the vertex cap, it is upper when the core's p + delta reaches it
+    or when upper - 1 is refuted (feasibility is monotone in t); otherwise,
+    or when upper - 1 is feasible, the full scan gives it.  The independence
+    term is left out here: alpha costs more than the refutations it saves."""
     budget = recompute_arg(args, DEFAULT_BUDGET, "search budget")
     core, _ = g.core()
     if upper is not None and g.edge_count and core.n <= DEFAULT_VERTEX_CAP:
-        if _scan_start(core) >= upper:
+        if core.n + core.min_degree() >= upper:
             return upper
         res = feasible_at(core, upper - 1, budget)
         if res.status == "infeasible":

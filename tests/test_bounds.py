@@ -388,4 +388,4 @@ def test_report_json_fields_render():
     text = report.render()
     assert "independence" in text and "strength in" in text
     entries = {e.name for e in report.entries}
-    assert {"p+delta", "maxdeg+2", "2p-1"} <= entries
+    assert {"p+delta", "2p-1"} <= entries

@@ -25,7 +25,7 @@ from graphstrength.bounds import _xi_scan, bounds_report, xi_profile
 from graphstrength.constructions import load_fixture
 from graphstrength.deltaseq import best_z_sequence, certify, embed_minimal, find_delta_sequence
 from graphstrength.graphs import Graph, complete, complete_bipartite, hypercube, path, wheel
-from graphstrength.labeling import LowerBound, verify_certificate
+from graphstrength.labeling import LowerBound, require, verify_certificate
 from graphstrength.oracle import exact_strength, feasible_at, is_vertex_transitive
 
 from conftest import petersen, shallow_stack
@@ -139,8 +139,8 @@ def test_public_searches_report_a_spent_budget():
     report = bounds_report(hypercube(5), xi_budget=0)
     assert "expansion profile incomplete within budget; skipped" in report.notes
 
-    # Petersen: str 14 is above the scan start max(p + delta, 2p - 2*alpha + 1)
-    # = 13, so confirming a search certificate needs the refutation at 13
+    # Petersen: str 14 is above p + delta = 13, so confirming a search
+    # certificate needs the refutation at 13
     g = petersen()
     cert = exact_strength(g).to_certificate()
     starved = replace(cert, lower=LowerBound("search", cert.lower.value, (0,)))
@@ -157,6 +157,21 @@ def test_a_starved_search_certificate_needs_no_search_when_a_cheap_bound_reaches
     starved = replace(cert, lower=LowerBound("search", cert.lower.value, (0,)))
     verdict = verify_certificate(cube, starved)
     assert (verdict.status, verdict.reasons, verdict.recomputed_lower) == ("exact", (), 11)
+
+
+def test_a_search_certificate_above_p_plus_delta_needs_one_refutation():
+    # K5 plus a pendant vertex: str 9 = 2p - 2*alpha + 1 is above p + delta = 7,
+    # and verify reads only p + delta, so threshold 8 must be refuted
+    g = Graph(6, [*complete(5).edges(), (0, 5)])
+    cert = exact_strength(g).to_certificate()
+    require(cert.upper == 9, f"strength {cert.upper}")
+    starved = replace(cert, lower=LowerBound("search", 9, (0,)))
+    verdict = verify_certificate(g, starved)
+    reason = "lower bound 'search' unconfirmed: budget 0 exhausted refuting threshold 8"
+    require((verdict.status, verdict.reasons) == ("invalid", (reason,)), str(verdict))
+    verdict = verify_certificate(g, replace(cert, lower=LowerBound("search", 9, (1,))))
+    require((verdict.status, verdict.reasons, verdict.recomputed_lower) == ("exact", (), 9),
+            str(verdict))
 
 
 def test_sequence_search_stops_at_the_recursion_limit():

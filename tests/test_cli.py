@@ -7,15 +7,17 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import graphstrength
 from graphstrength import bounds, deltaseq, oracle
-from graphstrength.cli import _build_parser, main
+from graphstrength.cli import EXIT_INPUT, _build_parser, main
 from graphstrength.graphio import MAX_EDGELIST_VERTICES, parse_graph6, write_edgelist, write_graph6
 from graphstrength.graphs import Graph, complete_bipartite, cycle, disjoint_union, hypercube
+from graphstrength.labeling import LowerBound, StrengthCertificate, require, verify_certificate
 
 from conftest import shallow_stack
 
@@ -276,6 +278,44 @@ def test_verify_rejects_infinite_numbers(capsys, monkeypatch):
     assert "bad certificate JSON" in err
 
 
+def _set_number(cert: dict, field: str, value) -> None:
+    """Put ``value`` in one numeric field of certificate JSON."""
+    if field == "lower bound value":
+        cert["lower"]["value"] = value
+    elif field == "upper":
+        cert["upper"] = value
+    elif field == "p":
+        cert["witness"]["p"] = value
+    else:
+        cert["witness"]["labels"][0] = value
+
+
+@pytest.mark.parametrize("value", [14.9, "14", True, None])
+@pytest.mark.parametrize("field", ["lower bound value", "upper", "p", "label"])
+def test_verify_refuses_certificate_numbers_that_are_not_integers(capsys, monkeypatch, field, value):
+    _, cert_json, _ = run(capsys, "exact", "--graph6", PETERSEN_G6, "--json")
+    require(StrengthCertificate.loads(cert_json).dumps() == cert_json, "real certificate")
+    cert = json.loads(cert_json)
+    _set_number(cert, field, value)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(cert)))
+    code, out, err = run(capsys, "verify", "--graph6", PETERSEN_G6, "--certificate", "-")
+    require(code == 2 and out == "", f"{field}={value!r}: exit {code}, {out!r}")
+    require(f"bad certificate JSON: {field} must be an integer, got {value!r}" in err, err)
+
+
+def test_a_maxdeg_certificate_names_an_unknown_bound(capsys, monkeypatch):
+    # max degree + 2 is dominated by p + delta on the core, so it is not registered
+    _, cert_json, _ = run(capsys, "label", "--family", "cycle:6", "--json")
+    cert = StrengthCertificate.loads(cert_json)
+    cert = replace(cert, lower=LowerBound("maxdeg+2", 4))
+    verdict = verify_certificate(cycle(6), cert)
+    require(verdict.status == "invalid", verdict.status)
+    require(verdict.reasons[0].startswith("unknown lower bound 'maxdeg+2'"), str(verdict.reasons))
+    monkeypatch.setattr("sys.stdin", io.StringIO(cert.dumps()))
+    code, out, _ = run(capsys, "verify", "--family", "cycle:6", "--certificate", "-")
+    require(code == 4 and "unknown lower bound 'maxdeg+2'" in out, out)
+
+
 def test_verify_against_wrong_graph_fails(capsys, tmp_path):
     _, out, _ = run(capsys, "label", "--family", "cycle:6", "--json")
     cert_file = tmp_path / "cert.json"
@@ -384,6 +424,21 @@ def test_parser_defaults_are_library_constants():
     assert args.budget == oracle.DEFAULT_BUDGET
     assert args.vertex_cap == oracle.DEFAULT_VERTEX_CAP
     assert parse(["label", "--family", "cycle:5"]).budget == deltaseq.DEFAULT_BUDGET
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--budget"], ["bounds", "--alpha-cap"], ["bounds", "--xi-max"],
+    ["label", "--budget"], ["exact", "--budget"], ["exact", "--vertex-cap"],
+])
+def test_numeric_flags_refuse_negative_values(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-1", "--family", "cycle:5"])
+    err = capsys.readouterr().err
+    require(exc.value.code == EXIT_INPUT, f"{argv}: exit {exc.value.code}")
+    require(f"argument {argv[1]}: must be a non-negative integer, got -1" in err, err)
+    require(getattr(_build_parser().parse_args([*argv, "0", "--family", "cycle:5"]),
+                    argv[1][2:].replace("-", "_")) == 0, f"{argv} 0")
+
 
 
 def test_version(capsys):

@@ -89,7 +89,7 @@ def test_certificate_round_trip_and_status():
 
 def test_registry_contains_all_bounds():
     names = lower_bound_names()
-    for expected in ("p+delta", "maxdeg+2", "p+edge-connectivity", "independence",
+    for expected in ("p+delta", "p+edge-connectivity", "independence",
                      "xi", "hypercube", "two-regular", "trivial", "search"):
         assert expected in names
     with pytest.raises(ValueError):

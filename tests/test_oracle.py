@@ -20,6 +20,7 @@ from graphstrength.graphs import (
 )
 from graphstrength.labeling import extend_over_isolated, require, strength_of, verify_certificate
 from graphstrength.oracle import (
+    FeasibilityResult,
     automorphism_orbits,
     exact_strength,
     feasible_at,
@@ -194,7 +195,7 @@ def test_every_found_map_is_an_automorphism():
     graphs = list(symmetric_graphs().values()) + random_regular(3, range(3))
     graphs.append(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5)]))
     for g in graphs:
-        base = oracle._refine(g, [g.degrees()])[0]
+        base = oracle._refine(g, [g.degrees()], range(g.max_degree() + 1))[0]
         for orbit in automorphism_orbits(g):
             u = orbit[0]
             for v in range(g.n):
@@ -293,15 +294,22 @@ def test_scan_from_the_lower_bound_matches_the_scan_from_the_floor(g):
     require(res.nodes_explored <= nodes, f"{g.edges()}: {res.nodes_explored} > {nodes} nodes")
 
 
-def test_scan_start_skips_the_thresholds_below_the_cheap_bounds():
+def test_scan_start_skips_the_thresholds_below_the_cheap_bounds(monkeypatch):
+    thresholds = []
+
+    def first_threshold(g, t, budget):
+        thresholds.append(t)
+        return FeasibilityResult("budget", None, 0)
+
+    monkeypatch.setattr(oracle, "feasible_at", first_threshold)
     # Q4: p + delta = 20 beats 2p - 2*alpha + 1 = 17; K5 with a pendant vertex:
-    # 2p - 2*alpha + 1 = 9 beats 7; Petersen: both give 13, one below its strength
-    require(oracle._scan_start(hypercube(4)) == 20, "Q4")
+    # 2p - 2*alpha + 1 = 9 beats 7; Petersen: both give 13, one below its strength;
+    # path(200) is above the independence cap, so only p + delta is used
     pendant = Graph(6, [*complete(5).edges(), (0, 5)])
-    require(oracle._scan_start(pendant) == 9, "K5 plus a pendant vertex")
-    require(oracle._scan_start(petersen()) == 13, "Petersen")
-    # above the independence cap only p + delta is used
-    require(oracle._scan_start(path(200)) == 201, "path(200)")
+    for g, want in ((hypercube(4), 20), (pendant, 9), (petersen(), 13), (path(200), 201)):
+        thresholds.clear()
+        res = exact_strength(g, vertex_cap=g.n)
+        require(thresholds == [want] and res.lower == want, f"{g}: {thresholds}")
 
 
 # -- splitter-queue refinement against the full-recompute reference ----------------
@@ -336,7 +344,7 @@ def test_refine_matches_the_reference(g, data):
                                  st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n)))
     fresh = max(colors) + 1
     pair = [oracle._recolor(colors, u, fresh), oracle._recolor(colors, v, fresh)]
-    got = oracle._refine(g, pair)
+    got = oracle._refine(g, pair, range(fresh + 1))
     want = reference_refine(g, pair)
     assert partitions(got) == partitions(want)
     if got is None:
@@ -357,9 +365,10 @@ def test_refine_matches_the_reference_on_random_colorings():
     for _ in range(1500):
         g = random_graph(rng, rng.randint(3, 14), rng.random())
         colors = [rng.randint(0, 2) for _ in range(g.n)]
-        assert partitions(oracle._refine(g, [colors])) == partitions(reference_refine(g, [colors]))
+        got = oracle._refine(g, [colors], range(max(colors) + 1))
+        assert partitions(got) == partitions(reference_refine(g, [colors]))
         other = rng.sample(colors, g.n) if rng.random() < 0.5 else [rng.randint(0, 3) for _ in colors]
-        got = oracle._refine(g, [colors, other])
+        got = oracle._refine(g, [colors, other], range(max(colors + other) + 1))
         assert partitions(got) == partitions(reference_refine(g, [colors, other]))
 
 
