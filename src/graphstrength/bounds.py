@@ -486,6 +486,8 @@ def bounds_report(
             )
         except UnconfirmedBound:
             notes.append("expansion profile incomplete within budget; skipped")
+    else:
+        notes.append(f"xi bound skipped: set size cap {xi_i_max}")
     cube = recognize_hypercube(core)
     if cube is not None and cube[0] >= 2:
         n = cube[0]

@@ -17,11 +17,14 @@ again optimal whenever d_1 equals the minimum degree.
 Searches here are deterministic: candidates are tried by (degree, id)
 ascending, budgets count choice applications, and "exhausted" is reported
 only when the whole pruned tree was actually explored within budget.  Both
-searches run one DFS, ``_search``.  It keeps, for one call, a table of
-proven bounds keyed by the set of vertices that remain; a subtree the table
-rules out holds no strict improvement on the incumbent, so the table only
-saves nodes and never changes what a completed search returns.  It stops
-taking new sets at ``BOUND_TABLE_CAP`` entries, which bounds its memory.
+searches run one DFS, ``_search``, whose nodes carry one vertex mask per
+residual degree: a child recounts only the vertices next to the deleted
+neighbourhood, the only ones whose degree changes.  It keeps, for one call,
+a table of proven bounds keyed by the set of vertices that remain; a subtree
+the table rules out holds no strict improvement on the incumbent, so the
+table only saves nodes and never changes what a completed search returns.
+It stops taking new sets at ``BOUND_TABLE_CAP`` entries, which bounds its
+memory.
 
 ``certify`` is the labeling pipeline: closed forms first, then these
 searches, then a biclique host; the ``label`` command only formats its
@@ -134,16 +137,12 @@ def _stage(adj: list[int], mask: int) -> tuple[int, list[tuple[int, int]]]:
     """
     iso = 0
     degrees = []
-    rest = mask
-    while rest:  # _bits, inlined: this walk is the search's inner loop
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
+    for v in _bits(mask):
         d = (adj[v] & mask).bit_count()
         if d:
             degrees.append((d, v))
         else:
-            iso |= low
+            iso |= 1 << v
     degrees.sort()
     return iso, degrees
 
@@ -246,6 +245,13 @@ def _search(
     nodes explored, complete); complete is False when the budget ran out
     or the search, one call deep per stage, reached the recursion limit.
 
+    A node holds ``levels``, one mask per residual degree 0..max degree
+    (level 0: the stage's isolated vertices), so the (degree, id) order is
+    the levels walked upward from the lowest nonempty one, ids ascending.
+    The root fills them in one walk.  Choosing v deletes N[v]; only the
+    survivors adjacent to N(v) lose degree, so a child drops those from
+    the parent's levels and recounts each of them once.
+
     From stage 2 on, what lies below a node depends only on its vertex set
     (the mask): the best worst-prefix a continuation can add to the running
     total z is a function R(mask).  When a child's subtree was explored to
@@ -268,10 +274,13 @@ def _search(
         raise ValueError(f"mode must be one of {MODES}")
     if g.n == 0 or not all(g.adj[v] for v in range(g.n)):
         raise ValueError("strip isolated vertices first")
-    if _terminal(_stage(g.adj, g.full_mask)[1]):
+    adj = g.adj
+    root = [0] * (g.max_degree() + 1)
+    for v in range(g.n):
+        root[adj[v].bit_count()] |= 1 << v
+    if len(root) == g.n and root[-1] == g.full_mask:
         raise ValueError("graph is a single clique: already terminal, "
                          "strength is 2p-1 directly")
-    adj = g.adj
     min_degree = mode == "min-degree"
     nodes = 0
     best: float = floor
@@ -279,21 +288,20 @@ def _search(
     choices: list[int] = []
     bound: dict[int, float] = {}
 
-    def search(mask: int, z: int, worst: float, stage: int) -> bool:
+    def search(levels: list[int], residual: int, z: int, worst: float, stage: int) -> bool:
         """Explore below this stage; True once the target is reached."""
         nonlocal nodes, best, best_choices
-        iso, degrees = _stage(adj, mask)
-        m = iso.bit_count()
-        if _terminal(degrees):
-            final = min(worst, z + m + 1 - max(len(degrees) - 1, 0))
+        m = levels[0].bit_count()
+        r = residual.bit_count()
+        dmin = 1
+        while residual and not levels[dmin]:
+            dmin += 1
+        if dmin >= r - 1:  # empty, or one clique: degrees stay below r
+            final = min(worst, z + m + 1 - max(r - 1, 0))
             if final > best:
                 best, best_choices = final, tuple(choices)
             return best >= target
-        residual = mask ^ iso
-        dmin = degrees[0][0]
-        for d, v in degrees:
-            if min_degree and d != dmin:
-                break
+        for d in range(dmin, dmin + 1 if min_degree else len(levels)):
             if stage == 1:
                 # stage 1 only fixes d_1; prefix sums start at stage 2
                 if root_degree is not None and d != root_degree:
@@ -302,26 +310,45 @@ def _search(
             else:
                 nz = z + m + 1 - d
                 nworst = min(worst, nz)
-            if nworst <= best:
-                break  # nz only falls as the degree rises
-            nxt = residual & ~(adj[v] | 1 << v)
-            if not nxt or nz + bound.get(nxt, inf) <= best:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExhausted
-            choices.append(v)
-            if search(nxt, nz, nworst, stage + 1):
-                return True
-            choices.pop()
-            if (nworst > best and best - nz < bound.get(nxt, inf)
-                    and (len(bound) < BOUND_TABLE_CAP or nxt in bound)):
-                bound[nxt] = best - nz
+            rest = levels[d]
+            while rest:  # ids ascending, _bits inlined
+                if nworst <= best:
+                    return False  # nz only falls as the degree rises
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                nv = adj[v] & residual
+                nxt = residual & ~(nv | low)
+                if not nxt or nz + bound.get(nxt, inf) <= best:
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExhausted
+                # only the survivors next to N(v) lose degree; recount those
+                touched = 0
+                while nv:
+                    u = nv & -nv
+                    nv ^= u
+                    touched |= adj[u.bit_length() - 1]
+                touched &= nxt
+                keep = nxt & ~touched
+                child = [lv & keep for lv in levels]
+                while touched:
+                    u = touched & -touched
+                    touched ^= u
+                    child[(adj[u.bit_length() - 1] & nxt).bit_count()] |= u
+                choices.append(v)
+                if search(child, nxt & ~child[0], nz, nworst, stage + 1):
+                    return True
+                choices.pop()
+                if (nworst > best and best - nz < bound.get(nxt, inf)
+                        and (len(bound) < BOUND_TABLE_CAP or nxt in bound)):
+                    bound[nxt] = best - nz
         return False
 
     try:
         # worst prefix of a real sequence can't exceed p; +1 clears the cap
-        search(g.full_mask, 0, g.n + 1, 1)
+        search(root, g.full_mask, 0, g.n + 1, 1)
     except (BudgetExhausted, RecursionError):
         return best_choices, nodes, False
     finally:

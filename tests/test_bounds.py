@@ -378,6 +378,14 @@ def test_bounds_report_handles_isolated_vertices():
     assert report.best_lower == 6 and report.exact
 
 
+def test_skipped_bounds_say_so():
+    report = bounds_report(cycle(7), alpha_cap=0, xi_i_max=0)
+    assert {e.name for e in report.entries}.isdisjoint({"independence", "xi"})
+    assert report.notes[:2] == ("independence bound skipped: p > 0",
+                                "xi bound skipped: set size cap 0")
+    assert not any("skipped" in note for note in bounds_report(cycle(7)).notes)
+
+
 def test_bounds_report_rejects_edgeless():
     with pytest.raises(ValueError):
         bounds_report(Graph(3, []))

@@ -48,6 +48,19 @@ def test_bounds_json(capsys):
     assert {e["name"] for e in payload["entries"]} >= {"p+delta", "2p-1", "xi"}
 
 
+def test_bounds_notes_a_skipped_xi_bound(capsys):
+    code, out, _ = run(capsys, "bounds", "--family", "cycle:7", "--xi-max", "0")
+    assert code == 0
+    assert "note: xi bound skipped: set size cap 0" in out
+    assert not any(line.split()[2:3] == ["xi"] for line in out.splitlines())
+    code, out, _ = run(capsys, "bounds", "--family", "cycle:7", "--xi-max", "0", "--json")
+    payload = json.loads(out)
+    assert "xi bound skipped: set size cap 0" in payload["notes"]
+    assert "xi" not in {e["name"] for e in payload["entries"]}
+    code, out, _ = run(capsys, "bounds", "--family", "cycle:7", "--json")
+    assert not any("skipped" in note for note in json.loads(out)["notes"])
+
+
 # -- label: each input kind ----------------------------------------------------------
 
 

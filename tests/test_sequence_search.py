@@ -5,6 +5,9 @@ that rules out a strict improvement.  That may only save nodes: whenever
 ``conftest.reference_search`` completes, the library's search returns the
 same choices and completes too, and it never counts more nodes.  The same
 holds with the table capped at any size (``deltaseq.BOUND_TABLE_CAP``).
+Capped at 0 the table stores nothing, so the search must return exactly
+what the reference returns, node count included: that pins the (degree, id)
+candidate order the search's degree levels reproduce.
 """
 
 from __future__ import annotations
@@ -71,8 +74,10 @@ def _check_against_the_reference(g, mode, root, kind, budget):
     g = _core(g)
     assume(g is not None)
     args = (mode, budget, _root(g, root), *BOUNDS[kind])
-    ref_choices, ref_nodes, ref_complete = reference_search(g, *args)
+    ref = ref_choices, ref_nodes, ref_complete = reference_search(g, *args)
     choices, nodes, complete = deltaseq._search(g, *args)
+    if deltaseq.BOUND_TABLE_CAP == 0:
+        assert (choices, nodes, complete) == ref
     assert nodes <= ref_nodes
     if ref_complete:
         assert complete and choices == ref_choices
@@ -94,19 +99,35 @@ def test_capped_table_matches_the_reference_on_larger_random_graphs(monkeypatch,
     _check_larger_random_graphs()
 
 
+@pytest.mark.parametrize("cap", [deltaseq.BOUND_TABLE_CAP, 0], ids=["table", "no-table"])
+def test_search_matches_the_reference_on_sparse_regular_graphs(monkeypatch, cap):
+    # certify-medium's size: whole degree levels empty out, and stages free
+    # isolated vertices late
+    monkeypatch.setattr(deltaseq, "BOUND_TABLE_CAP", cap)
+    for d in (3, 4):
+        for n in (20, 24):
+            for seed in range(5):
+                _check_complete_searches(to_graph(nx.random_regular_graph(d, n, seed=seed)))
+
+
 def _check_larger_random_graphs():
     rng = random.Random(11)
     for _ in range(300):
         g = _core(random_graph(rng, rng.randint(9, 13), rng.choice((0.3, 0.4, 0.5))))
-        if g is None:
-            continue
-        for mode in MODES:
-            for root_degree in (None, g.min_degree()):
-                for floor, target in BOUNDS.values():
-                    args = (mode, 10**6, root_degree, floor, target)
-                    ref_choices, ref_nodes, _ = reference_search(g, *args)
-                    choices, nodes, complete = deltaseq._search(g, *args)
-                    assert complete and choices == ref_choices and nodes <= ref_nodes
+        if g is not None:
+            _check_complete_searches(g)
+
+
+def _check_complete_searches(g):
+    for mode in MODES:
+        for root_degree in (None, g.min_degree()):
+            for floor, target in BOUNDS.values():
+                args = (mode, 10**6, root_degree, floor, target)
+                ref = ref_choices, ref_nodes, _ = reference_search(g, *args)
+                choices, nodes, complete = deltaseq._search(g, *args)
+                assert complete and choices == ref_choices and nodes <= ref_nodes
+                if deltaseq.BOUND_TABLE_CAP == 0:
+                    assert (choices, nodes, complete) == ref
 
 
 def brute_best_worst_prefix(g: Graph, mode: str, root_degree: int | None) -> float:
