@@ -21,11 +21,13 @@ from scratch:
   a label >= p - i + 1, hence str >= p + max_i (x_i - i + 1).  On a graph
   proven vertex-transitive the scan for x_i only needs the sets containing
   vertex 0: an automorphism maps every i-set onto one of them.  The scan
-  never visits a set S + v with v at distance >= 3 from S once the bound
-  rules it out: such a v touches neither S nor N(S), so the exterior is
-  |N(S)\\S| + deg(v) >= |N(S)\\S| + delta.  It still counts every such
-  set as a node, so an xi node is every set position the plain
-  enumeration visits, bulk-counted ones included.
+  skips a set S + v that the bound rules out on S's exterior alone: a v
+  outside N(S)\\S keeps all of N(S)\\S in the child's exterior, and a v at
+  distance >= 3 from S touches neither S nor N(S), so its exterior is
+  |N(S)\\S| + deg(v) >= |N(S)\\S| + delta.  Every skipped set is one the
+  plain enumeration's own prune rejects, and the scan still counts it as a
+  node, so an xi node is every set position the plain enumeration visits,
+  bulk-counted ones included, and node counts do not depend on the skips.
 
 Bounds are computed on ``Graph.core()``, the graph minus its isolated
 vertices (strength ignores them), and each is registered by name so
@@ -167,16 +169,22 @@ def _xi_scan(
     children that survive.  The scan starts from the empty set, whose
     children are the firsts.
 
-    Children beyond distance 2 are counted without being visited.  A child v
-    outside ``balls[s]`` = N^2[s] for every s in S (built here when not
-    given) is at distance >= 3 from S, so it is adjacent to neither S nor
-    its exterior, and the child's exterior is exactly |ext| + deg(v) >=
-    |ext| + delta.  Once that fails the pruning bound, only the candidates
-    inside the balls are visited.  The empty set has no balls, so at the
-    first level every remaining first is counted in bulk once delta - (i - 1)
-    fails the bound.  ``nodes`` still counts every set position the plain
-    enumeration visits, bulk-counted ones included and in the same order, so
-    a budget runs out at the same set and leaves the same result.
+    Two rules count children without visiting them, with r the vertices
+    still to add after the child.  The exterior rule: a child v outside ext
+    keeps all of ext in its own exterior, so once |ext| - r fails the pruning
+    bound, only the children in ext are visited.  The distance-2 rule: a
+    child v outside ``balls[s]`` = N^2[s] for every s in S (built here when
+    not given) is at distance >= 3 from S, so it is adjacent to neither S
+    nor ext, and the child's exterior is exactly |ext| + deg(v) >= |ext| +
+    delta; once that fails the bound, only the children inside the balls
+    are visited.  ext lies inside the balls, so the rules nest; both are
+    applied again whenever the incumbent falls.  The empty set has no
+    exterior and no balls, so at the first level every remaining first is
+    counted in bulk once delta - (i - 1) fails the bound.  Each skipped
+    child is one the pruning bound would reject, and ``nodes`` still counts
+    every set position the plain enumeration visits, bulk-counted ones
+    included and in the same order, so node counts do not depend on the
+    skips and a budget runs out at the same set and leaves the same result.
     """
     if balls is None:
         balls = _radius2_balls(adj)
@@ -190,9 +198,11 @@ def _xi_scan(
         nonlocal best, best_set, nodes
         left = i - size - 1
         window = (1 << end) - (1 << lowest_next)
-        # the least a far child's exterior can be, less what the rest can shrink
-        cut = ext.bit_count() + delta - left
-        cands = window & near if cut >= best else window
+        # the least exterior of a child outside ext, and of a far child, less
+        # what the rest can shrink
+        floor = ext.bit_count() - left
+        cut = floor + delta
+        cands = window if cut < best else window & (ext if floor >= best else near)
         # the nodes counted once position v is visited: base + v + 1
         base = nodes - lowest_next
         while cands:
@@ -213,8 +223,8 @@ def _xi_scan(
                 base = nodes - v - 1
             else:
                 best, best_set = c, ns
-            if cut >= best:  # best fell: skip the far children from here on
-                cands &= near
+            if cut >= best:  # best fell: skip the children it rules out
+                cands &= ext if floor >= best else near
         nodes = base + end
         if nodes > budget:
             nodes = budget + 1

@@ -93,13 +93,13 @@ class Graph:
         for v in range(self.n):
             if seen >> v & 1:
                 continue
-            comp = 1 << v
-            frontier = self.adj[v]
-            while frontier & ~comp:
-                comp |= frontier
-                frontier = 0
-                for u in _bits(comp):
-                    frontier |= self.adj[u]
+            comp = new = 1 << v
+            while new:  # expand only the vertices added last round
+                reach = 0
+                for u in _bits(new):
+                    reach |= self.adj[u]
+                new = reach & ~comp
+                comp |= new
             seen |= comp
             out.append(tuple(_bits(comp)))
         return out

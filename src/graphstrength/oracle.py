@@ -289,14 +289,17 @@ def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
 def is_vertex_transitive(g: Graph) -> bool:
     """True only when Aut(g) is proven to map vertex 0 onto every vertex.
 
-    g must be regular (one refinement class), and each v not yet merged
-    with 0 needs an automorphism 0 -> v from ``_find_automorphism``, whose
-    pairs are then merged.  The proof gives up (False: not proven) at the
-    first v without one, after ``TRANSITIVITY_REFINES_PER_VERTEX * n``
-    refinements, or when the search, one call deep per individualized
-    vertex, reaches the recursion limit.
+    g must be regular (one refinement class), and its components must all
+    have the same size: an automorphism maps the component of 0 onto a
+    component of the same size, so a union such as C5 + C6 is rejected
+    without a search.  Each v not yet merged with 0 then needs an
+    automorphism 0 -> v from ``_find_automorphism``, whose pairs are then
+    merged.  The proof gives up (False: not proven) at the first v without
+    one, after ``TRANSITIVITY_REFINES_PER_VERTEX * n`` refinements, or when
+    the search, one call deep per individualized vertex, reaches the
+    recursion limit.
     """
-    if not g.is_regular():
+    if not g.is_regular() or len({len(c) for c in g.components()}) > 1:
         return False
     ticks = iter(range(TRANSITIVITY_REFINES_PER_VERTEX * g.n))
     nbrs = _neighbor_lists(g)

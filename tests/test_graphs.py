@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphstrength.graphs import (
     Graph,
@@ -94,6 +97,26 @@ def test_components_and_connectivity():
     assert not g.is_connected()
     assert cycle(5).is_connected()
     assert g.isolated_vertices() == (5,)
+
+
+@st.composite
+def sparse_graphs(draw) -> Graph:
+    """Up to 40 vertices and at most as many edges, so most draws fall apart
+    into several components."""
+    n = draw(st.integers(0, 40))
+    ends = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=n))
+    return Graph(n, [(u, v) for u, v in pairs if u != v])
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_graphs())
+def test_components_match_networkx(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    want = sorted((tuple(sorted(c)) for c in nx.connected_components(nxg)), key=min)
+    assert g.components() == want
 
 
 def test_core_drops_isolated_vertices():

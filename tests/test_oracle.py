@@ -14,6 +14,7 @@ from graphstrength.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    cycles_union,
     disjoint_union,
     hypercube,
     path,
@@ -385,3 +386,18 @@ def test_transitivity_proof_on_a_long_cycle_is_fast():
     t0 = perf_counter()
     assert is_vertex_transitive(cycle(2000))
     assert perf_counter() - t0 < 3.0
+
+
+def test_transitivity_rejects_unequal_components_without_a_search(monkeypatch):
+    calls = []
+    original = oracle._find_automorphism
+
+    def counting(*args):
+        calls.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(oracle, "_find_automorphism", counting)
+    assert not is_vertex_transitive(cycles_union([5, 6]))
+    assert calls == []
+    assert is_vertex_transitive(cycles_union([5, 5]))
+    assert calls

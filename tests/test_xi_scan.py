@@ -1,11 +1,14 @@
 """The xi scan against the plain enumeration it replaced.
 
-``bounds._xi_scan`` prunes each child in its parent's loop and counts the
-children at distance >= 3 from the set in bulk when the distance-2 argument
-rules them out; the firsts are the children of the empty set.  Neither may change anything it returns: the value, the
+``bounds._xi_scan`` prunes each child in its parent's loop; the firsts are
+the children of the empty set.  It counts in bulk, without examining them,
+the children outside the set's exterior when the exterior alone rules them
+out, and the children at distance >= 3 from the set when the distance-2
+argument does.  None of this may change anything it returns: the value, the
 witness, completion and the node count must equal
 ``conftest.reference_xi_scan``'s at every budget, so a scan that runs out
-stops at the same set.
+stops at the same set.  The children it does examine are pinned exactly by
+``_examined_children``.
 """
 
 from __future__ import annotations
@@ -81,13 +84,15 @@ class _CountingAdj(tuple):
 
 
 def _examined_children(g: Graph, i: int) -> int:
-    """Children the distance-2 argument leaves to be examined, in a full scan.
+    """Children the exterior and distance-2 rules leave to be examined, in a
+    full scan.
 
     The plain enumeration from the empty set, whose children are the firsts
-    0..n-i, with distances from networkx: a child v of a set S that survived
-    its prune goes unexamined exactly when v lies at distance >= 3 from S
-    (always, when S is empty) and |ext(S)| + delta - (vertices still to add
-    after v) >= best when the enumeration reaches v.
+    0..n-i, with distances from networkx.  With r the vertices still to add
+    after v, when the enumeration reaches v, a child v of a set S that
+    survived its prune is examined exactly when v is in ext(S), or when
+    |ext(S)| - r < best and either v lies within distance 2 of S (never, when
+    S is empty) or |ext(S)| + delta - r < best.
     """
     dist = dict(nx.all_pairs_shortest_path_length(nx.Graph(g.edges())))
     delta = g.min_degree()
@@ -104,7 +109,8 @@ def _examined_children(g: Graph, i: int) -> int:
             return
         for v in range(s[-1] + 1 if s else 0, g.n - left + 1):
             far = all(dist.get(u, {}).get(v, 3) >= 3 for u in s)
-            if not far or ext.bit_count() + delta - (left - 1) < best:
+            floor = ext.bit_count() - (left - 1)
+            if ext >> v & 1 or floor < best and (not far or floor + delta < best):
                 examined += 1
             ns = s + (v,)
             rec(ns, (ext | g.adj[v]) & ~sum(1 << u for u in ns))
