@@ -26,9 +26,9 @@ table only saves nodes and never changes what a completed search returns.
 It stops taking new sets at ``BOUND_TABLE_CAP`` entries, which bounds its
 memory.
 
-``certify`` is the labeling pipeline: closed forms first, then these
-searches, then a biclique host; the ``label`` command only formats its
-result.
+``certify`` is the labeling pipeline: closed forms, the engines, then with
+``embed`` one best-Z search, which certifies the graph itself or sizes a
+biclique host; the ``label`` command only formats its result.
 """
 
 from __future__ import annotations
@@ -381,15 +381,15 @@ def find_delta_sequence(
 def best_z_sequence(
     g: Graph, budget: int = DEFAULT_BUDGET, root_degree: int | None = None
 ) -> tuple[DeltaSequence | None, int, bool]:
-    """Any-degree sequence maximizing the worst prefix sum.
+    """Any-degree sequence maximizing the worst prefix sum Z, up to Z = 0.
 
+    It stops at the first sequence with Z >= 0: a host uses only min(Z, 0).
     Returns (sequence, nodes_explored, complete); ``complete`` is False when
     the budget ran out, in which case the best sequence found so far (if any)
     is still returned - any sequence is usable, a better one only shrinks the
-    helper graph built from it.  Branches whose running minimum cannot beat
-    the incumbent are cut.
+    host built from it.
     """
-    choices, nodes, complete = _search(g, "any-degree", budget, root_degree, -inf, inf)
+    choices, nodes, complete = _search(g, "any-degree", budget, root_degree, -inf, 0)
     seq = replay(g, choices, "any-degree") if choices is not None else None
     return seq, nodes, complete
 
@@ -533,16 +533,22 @@ class EmbedResult:
     nodes_explored: int
 
 
-def _p_delta_certificate(h: Graph, witness: Numbering, note: str) -> StrengthCertificate:
-    lower = LowerBound("p+delta", h.n + h.min_degree())
-    return StrengthCertificate(lower, strength_of(h, witness), witness, (note,))
+def _p_delta_certificate(h: Graph, witness: Numbering, upper: int, note: str) -> StrengthCertificate:
+    return StrengthCertificate(LowerBound("p+delta", h.n + h.min_degree()), upper, witness, (note,))
+
+
+def _sequence_result(h: Graph, seq: DeltaSequence, note: str, nodes: int,
+                     added: tuple[int, int] | None = None) -> EmbedResult:
+    """h at p + d_1 by seq's numbering, whose strength ``_numbering`` checks."""
+    cert = _p_delta_certificate(h, _numbering(h, seq), h.n + seq.d1, note)
+    return EmbedResult(cert.status, h, cert, seq, added, nodes)
 
 
 def _complete_certificate(h: Graph) -> StrengthCertificate | None:
     if not h.is_complete():
         return None
-    witness = Numbering(tuple(range(1, h.n + 1)))
-    return _p_delta_certificate(h, witness, "complete graph: every numbering attains 2p-1")
+    return _p_delta_certificate(h, Numbering(tuple(range(1, h.n + 1))), 2 * h.n - 1,
+                                "complete graph: every numbering attains 2p-1")
 
 
 def _closed_form_certificate(h: Graph) -> StrengthCertificate | None:
@@ -551,8 +557,8 @@ def _closed_form_certificate(h: Graph) -> StrengthCertificate | None:
         return label_two_regular(h)[1]
     if h.is_forest():
         seq = forest_delta_sequence(h)
-        witness = _numbering(h, seq)
-        return _p_delta_certificate(h, witness, f"leaf-peeling sequence: {seq.render()}")
+        return _p_delta_certificate(h, _numbering(h, seq), h.n + 1,
+                                    f"leaf-peeling sequence: {seq.render()}")
     cube = recognize_hypercube(h)
     if cube is None or cube[0] < 2:
         return None
@@ -572,10 +578,8 @@ def _engine_certificate(h: Graph, engines: tuple[str, ...], budget: int) -> Embe
         res = find_delta_sequence(h, engine, budget, root_degree=root)
         spent += res.nodes_explored
         if res.status == "found":
-            witness = _numbering(h, res.sequence)
-            note = f"{engine} sequence: {res.sequence.render()}"
-            return EmbedResult("exact", h, _p_delta_certificate(h, witness, note),
-                               res.sequence, None, spent)
+            return _sequence_result(h, res.sequence,
+                                    f"{engine} sequence: {res.sequence.render()}", spent)
     return EmbedResult("inconclusive", h, None, None, None, spent)
 
 
@@ -584,8 +588,8 @@ def embed_minimal(h: Graph, budget: int = DEFAULT_BUDGET) -> EmbedResult:
 
     This is the min-degree embed path of ``certify``, for a graph with no
     isolated vertex: a complete graph short-circuits, then a minimum-degree
-    sequence of h, an any-degree sequence rooted at a minimum-degree vertex,
-    and last the biclique host, under ``certify``'s budget rule.
+    sequence of h, then the host stage's one best-Z search, each search
+    with the full budget.
     """
     if h.edge_count == 0 or not all(h.adj[v] for v in range(h.n)):
         raise ValueError("host must have minimum degree at least 1")
@@ -593,30 +597,26 @@ def embed_minimal(h: Graph, budget: int = DEFAULT_BUDGET) -> EmbedResult:
 
 
 def _host_stage(h: Graph, res: EmbedResult, budget: int) -> EmbedResult:
-    """The biclique host once both engines gave ``res``: h's best-Z sequence
-    rooted at a minimum-degree vertex plus K_{delta, delta - min(Z, 0)}, whose
-    own final total absorbs the dip, certified at |union| + delta exactly."""
-    left = budget - res.nodes_explored
-    if res.certificate is not None or left <= 0:
+    """One best-Z search rooted at a minimum-degree vertex for what ``res``
+    left uncertified: Z >= 0 certifies h itself, Z < 0 certifies h plus
+    K_{delta, delta - Z} at |union| + delta exactly."""
+    if res.certificate is not None:
         return res
     delta = h.min_degree()
-    h_seq, nodes, _ = best_z_sequence(h, left, root_degree=delta)
+    h_seq, nodes, _ = best_z_sequence(h, budget, root_degree=delta)
     spent = res.nodes_explored + nodes
     if h_seq is None:
         return EmbedResult("inconclusive", h, None, None, None, spent)
-    z_cap = min(h_seq.min_prefix, 0)
-    m, n = delta, max(h_seq.d1 - z_cap, delta)
+    if h_seq.min_prefix >= 0:
+        return _sequence_result(h, h_seq, f"any-degree sequence: {h_seq.render()}", spent)
+    m, n = delta, h_seq.d1 - h_seq.min_prefix
     biclique = complete_bipartite(m, n)
     t_res = find_delta_sequence(biclique, "min-degree", budget)
     if t_res.status != "found":  # pragma: no cover - bicliques always reduce
         raise AssertionError("biclique sequence search failed")
     union, seq = compose_h_plus_t(h, h_seq, biclique, t_res.sequence)
-    witness = _numbering(union, seq)
     note = f"host extended by K_{{{m},{n}}}; spliced sequence: {seq.render()}"
-    cert = _p_delta_certificate(union, witness, note)
-    if cert.status != "exact":  # pragma: no cover - d1 = delta by construction
-        raise AssertionError("spliced certificate should be exact")
-    return EmbedResult("exact", union, cert, seq, (m, n), spent)
+    return _sequence_result(union, seq, note, spent, (m, n))
 
 
 def certify(
@@ -627,13 +627,13 @@ def certify(
     Sets isolated vertices aside and certifies a complete graph, in every
     mode.  ``auto`` then tries the closed forms (cycle unions, forests,
     recognized cubes) and both sequence engines; the other modes try only
-    their engine.  With ``embed``, every mode runs both engines (any-degree
-    mode its own first), and a graph neither certifies gets a host: the
-    input plus one biclique on the next ids.  The witness is lifted back
-    over the isolated vertices, which take the top labels.  Budget rule:
-    each engine search gets the full ``budget``, and the best-Z search
-    behind the host gets what the engine searches left.  Raises ValueError
-    on a graph with no edges or an unknown mode.
+    their engine.  With ``embed``, every mode but any-degree runs the
+    min-degree engine, and then one best-Z search certifies either the
+    input itself or the input plus one biclique on the next ids (see
+    ``_host_stage``).  The witness is lifted back over the isolated
+    vertices, which take the top labels.  Budget rule: each search gets the
+    full ``budget``.  Raises ValueError on a graph with no edges or an
+    unknown mode.
     """
     if mode not in ("auto",) + MODES:
         raise ValueError(f"mode must be 'auto' or one of {MODES}")
@@ -648,8 +648,7 @@ def certify(
     elif not embed:
         res = _engine_certificate(core, MODES if mode == "auto" else (mode,), budget)
     else:
-        # both engines before the host search, any-degree mode's own first
-        engines = MODES[::-1] if mode == "any-degree" else MODES
+        engines = () if mode == "any-degree" else ("min-degree",)
         res = _host_stage(core, _engine_certificate(core, engines, budget), budget)
     if core is g or res.certificate is None:
         return res

@@ -29,7 +29,7 @@ from graphstrength.graphs import (
 from graphstrength.labeling import strength_of, verify_certificate
 from graphstrength.oracle import exact_strength
 
-from conftest import random_forest, random_graph
+from conftest import petersen, random_forest, random_graph
 
 
 def test_replay_reproduces_recorded_trace():
@@ -218,12 +218,18 @@ def test_embed_minimal_routes():
     assert res.status == "exact" and res.added_biclique == (4, 5)
     assert res.host.n == 25 and res.certificate.value == 29
 
-    # hopeless budget is inconclusive
+    # each search gets the full budget: min-degree runs out, and best-Z
+    # still reaches the Z = -1 sequence that sizes the host
     res = embed_minimal(hypercube(4), budget=5)
+    assert res.status == "exact" and res.added_biclique == (4, 5)
+    assert verify_certificate(res.host, res.certificate).status == "exact"
+
+    # hopeless budget is inconclusive: best-Z reaches no leaf
+    res = embed_minimal(hypercube(4), budget=3)
     assert res.status == "inconclusive" and res.certificate is None
 
-    # each engine gets the full budget: min-degree runs out after 5 of its 9
-    # nodes, and the any-degree search still finds its 4-node sequence
+    # min-degree runs out after 5 of its 6 nodes, and best-Z still reaches
+    # its first Z >= 0 sequence in 5 nodes
     res = embed_minimal(fx.graph, budget=5)
     assert res.status == "exact" and res.added_biclique is None
 
@@ -263,14 +269,14 @@ def test_certify_embed_host_keeps_isolated_vertices():
 
 
 def test_any_degree_embed_runs_each_engine_once(monkeypatch):
-    q4 = hypercube(4)
-    engine_nodes = (find_delta_sequence(q4, "any-degree", root_degree=4).nodes_explored
-                    + find_delta_sequence(q4, "min-degree").nodes_explored)
+    # one best-Z search with the full budget answers both "does h certify
+    # itself" and "how large a host", in every mode; any-degree mode runs no
+    # engine before it, so its only find call is the biclique's
     finds, best_z_budgets = [], []
     find, best_z = deltaseq.find_delta_sequence, deltaseq.best_z_sequence
 
     def counting_find(h, mode="min-degree", *args, **kwargs):
-        finds.append(mode)
+        finds.append((h.n, mode))
         return find(h, mode, *args, **kwargs)
 
     def recording_best_z(h, budget, *args, **kwargs):
@@ -279,11 +285,14 @@ def test_any_degree_embed_runs_each_engine_once(monkeypatch):
 
     monkeypatch.setattr(deltaseq, "find_delta_sequence", counting_find)
     monkeypatch.setattr(deltaseq, "best_z_sequence", recording_best_z)
-    res = certify(q4, "any-degree", budget=10**6, embed=True)
-    assert res.added_biclique == (4, 5) and res.certificate.value == 29
-    # any-degree, min-degree, then the biclique's own sequence
-    assert finds == ["any-degree", "min-degree", "min-degree"]
-    assert best_z_budgets == [10**6 - engine_nodes]
+    for mode in ("auto", "min-degree", "any-degree"):
+        finds.clear()
+        best_z_budgets.clear()
+        res = certify(petersen(), mode, budget=10**6, embed=True)
+        assert res.added_biclique == (3, 4) and res.certificate.value == 20
+        assert best_z_budgets == [10**6]
+        engine = [] if mode == "any-degree" else [(10, "min-degree")]
+        assert finds == engine + [(7, "min-degree")]  # then K_{3,4}'s sequence
 
 
 @pytest.mark.parametrize("name, embed, replays", [

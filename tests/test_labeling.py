@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from graphstrength import labeling
 from graphstrength.constructions import hypercube_certificate, load_fixture
 from graphstrength.deltaseq import certify
 from graphstrength.graphs import (
@@ -141,6 +142,17 @@ def test_verify_detects_lower_above_witness():
     verdict = verify_certificate(g, cert)
     assert verdict.status == "invalid"
     assert any("recomputes" in r or "exceeds" in r for r in verdict.reasons)
+
+
+def test_verify_rejects_a_faulty_bound_one_above_the_witness(monkeypatch):
+    # a bound that recomputes to exactly what it claims, one above the
+    # witness strength: only the consistency check can catch it
+    monkeypatch.setitem(labeling._LOWER_BOUND_REGISTRY, "faulty",
+                        lambda g, args, upper: upper + 1)
+    cert = StrengthCertificate(LowerBound("faulty", 6), 5, Numbering((1, 2, 3)))
+    verdict = verify_certificate(complete(3), cert)
+    assert (verdict.status, verdict.reasons) == (
+        "invalid", ("lower bound 6 exceeds witness strength 5; inconsistent",))
 
 
 def test_unconfirmed_bound_surfaces_as_invalid():

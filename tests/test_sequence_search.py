@@ -29,8 +29,9 @@ from graphstrength.graphs import Graph
 
 from conftest import random_graph, reference_search, small_graphs, to_graph
 
-# (floor, target) of find_delta_sequence and of best_z_sequence
-BOUNDS = {"find": (-1, 0), "best-z": (-inf, inf)}
+# (floor, target) of find_delta_sequence, of best_z_sequence, and of the
+# search for the exact maximum worst prefix sum
+BOUNDS = {"find": (-1, 0), "best-z": (-inf, 0), "max": (-inf, inf)}
 
 
 def _core(g: Graph) -> Graph | None:
@@ -182,9 +183,10 @@ def test_search_finds_the_brute_force_optimum(g):
                 assert root_degree is None or seq.d1 == root_degree
             found = find_delta_sequence(g, mode, 10**6, root_degree).status == "found"
             assert found == (brute >= 0)
+    # best-Z stops at its first sequence with Z >= 0
     delta = g.min_degree()
     seq = best_z_sequence(g, 10**6, delta)[0]
-    assert seq.min_prefix == brute_best_worst_prefix(g, "any-degree", delta)
+    assert min(seq.min_prefix, 0) == min(brute_best_worst_prefix(g, "any-degree", delta), 0)
 
 
 def test_certify_embed_matches_the_reference_search(monkeypatch):
