@@ -5,8 +5,8 @@ from scratch:
 
 * p + delta: the vertex labeled p has at least delta neighbors carrying
   distinct labels, the largest >= delta, so some edge sums to >= p + delta.
-  On the core it dominates max degree + 2 (Delta + 2 <= p + 1 <= p + delta),
-  which is therefore not reported.
+  On the core it dominates p + 1 and max degree + 2 (Delta + 2 <= p + 1 <=
+  p + delta), which are therefore not kept.
 * p + edge connectivity: valid on its own, though kappa' <= delta always
   (cutting a min-degree vertex free), so p + delta dominates it; kept
   because it is part of the certified-bounds contract.  kappa' takes
@@ -575,17 +575,9 @@ def _reg_two_regular(g: Graph, args: tuple, upper: int | None) -> int:
     return two_regular_strength(lengths)
 
 
-def _reg_trivial(g: Graph, args: tuple, upper: int | None) -> int:
-    core, _ = g.core()
-    if core.n == 0:
-        raise ValueError("no edges")
-    return core.n + 1
-
-
 register_lower_bound("p+delta", _reg_p_delta)
 register_lower_bound("p+edge-connectivity", _reg_kappa)
 register_lower_bound("independence", _reg_independence)
 register_lower_bound("xi", _reg_xi)
 register_lower_bound("hypercube", _reg_hypercube)
 register_lower_bound("two-regular", _reg_two_regular)
-register_lower_bound("trivial", _reg_trivial)

@@ -26,9 +26,11 @@ table only saves nodes and never changes what a completed search returns.
 It stops taking new sets at ``BOUND_TABLE_CAP`` entries, which bounds its
 memory.
 
-``certify`` is the labeling pipeline: closed forms, the engines, then with
-``embed`` one best-Z search, which certifies the graph itself or sizes a
-biclique host; the ``label`` command only formats its result.
+``certify`` is the labeling pipeline: closed forms, then one sequence
+stage (the min-degree engine, then one any-degree search rooted at a
+minimum-degree vertex, best-Z with ``embed``, which certifies the graph
+itself or sizes a biclique host); the ``label`` command only formats its
+result.
 """
 
 from __future__ import annotations
@@ -568,53 +570,52 @@ def _closed_form_certificate(h: Graph) -> StrengthCertificate | None:
                    notes=cert.notes + (f"recognized as a dimension-{n} cube",))
 
 
-def _engine_certificate(h: Graph, engines: tuple[str, ...], budget: int) -> EmbedResult:
-    """Each engine in turn, each with the full budget; any-degree is rooted
-    at a minimum-degree vertex, so a found sequence certifies p + delta."""
-    delta = h.min_degree()
-    spent = 0
-    for engine in engines:
-        root = None if engine == "min-degree" else delta
-        res = find_delta_sequence(h, engine, budget, root_degree=root)
-        spent += res.nodes_explored
-        if res.status == "found":
-            return _sequence_result(h, res.sequence,
-                                    f"{engine} sequence: {res.sequence.render()}", spent)
-    return EmbedResult("inconclusive", h, None, None, None, spent)
-
-
 def embed_minimal(h: Graph, budget: int = DEFAULT_BUDGET) -> EmbedResult:
     """Certify strength p + delta for h itself or for h plus one biclique.
 
     This is the min-degree embed path of ``certify``, for a graph with no
     isolated vertex: a complete graph short-circuits, then a minimum-degree
-    sequence of h, then the host stage's one best-Z search, each search
-    with the full budget.
+    sequence of h, then one best-Z search that certifies h itself or sizes
+    the biclique host, each search with the full budget.
     """
     if h.edge_count == 0 or not all(h.adj[v] for v in range(h.n)):
         raise ValueError("host must have minimum degree at least 1")
     return certify(h, "min-degree", budget, embed=True)
 
 
-def _host_stage(h: Graph, res: EmbedResult, budget: int) -> EmbedResult:
-    """One best-Z search rooted at a minimum-degree vertex for what ``res``
-    left uncertified: Z >= 0 certifies h itself, Z < 0 certifies h plus
-    K_{delta, delta - Z} at |union| + delta exactly."""
-    if res.certificate is not None:
-        return res
+def _sequence_stage(h: Graph, mode: str, budget: int, embed: bool) -> EmbedResult:
+    """The sequence searches, each with the full budget: the min-degree
+    engine unless the mode is any-degree, then one any-degree search rooted
+    at a minimum-degree vertex unless the mode is min-degree without
+    ``embed``.  Without ``embed`` that search keeps only sequences with
+    Z >= 0; with it, best-Z keeps the largest Z however negative.  Z >= 0
+    certifies h itself at p + delta, and Z < 0 certifies h plus
+    K_{delta, d_1 - Z} at |union| + delta exactly."""
     delta = h.min_degree()
-    h_seq, nodes, _ = best_z_sequence(h, budget, root_degree=delta)
-    spent = res.nodes_explored + nodes
+    spent = 0
+    if mode != "any-degree":
+        res = find_delta_sequence(h, "min-degree", budget)
+        spent = res.nodes_explored
+        if res.status == "found":
+            return _sequence_result(h, res.sequence,
+                                    f"min-degree sequence: {res.sequence.render()}", spent)
+    h_seq = None
+    if embed:
+        h_seq, nodes, _ = best_z_sequence(h, budget, root_degree=delta)
+        spent += nodes
+    elif mode != "min-degree":
+        res = find_delta_sequence(h, "any-degree", budget, root_degree=delta)
+        h_seq = res.sequence
+        spent += res.nodes_explored
     if h_seq is None:
         return EmbedResult("inconclusive", h, None, None, None, spent)
     if h_seq.min_prefix >= 0:
         return _sequence_result(h, h_seq, f"any-degree sequence: {h_seq.render()}", spent)
     m, n = delta, h_seq.d1 - h_seq.min_prefix
+    # n > m, so vertex m is K_{m,n}'s first minimum-degree vertex, and
+    # deleting N[m] leaves n - 1 isolated vertices: z = n
     biclique = complete_bipartite(m, n)
-    t_res = find_delta_sequence(biclique, "min-degree", budget)
-    if t_res.status != "found":  # pragma: no cover - bicliques always reduce
-        raise AssertionError("biclique sequence search failed")
-    union, seq = compose_h_plus_t(h, h_seq, biclique, t_res.sequence)
+    union, seq = compose_h_plus_t(h, h_seq, biclique, replay(biclique, (m,)))
     note = f"host extended by K_{{{m},{n}}}; spliced sequence: {seq.render()}"
     return _sequence_result(union, seq, note, spent, (m, n))
 
@@ -626,11 +627,9 @@ def certify(
 
     Sets isolated vertices aside and certifies a complete graph, in every
     mode.  ``auto`` then tries the closed forms (cycle unions, forests,
-    recognized cubes) and both sequence engines; the other modes try only
-    their engine.  With ``embed``, every mode but any-degree runs the
-    min-degree engine, and then one best-Z search certifies either the
-    input itself or the input plus one biclique on the next ids (see
-    ``_host_stage``).  The witness is lifted back over the isolated
+    recognized cubes).  Every mode then runs ``_sequence_stage``, which
+    with ``embed`` certifies either the input itself or the input plus one
+    biclique on the next ids.  The witness is lifted back over the isolated
     vertices, which take the top labels.  Budget rule: each search gets the
     full ``budget``.  Raises ValueError on a graph with no edges or an
     unknown mode.
@@ -645,11 +644,8 @@ def certify(
         cert = _closed_form_certificate(core)
     if cert is not None:
         res = EmbedResult(cert.status, core, cert, None, None, 0)
-    elif not embed:
-        res = _engine_certificate(core, MODES if mode == "auto" else (mode,), budget)
     else:
-        engines = () if mode == "any-degree" else ("min-degree",)
-        res = _host_stage(core, _engine_certificate(core, engines, budget), budget)
+        res = _sequence_stage(core, mode, budget, embed)
     if core is g or res.certificate is None:
         return res
     host = g

@@ -292,12 +292,14 @@ def is_vertex_transitive(g: Graph) -> bool:
     g must be regular (one refinement class), and its components must all
     have the same size: an automorphism maps the component of 0 onto a
     component of the same size, so a union such as C5 + C6 is rejected
-    without a search.  Each v not yet merged with 0 then needs an
-    automorphism 0 -> v from ``_find_automorphism``, whose pairs are then
-    merged.  The proof gives up (False: not proven) at the first v without
-    one, after ``TRANSITIVITY_REFINES_PER_VERTEX * n`` refinements, or when
-    the search, one call deep per individualized vertex, reaches the
-    recursion limit.
+    without a search.  Each v not yet merged with 0, walking down from
+    n - 1, then needs an automorphism 0 -> v from ``_find_automorphism``,
+    whose pairs are then merged.  Walking down, the first map of K_n or
+    K_{n,n} is one cycle through every vertex, so one search proves them.
+    The proof gives up (False: not proven) at the first v without one,
+    after ``TRANSITIVITY_REFINES_PER_VERTEX * n`` refinements, or when the
+    search, one call deep per individualized vertex, reaches the recursion
+    limit.
     """
     if not g.is_regular() or len({len(c) for c in g.components()}) > 1:
         return False
@@ -305,7 +307,7 @@ def is_vertex_transitive(g: Graph) -> bool:
     nbrs = _neighbor_lists(g)
     parent = list(range(g.n))
     try:
-        for v in range(1, g.n):
+        for v in range(g.n - 1, 0, -1):
             if _find(parent, v) != 0:
                 sigma = _find_automorphism(g, [0] * g.n, 0, v, ticks, nbrs)
                 if sigma is None:

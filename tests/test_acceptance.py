@@ -290,7 +290,7 @@ def test_criterion_7_negative_controls():
     labels = list(fx.numbering.labels)
     labels[0], labels[5] = labels[5], labels[0]
     forged = StrengthCertificate(
-        lower=LowerBound("trivial", fx.strength),
+        lower=LowerBound("hypercube", fx.strength),
         upper=fx.strength,
         witness=Numbering(tuple(labels)),
     )

@@ -150,7 +150,7 @@ def test_xi_matches_brute_force_on_transitive_graphs(name):
 
 
 def test_xi_matches_brute_force_on_complete_and_bipartite_graphs():
-    # vertex-transitive, but their proof runs past its refinement cap
+    # vertex-transitive and proven so: the scan only takes sets holding 0
     for g in (complete_bipartite(3, 3), complete_bipartite(4, 4), complete(6)):
         assert_matches_brute_force(g)
 

@@ -123,12 +123,20 @@ def test_feasible_at_budget_statuses(key):
 
 
 def test_transitivity_proof_gives_up_at_its_refinement_cap(monkeypatch):
-    # K_{6,6} is vertex-transitive, but its proof needs more refinements
-    # than the cap allows, so it is reported as not proven
+    # K_{6,6} is vertex-transitive; with no refinement allowed its proof
+    # is reported as not proven
     g = complete_bipartite(6, 6)
-    assert not is_vertex_transitive(g)
-    monkeypatch.setattr(oracle, "TRANSITIVITY_REFINES_PER_VERTEX", 100)
     assert is_vertex_transitive(g)
+    monkeypatch.setattr(oracle, "TRANSITIVITY_REFINES_PER_VERTEX", 0)
+    assert not is_vertex_transitive(g)
+
+
+def test_complete_and_balanced_bipartite_graphs_are_proven_transitive():
+    # their first map, 0 -> n - 1, is one cycle through every vertex
+    for n in range(5, 21):
+        assert is_vertex_transitive(complete(n)), n
+    for n in range(3, 21):
+        assert is_vertex_transitive(complete_bipartite(n, n)), n
 
 
 def test_public_searches_report_a_spent_budget():

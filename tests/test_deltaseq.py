@@ -271,7 +271,7 @@ def test_certify_embed_host_keeps_isolated_vertices():
 def test_any_degree_embed_runs_each_engine_once(monkeypatch):
     # one best-Z search with the full budget answers both "does h certify
     # itself" and "how large a host", in every mode; any-degree mode runs no
-    # engine before it, so its only find call is the biclique's
+    # engine before it, and the biclique's sequence is built, not searched
     finds, best_z_budgets = [], []
     find, best_z = deltaseq.find_delta_sequence, deltaseq.best_z_sequence
 
@@ -291,8 +291,46 @@ def test_any_degree_embed_runs_each_engine_once(monkeypatch):
         res = certify(petersen(), mode, budget=10**6, embed=True)
         assert res.added_biclique == (3, 4) and res.certificate.value == 20
         assert best_z_budgets == [10**6]
-        engine = [] if mode == "any-degree" else [(10, "min-degree")]
-        assert finds == engine + [(7, "min-degree")]  # then K_{3,4}'s sequence
+        assert finds == ([] if mode == "any-degree" else [(10, "min-degree")])
+
+
+@pytest.mark.parametrize("mode, embed, searches", [
+    ("auto", False, [("min-degree", None), ("any-degree", 3)]),
+    ("min-degree", False, [("min-degree", None)]),
+    ("any-degree", False, [("any-degree", 3)]),
+    ("auto", True, [("min-degree", None), ("best-Z", 3)]),
+    ("min-degree", True, [("min-degree", None), ("best-Z", 3)]),
+    ("any-degree", True, [("best-Z", 3)]),
+])
+def test_certify_runs_one_sequence_stage(monkeypatch, mode, embed, searches):
+    # Petersen resists every engine, so each mode runs all of its searches,
+    # each on the input itself with the full budget
+    calls = []
+    find, best_z = deltaseq.find_delta_sequence, deltaseq.best_z_sequence
+
+    def recording_find(h, engine, budget, root_degree=None):
+        calls.append((h.n, budget, engine, root_degree))
+        return find(h, engine, budget, root_degree)
+
+    def recording_best_z(h, budget, root_degree=None):
+        calls.append((h.n, budget, "best-Z", root_degree))
+        return best_z(h, budget, root_degree)
+
+    monkeypatch.setattr(deltaseq, "find_delta_sequence", recording_find)
+    monkeypatch.setattr(deltaseq, "best_z_sequence", recording_best_z)
+    res = certify(petersen(), mode, budget=1000, embed=embed)
+    assert calls == [(10, 1000, *call) for call in searches]
+    assert (res.added_biclique, res.status) == (((3, 4), "exact") if embed
+                                                else (None, "inconclusive"))
+
+
+@pytest.mark.parametrize("embed", [False, True])
+def test_any_degree_certify_gives_the_worked_example_numbering(embed):
+    fx = load_fixture("example22")
+    res = certify(fx.graph, "any-degree", embed=embed)
+    assert res.added_biclique is None and res.host == fx.graph
+    assert res.certificate.notes[0].startswith("any-degree sequence")
+    assert res.certificate.value == 17 and res.certificate.witness == fx.numbering
 
 
 @pytest.mark.parametrize("name, embed, replays", [

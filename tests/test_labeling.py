@@ -91,7 +91,7 @@ def test_certificate_round_trip_and_status():
 def test_registry_contains_all_bounds():
     names = lower_bound_names()
     for expected in ("p+delta", "p+edge-connectivity", "independence",
-                     "xi", "hypercube", "two-regular", "trivial", "search"):
+                     "xi", "hypercube", "two-regular", "search"):
         assert expected in names
     with pytest.raises(ValueError):
         recompute_lower_bound(cycle(4), "made-up", ())
@@ -129,7 +129,7 @@ def test_verify_certificate_rejects_tampering():
 
 def test_verify_certificate_bracket_status():
     g = cycle(4)
-    cert = StrengthCertificate(LowerBound("trivial", 5), 6, Numbering((1, 3, 2, 4)))
+    cert = StrengthCertificate(LowerBound("p+delta", 6), 7, Numbering((1, 2, 3, 4)))
     verdict = verify_certificate(g, cert)
     assert verdict.ok and verdict.status == "bracket"
 
