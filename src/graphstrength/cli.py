@@ -6,7 +6,7 @@ Subcommands:
 * ``label``   -- find an optimal (or certified) numbering and print the
                  certificate; recognized families use their closed forms,
                  everything else goes through the reduction-sequence engines.
-* ``exact``   -- exhaustive threshold search (small graphs only).
+* ``exact``   -- exhaustive threshold search within a node budget.
 * ``verify``  -- recheck a certificate JSON against a graph from scratch.
 * ``repro``   -- run the built-in reproduction checks (fixtures, closed
                  forms, worked traces, doubling invariants, negative
@@ -56,7 +56,7 @@ from .labeling import (
     to_dot,
     verify_certificate,
 )
-from .oracle import DEFAULT_BUDGET as EXACT_BUDGET, DEFAULT_VERTEX_CAP, exact_strength
+from .oracle import DEFAULT_BUDGET as EXACT_BUDGET, exact_strength
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -107,7 +107,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     if args.edges:
         try:
             text = sys.stdin.read() if args.edges == "-" else Path(args.edges).read_text()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise InputError(f"cannot read {args.edges}: {e}") from None
         try:
             return read_edgelist(text)
@@ -155,8 +155,11 @@ def _write_dot(path: str, g: Graph, numbering: Numbering) -> None:
     text = to_dot(g, numbering)
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e}") from None
 
 
 # -- subcommand: bounds ------------------------------------------------------------
@@ -196,6 +199,8 @@ def _cmd_label(args: argparse.Namespace) -> int:
         raise InputError(str(e)) from None
     if res.added_biclique is not None:
         m, n = res.added_biclique
+        if args.dot:
+            _write_dot(args.dot, res.host, res.certificate.witness)
         if args.json:
             payload = {
                 "embedded": True,
@@ -210,8 +215,6 @@ def _cmd_label(args: argparse.Namespace) -> int:
                   f"strength {res.certificate.value} (exact)")
             print(f"host graph6: {write_graph6(res.host)}")
             print(f"host labels: {list(res.certificate.witness.labels)}")
-        if args.dot:
-            _write_dot(args.dot, res.host, res.certificate.witness)
         return EXIT_OK
     if res.certificate is not None:
         if args.dot:
@@ -234,7 +237,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     try:
-        res = exact_strength(g, budget=args.budget, vertex_cap=args.vertex_cap)
+        res = exact_strength(g, budget=args.budget)
     except ValueError as e:
         raise InputError(str(e)) from None
     if res.status == "exact":
@@ -262,11 +265,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     try:
         text = sys.stdin.read() if args.certificate == "-" else Path(args.certificate).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {args.certificate}: {e}") from None
     try:
         cert = StrengthCertificate.loads(text)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
         raise InputError(f"bad certificate JSON: {e}") from None
     verdict = verify_certificate(g, cert)
     if args.json:
@@ -501,10 +504,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dot", metavar="FILE", help="write Graphviz source ('-' = stdout)")
     sub.set_defaults(fn=_cmd_label)
 
-    sub = subs.add_parser("exact", help="exhaustive search (small graphs)")
+    sub = subs.add_parser("exact", help="exhaustive search within a node budget")
     _add_graph_arguments(sub)
-    sub.add_argument("--budget", type=non_negative_int, default=EXACT_BUDGET)
-    sub.add_argument("--vertex-cap", type=non_negative_int, default=DEFAULT_VERTEX_CAP)
+    sub.add_argument("--budget", type=non_negative_int, default=EXACT_BUDGET,
+                     help="node budget, at most the default")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_exact)
 

@@ -25,9 +25,8 @@ from a queue of splitter cells with Hopcroft's rule, so refining after one
 vertex is individualized costs time near the new cell's neighborhood
 rather than a recount of every vertex.
 
-This is exponential and deliberately capped (default 14 vertices); its job
-is to anchor the theory-backed bounds and constructions on small cases, not
-to scale.
+This is exponential, and only its node budget bounds it: its job is to
+anchor the theory-backed bounds and constructions, not to scale.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .labeling import (
 )
 
 DEFAULT_BUDGET = 2_000_000
-DEFAULT_VERTEX_CAP = 14
 # Refinements ``is_vertex_transitive`` may run per vertex before it gives up.
 TRANSITIVITY_REFINES_PER_VERTEX = 2
 
@@ -408,35 +406,34 @@ class OracleResult:
         )
 
 
-def exact_strength(
-    g: Graph, budget: int = DEFAULT_BUDGET, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> OracleResult:
+def _scan_start(core: Graph) -> int:
+    """max(p + delta, 2p - 2*alpha + 1) on a core, two lower bounds; alpha
+    must be exact, so the independence term is left out above its cap."""
+    from .bounds import DEFAULT_ALPHA_CAP, independence_lower_bound_str  # bounds imports oracle
+
+    start = core.n + core.min_degree()
+    return max(start, independence_lower_bound_str(core)) if core.n <= DEFAULT_ALPHA_CAP else start
+
+
+def exact_strength(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Exact strength by scanning thresholds upward from a lower bound.
 
     Isolated vertices are split off first (they never affect edge sums) and
-    re-attached to the witness afterwards; p' is the non-isolated count.  The
-    scan starts at L = max(p' + delta, 2p' - 2*alpha + 1), a lower bound, so
-    the first feasible threshold is exact: every smaller one is below L or
-    refuted exhaustively.  alpha must be exact, so the independence term is
-    left out above the independence cap.  When a search stops on the budget
+    re-attached to the witness afterwards.  The scan starts at the core's
+    ``_scan_start``, so the first feasible threshold is exact: every smaller
+    one is below it or refuted exhaustively.  The budget is capped at
+    ``DEFAULT_BUDGET``, the most ``verify`` spends, so every refutation
+    behind an exact result reruns there.  When a search stops on the budget
     or the recursion limit, the result is the honest bracket [first
-    unrefuted threshold, 2p'-1].
+    unrefuted threshold, 2p'-1], p' the non-isolated count.
     """
-    from .bounds import DEFAULT_ALPHA_CAP, independence_lower_bound_str  # bounds imports oracle
-
     if g.edge_count == 0:
         raise ValueError("strength is undefined for graphs with no edges")
+    if budget > DEFAULT_BUDGET:
+        raise ValueError(f"budget {budget} exceeds the limit {DEFAULT_BUDGET}")
     core, _ = g.core()
-    if core.n > vertex_cap:
-        raise ValueError(
-            f"{core.n} non-isolated vertices exceeds the exact-solver cap "
-            f"{vertex_cap}; raise vertex_cap only if you can wait"
-        )
-    start = core.n + core.min_degree()
-    if core.n <= DEFAULT_ALPHA_CAP:
-        start = max(start, independence_lower_bound_str(core))
     total = 0
-    for t in range(start, 2 * core.n):
+    for t in range(_scan_start(core), 2 * core.n):
         res = feasible_at(core, t, budget - total)
         total += res.nodes_explored
         if res.status == "feasible":
@@ -448,18 +445,20 @@ def exact_strength(
 
 
 def _search_bound(g: Graph, args: tuple, upper: int | None) -> int:
-    """The strength of g.  With ``upper``, a witness strength, and a core
-    within the vertex cap, it is upper when the core's p + delta reaches it
-    or when upper - 1 is refuted (feasibility is monotone in t); otherwise,
-    or when upper - 1 is feasible, the full scan gives it.  The independence
-    term is left out here: alpha costs more than the refutations it saves."""
+    """The strength of g.  With ``upper``, a witness strength, it is upper
+    when the core's p + delta reaches it, when upper - 1 is refuted
+    (feasibility is monotone in t) or, should that refutation spend its
+    budget, when ``_scan_start``, the costlier lower bound, reaches upper.
+    So every exact ``exact_strength`` result verifies: it refuted upper - 1
+    with no more nodes, or upper is its scan start.  Otherwise, or when
+    upper - 1 is feasible, the full scan gives it."""
     budget = recompute_arg(args, DEFAULT_BUDGET, "search budget")
     core, _ = g.core()
-    if upper is not None and g.edge_count and core.n <= DEFAULT_VERTEX_CAP:
+    if upper is not None and g.edge_count:
         if core.n + core.min_degree() >= upper:
             return upper
         res = feasible_at(core, upper - 1, budget)
-        if res.status == "infeasible":
+        if res.status == "infeasible" or res.status == "budget" and _scan_start(core) >= upper:
             return upper
         if res.status == "budget":
             raise UnconfirmedBound(f"budget {budget} exhausted refuting threshold {upper - 1}")

@@ -23,8 +23,8 @@ from dataclasses import replace
 
 import pytest
 
-from graphstrength import oracle
-from graphstrength.bounds import _xi_scan, bounds_report, xi_profile
+from graphstrength import bounds, oracle
+from graphstrength.bounds import _xi_scan, bounds_report, independence_lower_bound_str, xi_profile
 from graphstrength.constructions import load_fixture
 from graphstrength.deltaseq import best_z_sequence, certify, embed_minimal, find_delta_sequence
 from graphstrength.graphs import Graph, complete, complete_bipartite, hypercube, path, wheel
@@ -142,7 +142,7 @@ def test_complete_and_balanced_bipartite_graphs_are_proven_transitive():
 def test_public_searches_report_a_spent_budget():
     # none of these raises: each search turns its exhaustion into a status
     q4 = hypercube(4)
-    res = exact_strength(q4, budget=0, vertex_cap=16)
+    res = exact_strength(q4, budget=0)
     assert (res.status, res.lower, res.upper, res.nodes_explored) == ("bracket", 20, 31, 1)
     for res in (certify(q4, "min-degree", budget=0, embed=True), embed_minimal(q4, budget=0)):
         assert (res.status, res.nodes_explored) == ("inconclusive", 2)
@@ -170,19 +170,31 @@ def test_a_starved_search_certificate_needs_no_search_when_a_cheap_bound_reaches
     assert (verdict.status, verdict.reasons, verdict.recomputed_lower) == ("exact", (), 11)
 
 
-def test_a_search_certificate_above_p_plus_delta_needs_one_refutation():
+def test_a_search_certificate_above_p_plus_delta_needs_one_refutation(monkeypatch):
     # K5 plus a pendant vertex: str 9 = 2p - 2*alpha + 1 is above p + delta = 7,
-    # and verify reads only p + delta, so threshold 8 must be refuted
+    # so verify refutes threshold 8, once; alpha is computed only when that
+    # refutation spends its budget, and then the scan start 9 confirms it
     g = Graph(6, [*complete(5).edges(), (0, 5)])
     cert = exact_strength(g).to_certificate()
     require(cert.upper == 9, f"strength {cert.upper}")
-    starved = replace(cert, lower=LowerBound("search", 9, (0,)))
-    verdict = verify_certificate(g, starved)
-    reason = "lower bound 'search' unconfirmed: budget 0 exhausted refuting threshold 8"
-    require((verdict.status, verdict.reasons) == ("invalid", (reason,)), str(verdict))
-    verdict = verify_certificate(g, replace(cert, lower=LowerBound("search", 9, (1,))))
-    require((verdict.status, verdict.reasons, verdict.recomputed_lower) == ("exact", (), 9),
-            str(verdict))
+    calls = []
+
+    def refute(core, t, budget):
+        calls.append(("refute", t, budget))
+        return feasible_at(core, t, budget)
+
+    def alpha_bound(core):
+        calls.append(("alpha",))
+        return independence_lower_bound_str(core)
+
+    monkeypatch.setattr(oracle, "feasible_at", refute)
+    monkeypatch.setattr(bounds, "independence_lower_bound_str", alpha_bound)
+    for budget, alpha in ((0, [("alpha",)]), (1, [])):
+        calls.clear()
+        verdict = verify_certificate(g, replace(cert, lower=LowerBound("search", 9, (budget,))))
+        require((verdict.status, verdict.reasons, verdict.recomputed_lower) == ("exact", (), 9),
+                str(verdict))
+        require(calls == [("refute", 8, budget), *alpha], f"budget {budget}: {calls}")
 
 
 def test_sequence_search_stops_at_the_recursion_limit():
@@ -199,6 +211,6 @@ def test_transitivity_proof_stops_at_the_recursion_limit():
 
 def test_threshold_search_stops_at_the_recursion_limit():
     with shallow_stack():
-        res = exact_strength(path(200), vertex_cap=200)
+        res = exact_strength(path(200))
     assert (res.status, res.lower, res.upper) == ("bracket", 201, 399)
     assert res.nodes_explored < 200

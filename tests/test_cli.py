@@ -224,7 +224,7 @@ def test_exact_small(capsys):
 
 def test_exact_budget_bracket(capsys):
     code, out, _ = run(capsys, "exact", "--family", "hypercube:4",
-                       "--budget", "10", "--vertex-cap", "16", "--json")
+                       "--budget", "10", "--json")
     assert code == 3
     payload = json.loads(out)
     assert payload["status"] == "bracket"
@@ -233,19 +233,22 @@ def test_exact_budget_bracket(capsys):
 
 def test_exact_bracket_says_why_the_search_stopped(capsys):
     code, out, _ = run(capsys, "exact", "--family", "hypercube:4",
-                       "--budget", "10", "--vertex-cap", "16")
+                       "--budget", "10")
     assert code == 3
     assert out == "inconclusive: strength in [20, 31] (budget exhausted after 11 nodes)\n"
     with shallow_stack():
-        code, out, _ = run(capsys, "exact", "--family", "path:200", "--vertex-cap", "200")
+        code, out, _ = run(capsys, "exact", "--family", "path:200")
     assert code == 3
     assert out.startswith("inconclusive: strength in [201, 399] (search stopped after ")
 
 
-def test_exact_rejects_oversize(capsys):
-    code, _, err = run(capsys, "exact", "--family", "complete:20")
+def test_exact_has_no_vertex_cap_but_a_budget_limit(capsys):
+    code, out, _ = run(capsys, "exact", "--family", "complete:20")
+    assert code == 0
+    assert "exact strength: 39" in out
+    code, _, err = run(capsys, "exact", "--family", "cycle:5", "--budget", "2000001")
     assert code == 2
-    assert "vertex" in err
+    assert "budget 2000001 exceeds the limit 2000000" in err
 
 
 # -- verify ------------------------------------------------------------------------
@@ -406,6 +409,32 @@ def test_missing_edges_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--certificate", "--edges"])
+def test_verify_refuses_a_file_that_is_not_utf8(capsys, tmp_path, flag):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    graph = ["--edges", str(bad)] if flag == "--edges" else ["--family", "cycle:5"]
+    code, out, err = run(capsys, "verify", *graph, "--certificate", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
+
+
+def test_verify_refuses_a_deeply_nested_certificate(capsys, tmp_path):
+    cert = tmp_path / "deep.json"
+    cert.write_text("[" * 100_000)
+    code, out, err = run(capsys, "verify", "--family", "cycle:5", "--certificate", str(cert))
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad certificate JSON: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("graph", [["--family", "cycle:5"], ["--embed", "--graph6", PETERSEN_G6]])
+def test_label_dot_into_a_missing_directory_is_bad_input(capsys, tmp_path, graph):
+    dot = tmp_path / "missing" / "x.dot"
+    code, out, err = run(capsys, "label", *graph, "--json", "--dot", str(dot))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {dot}: ")
+
+
 def test_oversized_edge_list_header(capsys, tmp_path):
     f = tmp_path / "huge.edges"
     f.write_text(f"{MAX_EDGELIST_VERTICES + 1} 1\n0 1\n")
@@ -435,13 +464,12 @@ def test_parser_defaults_are_library_constants():
     assert args.budget == bounds.DEFAULT_XI_BUDGET
     args = parse(["exact", "--family", "cycle:5"])
     assert args.budget == oracle.DEFAULT_BUDGET
-    assert args.vertex_cap == oracle.DEFAULT_VERTEX_CAP
     assert parse(["label", "--family", "cycle:5"]).budget == deltaseq.DEFAULT_BUDGET
 
 
 @pytest.mark.parametrize("argv", [
     ["bounds", "--budget"], ["bounds", "--alpha-cap"], ["bounds", "--xi-max"],
-    ["label", "--budget"], ["exact", "--budget"], ["exact", "--vertex-cap"],
+    ["label", "--budget"], ["exact", "--budget"],
 ])
 def test_numeric_flags_refuse_negative_values(capsys, argv):
     with pytest.raises(SystemExit) as exc:

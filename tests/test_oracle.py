@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphstrength import oracle
+from graphstrength.bounds import bounds_report
 from graphstrength.graphs import (
     Graph,
     complete,
@@ -80,19 +81,30 @@ def test_isolated_vertices_are_stripped_and_lifted():
     assert sorted(res.witness.labels[4:]) == [5, 6, 7]
 
 
-def test_edgeless_and_cap_rejections():
+def test_edgeless_rejection_and_no_vertex_cap():
     with pytest.raises(ValueError):
         exact_strength(Graph(3, []))
-    with pytest.raises(ValueError):
-        exact_strength(complete(15))
-    # the cap counts non-isolated vertices only
+    # only the node budget bounds the search: K20 is exact at 2p - 1
+    res = exact_strength(complete(20))
+    assert (res.status, res.value) == ("exact", 39)
+    assert verify_certificate(complete(20), res.to_certificate()).status == "exact"
     g = disjoint_union(cycle(4), Graph(20, []))
     assert exact_strength(g).value == 6
 
 
-def test_vertex_cap_override():
-    res = exact_strength(complete_bipartite(7, 8), vertex_cap=15)
+def test_complete_bipartite_seven_eight_is_exact_and_verifies():
+    g = complete_bipartite(7, 8)
+    res = exact_strength(g)
     assert res.status == "exact" and res.value == 7 + 8 + 7
+    verdict = verify_certificate(g, res.to_certificate())
+    assert (verdict.status, verdict.recomputed_lower) == ("exact", 22)
+
+
+def test_budget_above_the_verify_limit_is_refused():
+    # verify reruns a refutation with at most oracle.DEFAULT_BUDGET nodes
+    with pytest.raises(ValueError, match="exceeds the limit 2000000"):
+        exact_strength(cycle(5), budget=oracle.DEFAULT_BUDGET + 1)
+    assert exact_strength(cycle(5), budget=oracle.DEFAULT_BUDGET).value == 7
 
 
 def test_feasibility_thresholds_on_square():
@@ -105,7 +117,7 @@ def test_feasibility_thresholds_on_square():
 
 
 def test_budget_reports_bracket_not_exhaustion():
-    res = exact_strength(hypercube(4), budget=10, vertex_cap=16)
+    res = exact_strength(hypercube(4), budget=10)
     assert res.status == "bracket"
     assert res.witness is None
     # the scan starts at p + delta = 20 (alpha = 8 gives only 17), and the
@@ -309,8 +321,31 @@ def test_scan_start_skips_the_thresholds_below_the_cheap_bounds(monkeypatch):
     pendant = Graph(6, [*complete(5).edges(), (0, 5)])
     for g, want in ((hypercube(4), 20), (pendant, 9), (petersen(), 13), (path(200), 201)):
         thresholds.clear()
-        res = exact_strength(g, vertex_cap=g.n)
+        res = exact_strength(g)
         require(thresholds == [want] and res.lower == want, f"{g}: {thresholds}")
+
+
+def mid_size_graphs() -> list[Graph]:
+    """Seeded G(n, p) and random 3- and 4-regular graphs on 15-24 vertices."""
+    rng = random.Random(18)
+    graphs = []
+    for _ in range(20):
+        graphs.append(random_graph(rng, rng.randint(15, 24), rng.choice((0.2, 0.3, 0.5))))
+        d = rng.choice((3, 4))
+        n = rng.randrange(16, 25, 2) if d == 3 else rng.randint(15, 24)
+        graphs.append(to_graph(nx.random_regular_graph(d, n, seed=rng.randrange(10**6))))
+    return [g for g in graphs if g.edge_count]
+
+
+def test_oracle_past_fourteen_vertices_sits_in_the_bounds_and_verifies():
+    for g in mid_size_graphs():
+        res = exact_strength(g)
+        report = bounds_report(g)
+        require(res.status == "exact", f"{g.edges()}: {res}")
+        require(report.best_lower <= res.value <= report.best_upper,
+                f"{g.edges()}: {res.value} outside [{report.best_lower}, {report.best_upper}]")
+        verdict = verify_certificate(g, res.to_certificate())
+        require(verdict.status == "exact", f"{g.edges()}: {verdict}")
 
 
 # -- splitter-queue refinement against the full-recompute reference ----------------
