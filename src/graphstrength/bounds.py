@@ -31,8 +31,10 @@ from scratch:
 
 Bounds are computed on ``Graph.core()``, the graph minus its isolated
 vertices (strength ignores them), and each is registered by name so
-certificates referencing it can be re-verified.  An xi scan size that spends
-its node budget is marked incomplete and left out of xi.
+certificates referencing it can be re-verified.  The report and the
+recomputation read the same limits, the ``DEFAULT_*`` constants below, so
+every entry the report emits recomputes.  An xi scan size that spends its
+node budget is marked incomplete and left out of xi.
 """
 
 from __future__ import annotations
@@ -51,15 +53,15 @@ DEFAULT_XI_I_MAX = 4
 # -- independence -------------------------------------------------------------
 
 
-def independence_number(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> tuple[int, frozenset[int]]:
+def independence_number(g: Graph) -> tuple[int, frozenset[int]]:
     """Exact maximum independent set size and one witness, by branch and bound.
 
     The upper bound at each node is a greedy clique cover (alpha cannot
     exceed the number of cliques needed to cover the remaining vertices).
-    Deliberately capped: default 40 vertices.
+    Graphs above ``DEFAULT_ALPHA_CAP`` vertices are refused before the search.
     """
-    if g.n > cap:
-        raise ValueError(f"{g.n} vertices exceeds the independence cap {cap}")
+    if g.n > DEFAULT_ALPHA_CAP:
+        raise ValueError(f"{g.n} vertices exceeds the independence cap {DEFAULT_ALPHA_CAP}")
     adj = g.adj
     best_size = 0
     best_set = 0
@@ -99,11 +101,11 @@ def independence_number(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> tuple[int, fr
     return best_size, frozenset(_bits(best_set))
 
 
-def independence_lower_bound_str(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> int:
+def independence_lower_bound_str(g: Graph) -> int:
     """2p - 2*alpha(G) + 1, with alpha computed exactly."""
     if g.edge_count == 0:
         raise ValueError("bound needs at least one edge")
-    alpha, _ = independence_number(g, cap)
+    alpha, _ = independence_number(g)
     return 2 * g.n - 2 * alpha + 1
 
 
@@ -451,13 +453,9 @@ class BoundsReport:
         return "\n".join(lines)
 
 
-def bounds_report(
-    g: Graph,
-    alpha_cap: int = DEFAULT_ALPHA_CAP,
-    xi_i_max: int = DEFAULT_XI_I_MAX,
-    xi_budget: int = DEFAULT_XI_BUDGET,
-) -> BoundsReport:
-    """Every applicable bound on strength(g), each one recomputable by name."""
+def bounds_report(g: Graph) -> BoundsReport:
+    """Every applicable bound on strength(g), each one recomputable by name
+    at the limits it was computed with, the ``DEFAULT_*`` constants."""
     if g.edge_count == 0:
         raise ValueError("strength is undefined for graphs with no edges")
     core, _ = g.core()
@@ -475,29 +473,20 @@ def bounds_report(
     entries.append(
         BoundEntry("p+edge-connectivity", "lower", p + kappa, f"edge connectivity {kappa}")
     )
-    if p <= alpha_cap:
-        alpha, _ = independence_number(core, alpha_cap)
+    if p <= DEFAULT_ALPHA_CAP:
+        alpha, _ = independence_number(core)
         entries.append(
             BoundEntry("independence", "lower", 2 * p - 2 * alpha + 1, f"independence number {alpha}")
         )
     else:
-        notes.append(f"independence bound skipped: p > {alpha_cap}")
-    if xi_i_max >= 1:
-        prof = xi_profile(core, xi_i_max, xi_budget)
-        try:
-            entries.append(
-                BoundEntry(
-                    "xi",
-                    "lower",
-                    p + prof.xi,
-                    f"expansion profile {list(prof.x)} (sizes 1..{prof.i_max})",
-                    args=(prof.i_max,),
-                )
-            )
-        except UnconfirmedBound:
-            notes.append("expansion profile incomplete within budget; skipped")
+        notes.append(f"independence bound skipped: p > {DEFAULT_ALPHA_CAP}")
+    prof = xi_profile(core)
+    if any(prof.complete):
+        entries.append(BoundEntry("xi", "lower", p + prof.xi,
+                                  f"expansion profile {list(prof.x)} (sizes 1..{prof.i_max})",
+                                  args=(prof.i_max,)))
     else:
-        notes.append(f"xi bound skipped: set size cap {xi_i_max}")
+        notes.append("expansion profile incomplete within budget; skipped")
     cube = recognize_hypercube(core)
     if cube is not None and cube[0] >= 2:
         n = cube[0]
@@ -536,7 +525,8 @@ def bounds_report(
 
 
 # -- registry hook-up ---------------------------------------------------------
-# Only the oracle's "search" bound reads ``upper``; these ignore it.
+# Only the oracle's "search" bound reads ``upper``, and of these only xi reads
+# ``args``; the rest ignore them.
 
 
 def _reg_p_delta(g: Graph, args: tuple, upper: int | None) -> int:
@@ -550,8 +540,7 @@ def _reg_kappa(g: Graph, args: tuple, upper: int | None) -> int:
 
 
 def _reg_independence(g: Graph, args: tuple, upper: int | None) -> int:
-    cap = recompute_arg(args, DEFAULT_ALPHA_CAP, "independence cap")
-    return independence_lower_bound_str(g.core()[0], cap=cap)
+    return independence_lower_bound_str(g.core()[0])
 
 
 def _reg_xi(g: Graph, args: tuple, upper: int | None) -> int:

@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``bounds``  -- print every applicable lower/upper bound for a graph.
+* ``bounds``  -- print every applicable lower/upper bound for a graph, each
+                 computed at the limits ``verify`` recomputes it with.
 * ``label``   -- find an optimal (or certified) numbering and print the
                  certificate; recognized families use their closed forms,
                  everything else goes through the reduction-sequence engines.
@@ -30,7 +31,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .bounds import DEFAULT_ALPHA_CAP, DEFAULT_XI_BUDGET, DEFAULT_XI_I_MAX, bounds_report
+from .bounds import bounds_report
 from .constructions import (
     BUNDLED_FIXTURES,
     FixtureError,
@@ -56,7 +57,7 @@ from .labeling import (
     to_dot,
     verify_certificate,
 )
-from .oracle import DEFAULT_BUDGET as EXACT_BUDGET, exact_strength
+from .oracle import DEFAULT_BUDGET as EXACT_BUDGET, exact_strength, stop_reason
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -167,8 +168,7 @@ def _write_dot(path: str, g: Graph, numbering: Numbering) -> None:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    report = bounds_report(g, alpha_cap=args.alpha_cap, xi_i_max=args.xi_max,
-                           xi_budget=args.budget)
+    report = bounds_report(g)
     if args.json:
         payload = {
             "p": report.p,
@@ -251,10 +251,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         print(json.dumps({"status": "bracket", "lower": res.lower, "upper": res.upper,
                           "nodes_explored": res.nodes_explored}, indent=2, sort_keys=True))
     else:
-        # a search stopped by the recursion limit has not spent its budget
-        why = "budget exhausted" if res.nodes_explored > args.budget else "search stopped"
         print(f"inconclusive: strength in [{res.lower}, {res.upper}] "
-              f"({why} after {res.nodes_explored} nodes)")
+              f"({stop_reason(res, args.budget)})")
     return EXIT_INCONCLUSIVE
 
 
@@ -463,7 +461,7 @@ def _cmd_repro(args: argparse.Namespace) -> int:
 
 
 def non_negative_int(text: str) -> int:
-    """The argparse type of every budget and cap."""
+    """The argparse type of every budget."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
@@ -481,14 +479,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("bounds", help="print lower/upper bounds")
+    sub = subs.add_parser("bounds", help="print lower/upper bounds at verify's limits")
     _add_graph_arguments(sub)
-    sub.add_argument("--alpha-cap", type=non_negative_int, default=DEFAULT_ALPHA_CAP,
-                     help="largest graph for the exact independence bound")
-    sub.add_argument("--xi-max", type=non_negative_int, default=DEFAULT_XI_I_MAX,
-                     help="largest subset size for the neighborhood bound")
-    sub.add_argument("--budget", type=non_negative_int, default=DEFAULT_XI_BUDGET,
-                     help="node budget for the neighborhood-bound scan")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_bounds)
 

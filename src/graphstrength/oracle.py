@@ -332,19 +332,23 @@ def feasible_at(g: Graph, t: int, budget: int = DEFAULT_BUDGET) -> FeasibilityRe
     Every vertex is tried for label p, as for the other labels: one root per
     automorphism orbit saved too few nodes to pay for computing the orbits.
 
-    Candidates for a label are taken in (degree, id) order, sorted once per
-    call.  A vertex's cap is t minus its largest labeled neighbor's label,
-    so both prunes read ``reach[l]``, the neighbors of the vertices labeled
-    l or more.  The Hall test after label l is placed needs one count, of
-    the unlabeled vertices with cap at most t - l, which are the reached
-    ones: the parent node passed the test, and no count below t - l can
-    have grown since.
+    Candidates for a label are taken in (degree, id) order: each level walks
+    the free vertices of each degree class, pruned as they come up, so a
+    level costs no pass over all p vertices.  A vertex's cap is t minus its
+    largest labeled neighbor's label, so both prunes read ``reach[l]``, the
+    neighbors of the vertices labeled l or more.  The Hall test after label
+    l is placed needs one count, of the unlabeled vertices with cap at most
+    t - l, which are the reached ones: the parent node passed the test, and
+    no count below t - l can have grown since.
     """
     if g.edge_count == 0:
         raise ValueError("feasibility is about edge sums; graph has no edges")
     p = g.n
     adj = g.adj
-    order = sorted(range(p), key=lambda v: (adj[v].bit_count(), v))
+    by_degree: dict[int, int] = {}
+    for v, d in enumerate(g.degrees()):
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    classes = [by_degree[d] for d in sorted(by_degree)]
     labels = [0] * p
     reach = [0] * (p + 2)  # reach[p + 1] stays empty
     unlabeled = g.full_mask
@@ -358,18 +362,25 @@ def feasible_at(g: Graph, t: int, budget: int = DEFAULT_BUDGET) -> FeasibilityRe
         avail = min(level - 1, room)
         # cap >= level: no labeled neighbor (labels placed are > level) above t - level
         free = unlabeled & ~reach[min(p + 1, max(t - level + 1, level + 1))]
-        for v in [v for v in order if free >> v & 1 and (adj[v] & unlabeled).bit_count() <= avail]:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExhausted
-            labels[v] = level
-            unlabeled ^= 1 << v
-            reach[level] = reach[level + 1] | adj[v]
-            # Hall: the reached vertices left all have cap <= room, so at most room of them
-            if (unlabeled & reach[level]).bit_count() <= room and place(level - 1):
-                return True
-            unlabeled ^= 1 << v
-            labels[v] = 0
+        for cls in classes:
+            cands = free & cls
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                v = low.bit_length() - 1
+                if (adj[v] & unlabeled).bit_count() > avail:
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExhausted
+                labels[v] = level
+                unlabeled ^= low
+                reach[level] = reach[level + 1] | adj[v]
+                # Hall: the reached vertices left all have cap <= room, so at most room of them
+                if (unlabeled & reach[level]).bit_count() <= room and place(level - 1):
+                    return True
+                unlabeled ^= low
+                labels[v] = 0
         return False
 
     try:
@@ -444,6 +455,12 @@ def exact_strength(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     raise AssertionError("threshold 2p-1 is always feasible")  # pragma: no cover
 
 
+def stop_reason(res: FeasibilityResult | OracleResult, budget: int) -> str:
+    """Why a search ended in "budget": the recursion limit stops one within budget."""
+    spent = "budget exhausted" if res.nodes_explored > budget else "search stopped"
+    return f"{spent} after {res.nodes_explored} nodes"
+
+
 def _search_bound(g: Graph, args: tuple, upper: int | None) -> int:
     """The strength of g.  With ``upper``, a witness strength, it is upper
     when the core's p + delta reaches it, when upper - 1 is refuted
@@ -461,10 +478,10 @@ def _search_bound(g: Graph, args: tuple, upper: int | None) -> int:
         if res.status == "infeasible" or res.status == "budget" and _scan_start(core) >= upper:
             return upper
         if res.status == "budget":
-            raise UnconfirmedBound(f"budget {budget} exhausted refuting threshold {upper - 1}")
+            raise UnconfirmedBound(f"{stop_reason(res, budget)} refuting threshold {upper - 1}")
     res = exact_strength(g, budget=budget)
     if res.status != "exact":
-        raise UnconfirmedBound(f"budget {budget} exhausted at [{res.lower}, {res.upper}]")
+        raise UnconfirmedBound(f"{stop_reason(res, budget)} at [{res.lower}, {res.upper}]")
     return res.value
 
 

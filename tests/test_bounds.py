@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 
 from graphstrength import oracle
 from graphstrength.bounds import (
+    BoundsReport,
     bounds_report,
     edge_connectivity,
     hypercube_lower_bound,
@@ -80,8 +81,8 @@ def test_independence_matches_brute_force_on_random():
 def test_independence_bound_value():
     g = cycle(5)
     assert independence_lower_bound_str(g) == 2 * 5 - 2 * 2 + 1  # = 7
-    with pytest.raises(ValueError):
-        independence_lower_bound_str(cycles_union([3] * 20), cap=10)
+    with pytest.raises(ValueError, match="42 vertices exceeds the independence cap 40"):
+        independence_lower_bound_str(cycles_union([3] * 14))
 
 
 def test_xi_profile_closed_forms_on_cubes():
@@ -352,10 +353,12 @@ def test_report_upper_matches_the_cube_certificate(n):
     assert bounds_report(q).best_upper == certify(q).certificate.upper
 
 
-def _assert_lower_entries_recompute(g: Graph) -> None:
-    for e in bounds_report(g).entries:
+def _assert_lower_entries_recompute(g: Graph) -> BoundsReport:
+    report = bounds_report(g)
+    for e in report.entries:
         if e.side == "lower":
             assert recompute_lower_bound(g, e.name, e.args) == e.value, e
+    return report
 
 
 @settings(max_examples=150, deadline=None)
@@ -369,6 +372,22 @@ def test_report_lower_entries_recompute_on_cubes_and_a_torus():
     torus = to_graph(nx.grid_2d_graph(4, 5, periodic=True))
     for g in (hypercube(4), hypercube(5), torus):
         _assert_lower_entries_recompute(g)
+    report = _assert_lower_entries_recompute(hypercube(7))
+    lower = {e.name: e.value for e in report.entries if e.side == "lower"}
+    assert lower["xi"] == lower["hypercube"] == report.best_lower == 144
+
+
+def test_report_lower_entries_recompute_around_the_alpha_cap():
+    # the report runs alpha and xi at the limits verify recomputes them with
+    report = _assert_lower_entries_recompute(to_graph(nx.random_regular_graph(3, 44, seed=19)))
+    assert "independence" not in {e.name for e in report.entries}
+    assert "independence bound skipped: p > 40" in report.notes
+    rng = random.Random(19)
+    cores = [to_graph(nx.random_regular_graph(3, p, seed=p)) for p in (36, 40)]
+    cores += [random_graph(rng, p, 0.12) for p in (20, 30, 40)]
+    for core in cores:
+        report = _assert_lower_entries_recompute(disjoint_union(core, Graph(3, [])))
+        assert report.core_p <= 40 and "independence" in {e.name for e in report.entries}
 
 
 def test_bounds_report_handles_isolated_vertices():
@@ -379,11 +398,10 @@ def test_bounds_report_handles_isolated_vertices():
 
 
 def test_skipped_bounds_say_so():
-    report = bounds_report(cycle(7), alpha_cap=0, xi_i_max=0)
-    assert {e.name for e in report.entries}.isdisjoint({"independence", "xi"})
-    assert report.notes[:2] == ("independence bound skipped: p > 0",
-                                "xi bound skipped: set size cap 0")
-    assert not any("skipped" in note for note in bounds_report(cycle(7)).notes)
+    report = bounds_report(cycle(41))
+    assert "independence" not in {e.name for e in report.entries}
+    assert report.notes[0] == "independence bound skipped: p > 40"
+    assert not any("skipped" in note for note in bounds_report(cycle(40)).notes)
 
 
 def test_bounds_report_rejects_edgeless():

@@ -19,6 +19,7 @@ a "budget" status, never a RecursionError or a claim of exhaustion.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -28,7 +29,15 @@ from graphstrength.bounds import _xi_scan, bounds_report, independence_lower_bou
 from graphstrength.constructions import load_fixture
 from graphstrength.deltaseq import best_z_sequence, certify, embed_minimal, find_delta_sequence
 from graphstrength.graphs import Graph, complete, complete_bipartite, hypercube, path, wheel
-from graphstrength.labeling import LowerBound, require, verify_certificate
+from graphstrength.labeling import (
+    LowerBound,
+    Numbering,
+    StrengthCertificate,
+    UnconfirmedBound,
+    recompute_lower_bound,
+    require,
+    verify_certificate,
+)
 from graphstrength.oracle import exact_strength, feasible_at, is_vertex_transitive
 
 from conftest import petersen, shallow_stack
@@ -139,7 +148,7 @@ def test_complete_and_balanced_bipartite_graphs_are_proven_transitive():
         assert is_vertex_transitive(complete_bipartite(n, n)), n
 
 
-def test_public_searches_report_a_spent_budget():
+def test_public_searches_report_a_spent_budget(monkeypatch):
     # none of these raises: each search turns its exhaustion into a status
     q4 = hypercube(4)
     res = exact_strength(q4, budget=0)
@@ -147,7 +156,8 @@ def test_public_searches_report_a_spent_budget():
     for res in (certify(q4, "min-degree", budget=0, embed=True), embed_minimal(q4, budget=0)):
         assert (res.status, res.nodes_explored) == ("inconclusive", 2)
     assert not any(xi_profile(hypercube(5), budget=0).complete)
-    report = bounds_report(hypercube(5), xi_budget=0)
+    monkeypatch.setattr(bounds, "xi_profile", lambda core: xi_profile(core, budget=0))
+    report = bounds_report(hypercube(5))
     assert "expansion profile incomplete within budget; skipped" in report.notes
 
     # Petersen: str 14 is above p + delta = 13, so confirming a search
@@ -214,3 +224,19 @@ def test_threshold_search_stops_at_the_recursion_limit():
         res = exact_strength(path(200))
     assert (res.status, res.lower, res.upper) == ("bracket", 201, 399)
     assert res.nodes_explored < 200
+
+
+def test_a_search_bound_stopped_by_the_recursion_limit_says_so():
+    # path(200): confirming the witness (strength 399 > p + delta) needs a
+    # refutation at 398, which the shallow stack stops long before its budget
+    g = path(200)
+    cert = StrengthCertificate(LowerBound("search", 399), 399, Numbering(tuple(range(1, 201))))
+    with shallow_stack():
+        verdict = verify_certificate(g, cert)
+        with pytest.raises(UnconfirmedBound) as exc:
+            recompute_lower_bound(g, "search", ())
+    require(verdict.status == "invalid" and re.fullmatch(
+        r"lower bound 'search' unconfirmed: search stopped after \d+ nodes "
+        r"refuting threshold 398", verdict.reasons[0]) is not None, str(verdict))
+    require(re.fullmatch(r"search stopped after \d+ nodes at \[201, 399\]", str(exc.value))
+            is not None, str(exc.value))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import graphstrength
-from graphstrength import bounds, deltaseq, oracle
+from graphstrength import deltaseq, oracle
 from graphstrength.cli import EXIT_INPUT, _build_parser, main
 from graphstrength.graphio import MAX_EDGELIST_VERTICES, parse_graph6, write_edgelist, write_graph6
 from graphstrength.graphs import Graph, complete_bipartite, cycle, disjoint_union, hypercube
@@ -48,17 +48,14 @@ def test_bounds_json(capsys):
     assert {e["name"] for e in payload["entries"]} >= {"p+delta", "2p-1", "xi"}
 
 
-def test_bounds_notes_a_skipped_xi_bound(capsys):
-    code, out, _ = run(capsys, "bounds", "--family", "cycle:7", "--xi-max", "0")
-    assert code == 0
-    assert "note: xi bound skipped: set size cap 0" in out
-    assert not any(line.split()[2:3] == ["xi"] for line in out.splitlines())
-    code, out, _ = run(capsys, "bounds", "--family", "cycle:7", "--xi-max", "0", "--json")
-    payload = json.loads(out)
-    assert "xi bound skipped: set size cap 0" in payload["notes"]
-    assert "xi" not in {e["name"] for e in payload["entries"]}
-    code, out, _ = run(capsys, "bounds", "--family", "cycle:7", "--json")
-    assert not any("skipped" in note for note in json.loads(out)["notes"])
+@pytest.mark.parametrize("flag", ["--alpha-cap", "--xi-max", "--budget"])
+def test_bounds_takes_no_limit_flags(capsys, flag):
+    # bounds runs at the limits verify recomputes with; there is nothing to set
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--family", "cycle:7", flag, "4"])
+    require(exc.value.code == EXIT_INPUT, f"{flag}: exit {exc.value.code}")
+    err = capsys.readouterr().err
+    require(f"unrecognized arguments: {flag} 4" in err, err)
 
 
 # -- label: each input kind ----------------------------------------------------------
@@ -458,27 +455,25 @@ def test_parser_defaults_are_library_constants():
     # verify refuses recompute arguments above these constants, so the CLI
     # defaults must be the constants themselves
     parse = _build_parser().parse_args
-    args = parse(["bounds", "--family", "cycle:5"])
-    assert args.alpha_cap == bounds.DEFAULT_ALPHA_CAP
-    assert args.xi_max == bounds.DEFAULT_XI_I_MAX
-    assert args.budget == bounds.DEFAULT_XI_BUDGET
     args = parse(["exact", "--family", "cycle:5"])
     assert args.budget == oracle.DEFAULT_BUDGET
     assert parse(["label", "--family", "cycle:5"]).budget == deltaseq.DEFAULT_BUDGET
 
 
+# the budget is refused whichever engine or output the other flags pick
 @pytest.mark.parametrize("argv", [
-    ["bounds", "--budget"], ["bounds", "--alpha-cap"], ["bounds", "--xi-max"],
     ["label", "--budget"], ["exact", "--budget"],
+    ["label", "--embed", "--budget"], ["label", "--mode", "any-degree", "--budget"],
+    ["exact", "--json", "--budget"],
 ])
 def test_numeric_flags_refuse_negative_values(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "-1", "--family", "cycle:5"])
     err = capsys.readouterr().err
     require(exc.value.code == EXIT_INPUT, f"{argv}: exit {exc.value.code}")
-    require(f"argument {argv[1]}: must be a non-negative integer, got -1" in err, err)
+    require(f"argument {argv[-1]}: must be a non-negative integer, got -1" in err, err)
     require(getattr(_build_parser().parse_args([*argv, "0", "--family", "cycle:5"]),
-                    argv[1][2:].replace("-", "_")) == 0, f"{argv} 0")
+                    argv[-1][2:].replace("-", "_")) == 0, f"{argv} 0")
 
 
 

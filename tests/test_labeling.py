@@ -171,8 +171,24 @@ def test_search_bound_recomputes_exactly():
         recompute_lower_bound(cycle(8), "search", (1,))
 
 
+def test_verify_refuses_an_independence_bound_on_a_core_above_the_cap(monkeypatch):
+    # the bound ignores its args: its one limit is the 40-vertex core
+    def no_search(*_args):
+        raise AssertionError("an over-limit core must not start the alpha search")
+
+    def verdict(core: int) -> labeling.CertificateVerdict:
+        g = disjoint_union(cycle(core), Graph(3, []))
+        witness = Numbering(tuple(range(1, core + 4)))
+        lower = LowerBound("independence", 2 * core - 2 * (core // 2) + 1, args=(41,))
+        return verify_certificate(g, StrengthCertificate(lower, strength_of(g, witness), witness))
+
+    assert verdict(40).status == "bracket"
+    monkeypatch.setattr("graphstrength.bounds._bits", no_search)
+    assert verdict(41) == labeling.CertificateVerdict(
+        "invalid", ("41 vertices exceeds the independence cap 40",))
+
+
 @pytest.mark.parametrize("name, args, searcher", [
-    ("independence", (41,), "graphstrength.bounds.independence_number"),
     ("xi", (5,), "graphstrength.bounds.xi_profile"),
     ("search", (2_000_001,), "graphstrength.oracle.exact_strength"),
 ])

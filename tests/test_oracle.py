@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from time import perf_counter
 
 import networkx as nx
@@ -20,7 +21,15 @@ from graphstrength.graphs import (
     hypercube,
     path,
 )
-from graphstrength.labeling import extend_over_isolated, require, strength_of, verify_certificate
+from graphstrength.labeling import (
+    LowerBound,
+    Numbering,
+    StrengthCertificate,
+    extend_over_isolated,
+    require,
+    strength_of,
+    verify_certificate,
+)
 from graphstrength.oracle import (
     FeasibilityResult,
     automorphism_orbits,
@@ -282,6 +291,28 @@ def test_feasible_at_matches_the_sorting_search_on_random_graphs(g, budget):
 def test_feasible_at_matches_the_sorting_search_on_symmetric_graphs(name):
     g = orbit_root_graphs()[name]
     assert_matches_the_sorting_search(g, range(g.n + 1, 2 * g.n), oracle.DEFAULT_BUDGET)
+
+
+def test_verifying_a_search_certificate_on_ten_thousand_vertices_is_fast():
+    # a Moebius ladder numbered at random, with a random witness: confirming it
+    # needs a refutation that the recursion limit stops about a thousand labels
+    # in, and each label takes its first candidate without a pass over all p
+    n = 10_000
+    ids = list(range(n))
+    random.Random(1).shuffle(ids)
+    g = Graph(n, [(ids[i], ids[(i + 1) % n]) for i in range(n)]
+              + [(ids[i], ids[i + n // 2]) for i in range(n // 2)])
+    labels = list(range(1, n + 1))
+    random.Random(2).shuffle(labels)
+    witness = Numbering(tuple(labels))
+    upper = strength_of(g, witness)
+    t0 = perf_counter()
+    verdict = verify_certificate(g, StrengthCertificate(LowerBound("search", upper), upper, witness))
+    seconds = perf_counter() - t0
+    require(seconds < 4.0, f"verify took {seconds:.1f} s")
+    require(verdict.status == "invalid" and re.fullmatch(
+        rf"lower bound 'search' unconfirmed: search stopped after \d+ nodes "
+        rf"refuting threshold {upper - 1}", verdict.reasons[0]) is not None, str(verdict))
 
 
 def scan_from_the_floor(g: Graph) -> tuple[str, int, object, int]:
