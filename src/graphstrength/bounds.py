@@ -32,9 +32,10 @@ from scratch:
 Bounds are computed on ``Graph.core()``, the graph minus its isolated
 vertices (strength ignores them), and each is registered by name so
 certificates referencing it can be re-verified.  The report and the
-recomputation read the same limits, the ``DEFAULT_*`` constants below, so
-every entry the report emits recomputes.  An xi scan size that spends its
-node budget is marked incomplete and left out of xi.
+recomputation read the same limits, the ``DEFAULT_*`` constants below, and
+a certificate cannot change them, so every entry the report emits
+recomputes.  An xi scan size that spends its node budget is marked
+incomplete and left out of xi.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, _bits, hypercube
-from .labeling import BudgetExhausted, UnconfirmedBound, recompute_arg, register_lower_bound
+from .labeling import BudgetExhausted, UnconfirmedBound, register_lower_bound
 from .oracle import is_vertex_transitive
 
 DEFAULT_ALPHA_CAP = 40
@@ -239,10 +240,9 @@ def _xi_scan(
     return best, best_set, True, nodes
 
 
-def xi_profile(
-    g: Graph, i_max: int = DEFAULT_XI_I_MAX, budget: int = DEFAULT_XI_BUDGET
-) -> XiProfile:
-    """Exhaustive neighborhood-expansion profile up to set size i_max.
+def xi_profile(g: Graph, budget: int = DEFAULT_XI_BUDGET) -> XiProfile:
+    """Exhaustive neighborhood-expansion profile up to set size
+    ``DEFAULT_XI_I_MAX`` (at most n - 1).
 
     Each size gets its own ``budget`` of scan nodes.  On a graph proven
     vertex-transitive only the sets containing vertex 0 are scanned: the full
@@ -252,7 +252,7 @@ def xi_profile(
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    i_max = min(i_max, g.n - 1) if g.n > 1 else 1
+    i_max = min(DEFAULT_XI_I_MAX, g.n - 1) if g.n > 1 else 1
     transitive = is_vertex_transitive(g)
     balls = _radius2_balls(g.adj)
     xs: list[int] = []
@@ -420,7 +420,6 @@ class BoundEntry:
     side: str  # "lower" | "upper"
     value: int
     detail: str
-    args: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -483,8 +482,7 @@ def bounds_report(g: Graph) -> BoundsReport:
     prof = xi_profile(core)
     if any(prof.complete):
         entries.append(BoundEntry("xi", "lower", p + prof.xi,
-                                  f"expansion profile {list(prof.x)} (sizes 1..{prof.i_max})",
-                                  args=(prof.i_max,)))
+                                  f"expansion profile {list(prof.x)} (sizes 1..{prof.i_max})"))
     else:
         notes.append("expansion profile incomplete within budget; skipped")
     cube = recognize_hypercube(core)
@@ -525,48 +523,26 @@ def bounds_report(g: Graph) -> BoundsReport:
 
 
 # -- registry hook-up ---------------------------------------------------------
-# Only the oracle's "search" bound reads ``upper``, and of these only xi reads
-# ``args``; the rest ignore them.
+# Each is handed the core; only the oracle's "search" bound reads ``upper``.
 
 
-def _reg_p_delta(g: Graph, args: tuple, upper: int | None) -> int:
-    core, _ = g.core()
-    return core.n + core.min_degree()
-
-
-def _reg_kappa(g: Graph, args: tuple, upper: int | None) -> int:
-    core, _ = g.core()
-    return core.n + edge_connectivity(core)
-
-
-def _reg_independence(g: Graph, args: tuple, upper: int | None) -> int:
-    return independence_lower_bound_str(g.core()[0])
-
-
-def _reg_xi(g: Graph, args: tuple, upper: int | None) -> int:
-    i_max = recompute_arg(args, DEFAULT_XI_I_MAX, "xi set size")
-    core, _ = g.core()
-    prof = xi_profile(core, i_max)
-    return core.n + prof.xi
-
-
-def _reg_hypercube(g: Graph, args: tuple, upper: int | None) -> int:
-    got = recognize_hypercube(g.core()[0])
+def _reg_hypercube(core: Graph, upper: int | None) -> int:
+    got = recognize_hypercube(core)
     if got is None or got[0] < 2:
         raise ValueError("graph is not a hypercube of dimension >= 2")
     return hypercube_lower_bound(got[0])
 
 
-def _reg_two_regular(g: Graph, args: tuple, upper: int | None) -> int:
-    lengths = two_regular_cycle_lengths(g.core()[0])
+def _reg_two_regular(core: Graph, upper: int | None) -> int:
+    lengths = two_regular_cycle_lengths(core)
     if lengths is None:
         raise ValueError("graph is not a disjoint union of cycles")
     return two_regular_strength(lengths)
 
 
-register_lower_bound("p+delta", _reg_p_delta)
-register_lower_bound("p+edge-connectivity", _reg_kappa)
-register_lower_bound("independence", _reg_independence)
-register_lower_bound("xi", _reg_xi)
+register_lower_bound("p+delta", lambda core, upper: core.n + core.min_degree())
+register_lower_bound("p+edge-connectivity", lambda core, upper: core.n + edge_connectivity(core))
+register_lower_bound("independence", lambda core, upper: independence_lower_bound_str(core))
+register_lower_bound("xi", lambda core, upper: core.n + xi_profile(core).xi)
 register_lower_bound("hypercube", _reg_hypercube)
 register_lower_bound("two-regular", _reg_two_regular)

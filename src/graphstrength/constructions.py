@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bounds import (
-    DEFAULT_XI_I_MAX,
     HYPERCUBE_TABLE_UPPER,
     hypercube_lower_bound,
     hypercube_upper_bound,
@@ -209,7 +208,7 @@ def hypercube_certificate(n: int) -> StrengthCertificate:
         g, f = hypercube(2), Numbering(_Q2_BASE)
         for _ in range(2, n):
             g, f = double_bipartite(g, f)
-        lower = LowerBound("xi", hypercube_lower_bound(n), args=(DEFAULT_XI_I_MAX,))
+        lower = LowerBound("xi", hypercube_lower_bound(n))
         notes = ("doubled from a 4-cycle base numbering",)
     elif n <= 6:
         fx = load_fixture("q5" if n == 5 else "q6")

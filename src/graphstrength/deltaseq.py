@@ -236,16 +236,18 @@ class DeltaSearchResult:
 
 
 def _search(
-    g: Graph, mode: str, budget: int, root_degree: int | None, floor: float, target: float
+    g: Graph, mode: str, budget: int, root_degree: int | None, floor: float
 ) -> tuple[tuple[int, ...] | None, int, bool]:
-    """Depth-first search for the sequence whose worst prefix sum is largest.
+    """Depth-first search for the sequence whose worst prefix sum is largest,
+    up to 0.
 
     Candidates go by (degree, id), only minimum-degree ones in min-degree
     mode.  A branch is cut once its worst prefix sum cannot beat the
     incumbent, which starts at ``floor``; the search stops once the
-    incumbent reaches ``target``.  Returns (incumbent's choices or None,
-    nodes explored, complete); complete is False when the budget ran out
-    or the search, one call deep per stage, reached the recursion limit.
+    incumbent reaches 0, as no caller needs more.  Returns (incumbent's
+    choices or None, nodes explored, complete); complete is False when the
+    budget ran out or the search, one call deep per stage, reached the
+    recursion limit.
 
     A node holds ``levels``, one mask per residual degree 0..max degree
     (level 0: the stage's isolated vertices), so the (degree, id) order is
@@ -257,7 +259,7 @@ def _search(
     From stage 2 on, what lies below a node depends only on its vertex set
     (the mask): the best worst-prefix a continuation can add to the running
     total z is a function R(mask).  When a child's subtree was explored to
-    the end (no budget exit, no target return) and the child's running
+    the end (no budget exit, no return at 0) and the child's running
     minimum still beats the incumbent afterwards, branch and bound has
     proven R(child) <= best - z(child).  ``bound`` keeps the least such
     value per mask, and a later child whose z plus its mask's bound cannot
@@ -291,7 +293,7 @@ def _search(
     bound: dict[int, float] = {}
 
     def search(levels: list[int], residual: int, z: int, worst: float, stage: int) -> bool:
-        """Explore below this stage; True once the target is reached."""
+        """Explore below this stage; True once the incumbent reaches 0."""
         nonlocal nodes, best, best_choices
         m = levels[0].bit_count()
         r = residual.bit_count()
@@ -302,7 +304,7 @@ def _search(
             final = min(worst, z + m + 1 - max(r - 1, 0))
             if final > best:
                 best, best_choices = final, tuple(choices)
-            return best >= target
+            return best >= 0
         for d in range(dmin, dmin + 1 if min_degree else len(levels)):
             if stage == 1:
                 # stage 1 only fixes d_1; prefix sums start at stage 2
@@ -368,13 +370,14 @@ def find_delta_sequence(
 ) -> DeltaSearchResult:
     """Depth-first search for a sequence with all prefix sums nonnegative.
 
-    A stage whose running total already dipped below zero can never recover
-    admissibility, so such branches are cut immediately; the cut is exact, so
-    "exhausted" really means no admissible sequence exists.  In any-degree
+    The incumbent starts at -1, so a stage whose running total already
+    dipped below zero is cut at once: it can never recover admissibility.
+    The cut is exact, so "exhausted" really means no admissible sequence
+    exists, and the search stops at the first one it finds.  In any-degree
     mode, ``root_degree`` restricts the first chosen vertex's degree (useful
     when only d_1 = delta certifies an exact value).
     """
-    choices, nodes, complete = _search(g, mode, budget, root_degree, -1, 0)
+    choices, nodes, complete = _search(g, mode, budget, root_degree, -1)
     if choices is not None:
         return DeltaSearchResult("found", replay(g, choices, mode), nodes)
     return DeltaSearchResult("exhausted" if complete else "budget", None, nodes)
@@ -385,13 +388,14 @@ def best_z_sequence(
 ) -> tuple[DeltaSequence | None, int, bool]:
     """Any-degree sequence maximizing the worst prefix sum Z, up to Z = 0.
 
-    It stops at the first sequence with Z >= 0: a host uses only min(Z, 0).
-    Returns (sequence, nodes_explored, complete); ``complete`` is False when
-    the budget ran out, in which case the best sequence found so far (if any)
-    is still returned - any sequence is usable, a better one only shrinks the
-    host built from it.
+    The incumbent starts at -inf, so the first sequence found sets it, and
+    the search stops at the first one with Z >= 0: a host uses only
+    min(Z, 0).  Returns (sequence, nodes_explored, complete); ``complete``
+    is False when the budget ran out, in which case the best sequence found
+    so far (if any) is still returned - any sequence is usable, a better one
+    only shrinks the host built from it.
     """
-    choices, nodes, complete = _search(g, "any-degree", budget, root_degree, -inf, 0)
+    choices, nodes, complete = _search(g, "any-degree", budget, root_degree, -inf)
     seq = replay(g, choices, "any-degree") if choices is not None else None
     return seq, nodes, complete
 

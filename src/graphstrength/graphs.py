@@ -23,7 +23,7 @@ def _bits(mask: int) -> Iterator[int]:
 class Graph:
     """Immutable simple graph: ``adj[v]`` is the neighbor bitmask of ``v``."""
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "edge_count")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -38,6 +38,7 @@ class Graph:
             masks[v] |= 1 << u
         self.n = n
         self.adj = tuple(masks)
+        self.edge_count = sum(map(int.bit_count, masks)) // 2
 
     # -- basic accessors ---------------------------------------------------
 
@@ -55,10 +56,6 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v]
-
-    @property
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
 
     @property
     def full_mask(self) -> int:

@@ -92,8 +92,8 @@ def require(ok: bool, message: str) -> None:
 
 # -- certificates ------------------------------------------------------------
 
-# name -> fn(g, args, upper) -> int; populated by bounds/oracle modules at import.
-_LOWER_BOUND_REGISTRY: dict[str, Callable[[Graph, tuple, int | None], int]] = {}
+# name -> fn(core, upper) -> int; populated by bounds/oracle modules at import.
+_LOWER_BOUND_REGISTRY: dict[str, Callable[[Graph, int | None], int]] = {}
 
 
 class UnconfirmedBound(Exception):
@@ -105,10 +105,11 @@ class BudgetExhausted(Exception):
     counter and caught in its public function, which reports a status."""
 
 
-def register_lower_bound(name: str, fn: Callable[[Graph, tuple, int | None], int]) -> None:
-    """Register ``fn(g, args, upper)``, the bound's value on g.  ``upper`` is
-    None or the strength of a numbering of g, computed from g (so strength
-    <= upper); a bound may use it to reach its value more cheaply."""
+def register_lower_bound(name: str, fn: Callable[[Graph, int | None], int]) -> None:
+    """Register ``fn(core, upper)``, the bound's value on a graph with no
+    isolated vertices, at the library's own limits.  ``upper`` is None or the
+    strength of a numbering of the graph, computed from it (so strength <=
+    upper); a bound may use it to reach its value more cheaply."""
     _LOWER_BOUND_REGISTRY[name] = fn
 
 
@@ -116,45 +117,31 @@ def lower_bound_names() -> tuple[str, ...]:
     return tuple(sorted(_LOWER_BOUND_REGISTRY))
 
 
-def recompute_arg(args: tuple, default: int, what: str) -> int:
-    """A bound's recompute argument, or ``default`` when absent.  It comes
-    from untrusted certificate JSON, so anything but a non-negative int is
-    refused, and so is a larger search than the library default, before it
-    starts."""
-    if not args:
-        return default
-    value = args[0]
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
-    if value > default:
-        raise ValueError(f"{what} {value} exceeds the limit {default}")
-    return value
-
-
-def recompute_lower_bound(g: Graph, name: str, args: tuple, upper: int | None = None) -> int:
-    """The named bound's value on g; ``upper`` as in ``register_lower_bound``."""
+def recompute_lower_bound(g: Graph, name: str, upper: int | None = None) -> int:
+    """The named bound's value on g, computed on ``g.core()``: isolated
+    vertices touch no edge sum.  ``upper`` as in ``register_lower_bound``."""
     try:
         fn = _LOWER_BOUND_REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown lower bound {name!r}; known: {', '.join(lower_bound_names())}"
         ) from None
-    return fn(g, args, upper)
+    return fn(g.core()[0], upper)
 
 
 @dataclass(frozen=True)
 class LowerBound:
     name: str
     value: int
-    args: tuple = ()
 
     def to_json(self) -> dict:
-        return {"name": self.name, "value": self.value, "args": list(self.args)}
+        return {"name": self.name, "value": self.value}
 
     @staticmethod
     def from_json(obj: dict) -> "LowerBound":
-        return LowerBound(str(obj["name"]), _json_int(obj["value"], "lower bound value"),
-                          tuple(obj.get("args", ())))
+        # older certificates carry "args"; every bound now runs at the
+        # library's limits, so they are ignored
+        return LowerBound(str(obj["name"]), _json_int(obj["value"], "lower bound value"))
 
 
 @dataclass(frozen=True)
@@ -237,11 +224,11 @@ def verify_certificate(g: Graph, cert: StrengthCertificate) -> CertificateVerdic
         reasons.append(f"witness strength is {actual}, certificate claims {cert.upper}")
     recomputed: int | None = None
     try:
-        recomputed = recompute_lower_bound(g, cert.lower.name, cert.lower.args, actual)
+        recomputed = recompute_lower_bound(g, cert.lower.name, actual)
     except UnconfirmedBound as e:
         reasons.append(f"lower bound {cert.lower.name!r} unconfirmed: {e}")
         return CertificateVerdict("invalid", tuple(reasons))
-    except (TypeError, ValueError, OverflowError) as e:  # unknown name, malformed args
+    except ValueError as e:  # unknown name, or the graph is not the bound's kind
         reasons.append(str(e))
         return CertificateVerdict("invalid", tuple(reasons))
     if recomputed != cert.lower.value:

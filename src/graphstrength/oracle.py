@@ -46,7 +46,6 @@ from .labeling import (
     StrengthCertificate,
     UnconfirmedBound,
     extend_over_isolated,
-    recompute_arg,
     register_lower_bound,
 )
 
@@ -461,17 +460,17 @@ def stop_reason(res: FeasibilityResult | OracleResult, budget: int) -> str:
     return f"{spent} after {res.nodes_explored} nodes"
 
 
-def _search_bound(g: Graph, args: tuple, upper: int | None) -> int:
-    """The strength of g.  With ``upper``, a witness strength, it is upper
-    when the core's p + delta reaches it, when upper - 1 is refuted
-    (feasibility is monotone in t) or, should that refutation spend its
-    budget, when ``_scan_start``, the costlier lower bound, reaches upper.
-    So every exact ``exact_strength`` result verifies: it refuted upper - 1
-    with no more nodes, or upper is its scan start.  Otherwise, or when
-    upper - 1 is feasible, the full scan gives it."""
-    budget = recompute_arg(args, DEFAULT_BUDGET, "search budget")
-    core, _ = g.core()
-    if upper is not None and g.edge_count:
+def _search_bound(core: Graph, upper: int | None) -> int:
+    """The strength of the core, within ``DEFAULT_BUDGET`` nodes, read at
+    call time.  With ``upper``, a witness strength, it is upper when p +
+    delta reaches it, when upper - 1 is refuted (feasibility is monotone in
+    t) or, should that refutation spend its budget, when ``_scan_start``,
+    the costlier lower bound, reaches upper.  So every exact
+    ``exact_strength`` result verifies: it refuted upper - 1 with no more
+    nodes, or upper is its scan start.  Otherwise, or when upper - 1 is
+    feasible, the full scan gives it."""
+    budget = DEFAULT_BUDGET
+    if upper is not None and core.edge_count:
         if core.n + core.min_degree() >= upper:
             return upper
         res = feasible_at(core, upper - 1, budget)
@@ -479,7 +478,7 @@ def _search_bound(g: Graph, args: tuple, upper: int | None) -> int:
             return upper
         if res.status == "budget":
             raise UnconfirmedBound(f"{stop_reason(res, budget)} refuting threshold {upper - 1}")
-    res = exact_strength(g, budget=budget)
+    res = exact_strength(core, budget=budget)
     if res.status != "exact":
         raise UnconfirmedBound(f"{stop_reason(res, budget)} at [{res.lower}, {res.upper}]")
     return res.value

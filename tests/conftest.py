@@ -185,14 +185,15 @@ def _is_clique(g: Graph, mask: int) -> bool:
 
 
 def reference_search(
-    g: Graph, mode: str, budget: int, root_degree: int | None, floor: float, target: float
+    g: Graph, mode: str, budget: int, root_degree: int | None, floor: float
 ) -> tuple[tuple[int, ...] | None, int, bool]:
-    """Depth-first search for the sequence whose worst prefix sum is largest.
+    """Depth-first search for the sequence whose worst prefix sum is largest,
+    up to 0.
 
     Candidates go by (degree, id), only minimum-degree ones in min-degree
     mode.  A branch is cut once its worst prefix sum cannot beat the
     incumbent, which starts at ``floor``; the search stops once the
-    incumbent reaches ``target``.  Returns (incumbent's choices or None,
+    incumbent reaches 0.  Returns (incumbent's choices or None,
     nodes explored, complete); complete is False when the budget ran out.
     """
     if mode not in MODES:
@@ -209,7 +210,7 @@ def reference_search(
     choices: list[int] = []
 
     def search(mask: int, z: int, worst: float, stage: int) -> bool:
-        """Explore below this stage; True once the target is reached."""
+        """Explore below this stage; True once the incumbent reaches 0."""
         nonlocal nodes, best, best_choices
         iso, residual = _split_isolated(g, mask)
         m = iso.bit_count()
@@ -217,7 +218,7 @@ def reference_search(
             final = min(worst, z + m + 1 - max(residual.bit_count() - 1, 0))
             if final > best:
                 best, best_choices = final, tuple(choices)
-            return best >= target
+            return best >= 0
         degree = {v: (adj[v] & residual).bit_count() for v in _bits(residual)}
         pool = sorted(degree, key=degree.__getitem__)  # stable: ties by id
         if mode == "min-degree":

@@ -116,7 +116,7 @@ def test_criterion_2_hypercube_values():
         assert cert.lower.value == cert.upper == value
         # the lower bound really is the expansion bound, recomputed fresh
         assert cert.lower.name == "xi"
-        assert 2**n + xi_profile(hypercube(n), i_max=4).xi == value
+        assert 2**n + xi_profile(hypercube(n)).xi == value
         # the upper bound really is the doubling construction's yield
         assert cert.upper == hypercube_upper_bound(n)
         assert strength_of(hypercube(n), cert.witness) == value

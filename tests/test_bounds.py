@@ -88,12 +88,12 @@ def test_independence_bound_value():
 def test_xi_profile_closed_forms_on_cubes():
     expected = {2: [2, 2, 1], 3: [3, 4, 4, 3], 4: [4, 6, 7, 7], 5: [5, 8, 10, 11]}
     for n, want in expected.items():
-        prof = xi_profile(hypercube(n), i_max=4)
+        prof = xi_profile(hypercube(n))
         assert list(prof.x) == want[: len(prof.x)]
         assert all(prof.complete)
     # closed forms: x1=n, x2=2n-2, x3=3n-5, x4=4n-9
     for n in (3, 4, 5):
-        prof = xi_profile(hypercube(n), i_max=4)
+        prof = xi_profile(hypercube(n))
         assert prof.x[0] == n
         assert prof.x[1] == 2 * n - 2
         assert prof.x[2] == 3 * n - 5
@@ -208,19 +208,19 @@ def test_q7_xi_profile_complete_at_default_budget(capsys):
 
 
 def test_xi_budget_marks_incomplete():
-    prof = xi_profile(hypercube(5), i_max=4, budget=0)
+    prof = xi_profile(hypercube(5), budget=0)
     assert not any(prof.complete)
     with pytest.raises(UnconfirmedBound):
         prof.xi
-    full = xi_profile(hypercube(5), i_max=4)
+    full = xi_profile(hypercube(5))
     assert all(full.complete)
 
 
 def test_xi_values():
-    assert xi_profile(hypercube(2), i_max=4).xi == 2
-    assert xi_profile(hypercube(3), i_max=4).xi == 3
-    assert xi_profile(hypercube(4), i_max=4).xi == 5
-    assert xi_profile(star(4), i_max=4).xi == 1
+    assert xi_profile(hypercube(2)).xi == 2
+    assert xi_profile(hypercube(3)).xi == 3
+    assert xi_profile(hypercube(4)).xi == 5
+    assert xi_profile(star(4)).xi == 1
 
 
 def test_hypercube_bound_formulas():
@@ -357,7 +357,7 @@ def _assert_lower_entries_recompute(g: Graph) -> BoundsReport:
     report = bounds_report(g)
     for e in report.entries:
         if e.side == "lower":
-            assert recompute_lower_bound(g, e.name, e.args) == e.value, e
+            assert recompute_lower_bound(g, e.name) == e.value, e
     return report
 
 

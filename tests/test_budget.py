@@ -20,7 +20,6 @@ a "budget" status, never a RecursionError or a claim of exhaustion.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -164,19 +163,20 @@ def test_public_searches_report_a_spent_budget(monkeypatch):
     # certificate needs the refutation at 13
     g = petersen()
     cert = exact_strength(g).to_certificate()
-    starved = replace(cert, lower=LowerBound("search", cert.lower.value, (0,)))
-    verdict = verify_certificate(g, starved)
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 0)
+    verdict = verify_certificate(g, cert)
     assert cert.upper == 14
     assert verdict.status == "invalid" and "unconfirmed" in verdict.reasons[0]
     assert "refuting threshold 13" in verdict.reasons[0]
 
 
-def test_a_starved_search_certificate_needs_no_search_when_a_cheap_bound_reaches_it():
+def test_a_starved_search_certificate_needs_no_search_when_a_cheap_bound_reaches_it(
+        monkeypatch):
     # Q3: p + delta = 11 is already the witness strength, so budget 0 suffices
     cube = hypercube(3)
     cert = exact_strength(cube).to_certificate()
-    starved = replace(cert, lower=LowerBound("search", cert.lower.value, (0,)))
-    verdict = verify_certificate(cube, starved)
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 0)
+    verdict = verify_certificate(cube, cert)
     assert (verdict.status, verdict.reasons, verdict.recomputed_lower) == ("exact", (), 11)
 
 
@@ -201,7 +201,8 @@ def test_a_search_certificate_above_p_plus_delta_needs_one_refutation(monkeypatc
     monkeypatch.setattr(bounds, "independence_lower_bound_str", alpha_bound)
     for budget, alpha in ((0, [("alpha",)]), (1, [])):
         calls.clear()
-        verdict = verify_certificate(g, replace(cert, lower=LowerBound("search", 9, (budget,))))
+        monkeypatch.setattr(oracle, "DEFAULT_BUDGET", budget)
+        verdict = verify_certificate(g, cert)
         require((verdict.status, verdict.reasons, verdict.recomputed_lower) == ("exact", (), 9),
                 str(verdict))
         require(calls == [("refute", 8, budget), *alpha], f"budget {budget}: {calls}")
@@ -234,7 +235,7 @@ def test_a_search_bound_stopped_by_the_recursion_limit_says_so():
     with shallow_stack():
         verdict = verify_certificate(g, cert)
         with pytest.raises(UnconfirmedBound) as exc:
-            recompute_lower_bound(g, "search", ())
+            recompute_lower_bound(g, "search")
     require(verdict.status == "invalid" and re.fullmatch(
         r"lower bound 'search' unconfirmed: search stopped after \d+ nodes "
         r"refuting threshold 398", verdict.reasons[0]) is not None, str(verdict))

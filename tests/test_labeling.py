@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from graphstrength import labeling
+from graphstrength import labeling, oracle
 from graphstrength.constructions import hypercube_certificate, load_fixture
 from graphstrength.deltaseq import certify
 from graphstrength.graphs import (
@@ -25,7 +26,6 @@ from graphstrength.labeling import (
     UnconfirmedBound,
     extend_over_isolated,
     lower_bound_names,
-    recompute_arg,
     recompute_lower_bound,
     strength_of,
     to_dot,
@@ -33,7 +33,7 @@ from graphstrength.labeling import (
 )
 from graphstrength.oracle import exact_strength
 
-from conftest import random_graph
+from conftest import petersen, random_graph
 
 
 def test_strength_of_simple():
@@ -94,7 +94,7 @@ def test_registry_contains_all_bounds():
                      "xi", "hypercube", "two-regular", "search"):
         assert expected in names
     with pytest.raises(ValueError):
-        recompute_lower_bound(cycle(4), "made-up", ())
+        recompute_lower_bound(cycle(4), "made-up")
 
 
 def test_verify_certificate_accepts_good():
@@ -148,38 +148,40 @@ def test_verify_rejects_a_faulty_bound_one_above_the_witness(monkeypatch):
     # a bound that recomputes to exactly what it claims, one above the
     # witness strength: only the consistency check can catch it
     monkeypatch.setitem(labeling._LOWER_BOUND_REGISTRY, "faulty",
-                        lambda g, args, upper: upper + 1)
+                        lambda core, upper: upper + 1)
     cert = StrengthCertificate(LowerBound("faulty", 6), 5, Numbering((1, 2, 3)))
     verdict = verify_certificate(complete(3), cert)
     assert (verdict.status, verdict.reasons) == (
         "invalid", ("lower bound 6 exceeds witness strength 5; inconsistent",))
 
 
-def test_unconfirmed_bound_surfaces_as_invalid():
+def test_unconfirmed_bound_surfaces_as_invalid(monkeypatch):
     g = cycle(8)
     witness = Numbering(tuple(range(1, 9)))
     # the search bound with a hopeless budget cannot be recomputed
-    cert = StrengthCertificate(LowerBound("search", 10, args=(1,)), 16, witness)
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 1)
+    cert = StrengthCertificate(LowerBound("search", 10), 16, witness)
     verdict = verify_certificate(g, cert)
     assert verdict.status == "invalid"
     assert any("unconfirmed" in r for r in verdict.reasons)
 
 
-def test_search_bound_recomputes_exactly():
-    assert recompute_lower_bound(cycle(5), "search", ()) == 7
+def test_search_bound_recomputes_exactly(monkeypatch):
+    assert recompute_lower_bound(cycle(5), "search") == 7
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 1)
     with pytest.raises(UnconfirmedBound):
-        recompute_lower_bound(cycle(8), "search", (1,))
+        recompute_lower_bound(cycle(8), "search")
 
 
 def test_verify_refuses_an_independence_bound_on_a_core_above_the_cap(monkeypatch):
-    # the bound ignores its args: its one limit is the 40-vertex core
+    # the bound's one limit is the 40-vertex core
     def no_search(*_args):
         raise AssertionError("an over-limit core must not start the alpha search")
 
     def verdict(core: int) -> labeling.CertificateVerdict:
         g = disjoint_union(cycle(core), Graph(3, []))
         witness = Numbering(tuple(range(1, core + 4)))
-        lower = LowerBound("independence", 2 * core - 2 * (core // 2) + 1, args=(41,))
+        lower = LowerBound("independence", 2 * core - 2 * (core // 2) + 1)
         return verify_certificate(g, StrengthCertificate(lower, strength_of(g, witness), witness))
 
     assert verdict(40).status == "bracket"
@@ -188,54 +190,19 @@ def test_verify_refuses_an_independence_bound_on_a_core_above_the_cap(monkeypatc
         "invalid", ("41 vertices exceeds the independence cap 40",))
 
 
-@pytest.mark.parametrize("name, args, searcher", [
-    ("xi", (5,), "graphstrength.bounds.xi_profile"),
-    ("search", (2_000_001,), "graphstrength.oracle.exact_strength"),
-])
-def test_verify_refuses_oversized_recompute_arguments(monkeypatch, name, args, searcher):
-    def no_search(*_args, **_kwargs):
-        raise AssertionError("an over-limit argument must not start a search")
-
-    monkeypatch.setattr(searcher, no_search)
-    cert = StrengthCertificate(LowerBound(name, 8, args=args), 8, Numbering((1, 6, 2, 5, 3, 4)))
-    verdict = verify_certificate(cycle(6), cert)
-    assert verdict.status == "invalid"
-    assert any("exceeds the limit" in r for r in verdict.reasons)
-
-
-@pytest.mark.parametrize("args", [([4],), (float("inf"),), ("four",)])
-def test_verify_reports_malformed_recompute_arguments(args):
-    cert = StrengthCertificate(LowerBound("xi", 8, args=args), 8, Numbering((1, 6, 2, 5, 3, 4)))
-    assert verify_certificate(cycle(6), cert).status == "invalid"
-
-
-@pytest.mark.parametrize("arg", [True, False, 1.5, 4.0, -5, "4", None])
-def test_recompute_arg_refuses_anything_but_a_non_negative_int(arg):
-    with pytest.raises(ValueError, match="search budget must be a non-negative integer"):
-        recompute_arg((arg,), 100, "search budget")
-
-
-def test_recompute_arg_accepts_a_non_negative_int_up_to_the_limit():
-    assert recompute_arg((), 100, "search budget") == 100
-    assert recompute_arg((0,), 100, "search budget") == 0
-    assert recompute_arg((100,), 100, "search budget") == 100
-    with pytest.raises(ValueError, match="exceeds the limit 100"):
-        recompute_arg((101,), 100, "search budget")
-
-
-@pytest.mark.parametrize("arg", [True, 1.5, -5])
-def test_verify_rejects_a_malformed_budget_before_searching(monkeypatch, arg):
-    def no_search(*_args, **_kwargs):
-        raise AssertionError("a malformed argument must not start a search")
-
-    monkeypatch.setattr("graphstrength.oracle.feasible_at", no_search)
-    monkeypatch.setattr("graphstrength.oracle.exact_strength", no_search)
-    g = cycle(8)
-    cert = StrengthCertificate(LowerBound("search", 10, args=(arg,)), 10,
-                               Numbering((1, 8, 2, 7, 3, 6, 4, 5)))
-    verdict = verify_certificate(g, cert)
-    assert verdict.status == "invalid"
-    assert verdict.reasons == (f"search budget must be a non-negative integer, got {arg!r}",)
+@pytest.mark.parametrize("args", [[], [4], [5], [2_000_001], "four", None])
+def test_certificate_args_are_ignored(args):
+    # older certificates carry recompute arguments (xi's set size, search's
+    # budget); every bound now runs at the library's limits, so no value of
+    # them changes the certificate or its verdict
+    for g, cert in ((petersen(), exact_strength(petersen()).to_certificate()),
+                    (hypercube(3), hypercube_certificate(3))):
+        obj = cert.to_json()
+        assert "args" not in obj["lower"]
+        obj["lower"]["args"] = args
+        loaded = StrengthCertificate.loads(json.dumps(obj))
+        assert loaded == cert
+        assert verify_certificate(g, loaded).status == "exact"
 
 
 def test_every_emitted_certificate_verifies():

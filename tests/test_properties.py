@@ -15,10 +15,13 @@ from hypothesis import strategies as st
 from graphstrength import labeling
 from graphstrength.bounds import bounds_report
 from graphstrength.deltaseq import certify
+from graphstrength.graphs import Graph, disjoint_union
 from graphstrength.labeling import (
     LowerBound,
     Numbering,
     StrengthCertificate,
+    UnconfirmedBound,
+    lower_bound_names,
     recompute_lower_bound,
     require,
     strength_of,
@@ -44,6 +47,23 @@ def test_certify_certificates_reverify_on_their_host(g):
             assert verdict.status == res.certificate.status == res.status, (mode, embed)
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(max_n=7))
+def test_every_bound_recomputes_alike_with_isolated_vertices_added(g):
+    # recompute_lower_bound hands each bound the core: three isolated
+    # vertices change no value, and no refusal either
+    assume(g.edge_count > 0)
+    padded = disjoint_union(g, Graph(3))
+    for name in lower_bound_names():
+        outcomes = []
+        for h in (g, padded):
+            try:
+                outcomes.append(recompute_lower_bound(h, name))
+            except (ValueError, UnconfirmedBound) as e:
+                outcomes.append(f"{type(e).__name__}: {e}")
+        require(outcomes[0] == outcomes[1], f"{g.edges()} {name}: {outcomes}")
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_graphs(max_n=7))
 def test_bounds_sandwich_the_oracle_and_brute_force(g):
@@ -65,7 +85,7 @@ def verify_by_full_rerun(g, cert) -> labeling.CertificateVerdict:
     full = labeling.recompute_lower_bound
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(labeling, "recompute_lower_bound",
-                   lambda g, name, args, upper=None: full(g, name, args))
+                   lambda g, name, upper=None: full(g, name))
         return verify_certificate(g, cert)
 
 
@@ -79,10 +99,10 @@ def shuffled_numbering(g, rnd) -> Numbering:
 @given(small_graphs(max_n=7), st.randoms(use_true_random=False))
 def test_search_bound_with_a_witness_strength_equals_the_full_rerun(g, rnd):
     assume(g.edge_count > 0)
-    value = recompute_lower_bound(g, "search", ())
+    value = recompute_lower_bound(g, "search")
     require(value == brute_strength(g), f"{g.edges()}: search gives {value}")
     for upper in (value, strength_of(g, shuffled_numbering(g, rnd))):
-        got = recompute_lower_bound(g, "search", (), upper)
+        got = recompute_lower_bound(g, "search", upper)
         require(got == value, f"{g.edges()}: with upper {upper} the bound is {got}, not {value}")
 
 

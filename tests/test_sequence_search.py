@@ -29,9 +29,8 @@ from graphstrength.graphs import Graph
 
 from conftest import random_graph, reference_search, small_graphs, to_graph
 
-# (floor, target) of find_delta_sequence, of best_z_sequence, and of the
-# search for the exact maximum worst prefix sum
-BOUNDS = {"find": (-1, 0), "best-z": (-inf, 0), "max": (-inf, inf)}
+# the incumbent's starting floor in find_delta_sequence and in best_z_sequence
+FLOORS = {"find": -1, "best-z": -inf}
 
 
 def _core(g: Graph) -> Graph | None:
@@ -49,7 +48,7 @@ def _root(g: Graph, root: str) -> int | None:
     small_graphs(max_n=10),
     st.sampled_from(MODES),
     st.sampled_from(("none", "delta", "delta+1")),
-    st.sampled_from(sorted(BOUNDS)),
+    st.sampled_from(sorted(FLOORS)),
     st.one_of(st.integers(0, 40), st.just(10**6)),
 )
 def test_search_matches_the_reference(g, mode, root, kind, budget):
@@ -61,7 +60,7 @@ def test_search_matches_the_reference(g, mode, root, kind, budget):
     small_graphs(max_n=10),
     st.sampled_from(MODES),
     st.sampled_from(("none", "delta", "delta+1")),
-    st.sampled_from(sorted(BOUNDS)),
+    st.sampled_from(sorted(FLOORS)),
     st.one_of(st.integers(0, 40), st.just(10**6)),
     st.sampled_from((0, 1, 8)),
 )
@@ -74,7 +73,7 @@ def test_capped_table_matches_the_reference(g, mode, root, kind, budget, cap):
 def _check_against_the_reference(g, mode, root, kind, budget):
     g = _core(g)
     assume(g is not None)
-    args = (mode, budget, _root(g, root), *BOUNDS[kind])
+    args = (mode, budget, _root(g, root), FLOORS[kind])
     ref = ref_choices, ref_nodes, ref_complete = reference_search(g, *args)
     choices, nodes, complete = deltaseq._search(g, *args)
     if deltaseq.BOUND_TABLE_CAP == 0:
@@ -84,7 +83,7 @@ def _check_against_the_reference(g, mode, root, kind, budget):
         assert complete and choices == ref_choices
     if complete and not ref_complete:
         # an answer the reference only reaches with more budget
-        unlimited = (mode, 10**6, _root(g, root), *BOUNDS[kind])
+        unlimited = (mode, 10**6, _root(g, root), FLOORS[kind])
         assert choices == reference_search(g, *unlimited)[0]
 
 
@@ -122,8 +121,8 @@ def _check_larger_random_graphs():
 def _check_complete_searches(g):
     for mode in MODES:
         for root_degree in (None, g.min_degree()):
-            for floor, target in BOUNDS.values():
-                args = (mode, 10**6, root_degree, floor, target)
+            for floor in FLOORS.values():
+                args = (mode, 10**6, root_degree, floor)
                 ref = ref_choices, ref_nodes, _ = reference_search(g, *args)
                 choices, nodes, complete = deltaseq._search(g, *args)
                 assert complete and choices == ref_choices and nodes <= ref_nodes
@@ -173,13 +172,14 @@ def test_search_finds_the_brute_force_optimum(g):
         for root in ("none", "delta", "delta+1"):
             root_degree = _root(g, root)
             brute = brute_best_worst_prefix(g, mode, root_degree)
-            choices, _, complete = deltaseq._search(g, mode, 10**6, root_degree, -inf, inf)
+            # the search stops at its first sequence with worst prefix >= 0
+            choices, _, complete = deltaseq._search(g, mode, 10**6, root_degree, -inf)
             assert complete
             if choices is None:
                 assert brute == -inf
             else:
                 seq = replay(g, choices, mode)
-                assert seq.min_prefix == brute
+                assert min(seq.min_prefix, 0) == min(brute, 0)
                 assert root_degree is None or seq.d1 == root_degree
             found = find_delta_sequence(g, mode, 10**6, root_degree).status == "found"
             assert found == (brute >= 0)
