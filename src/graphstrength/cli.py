@@ -57,7 +57,7 @@ from .labeling import (
     to_dot,
     verify_certificate,
 )
-from .oracle import DEFAULT_BUDGET as EXACT_BUDGET, exact_strength, stop_reason
+from .oracle import exact_strength, stop_reason
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -194,7 +194,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_label(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     try:
-        res = certify(g, args.mode, args.budget, args.embed)
+        res = certify(g, args.budget, args.embed)
     except ValueError as e:
         raise InputError(str(e)) from None
     if res.added_biclique is not None:
@@ -237,7 +237,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     try:
-        res = exact_strength(g, budget=args.budget)
+        res = exact_strength(g)
     except ValueError as e:
         raise InputError(str(e)) from None
     if res.status == "exact":
@@ -252,7 +252,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
                           "nodes_explored": res.nodes_explored}, indent=2, sort_keys=True))
     else:
         print(f"inconclusive: strength in [{res.lower}, {res.upper}] "
-              f"({stop_reason(res, args.budget)})")
+              f"({stop_reason(res)})")
     return EXIT_INCONCLUSIVE
 
 
@@ -486,9 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("label", help="construct a certified numbering")
     _add_graph_arguments(sub)
-    sub.add_argument("--mode", choices=("auto", "min-degree", "any-degree"),
-                     default="auto",
-                     help="auto tries closed forms first, then both engines")
     sub.add_argument("--budget", type=non_negative_int, default=DEFAULT_BUDGET)
     sub.add_argument("--embed", action="store_true",
                      help="if the graph itself resists, certify it inside a host")
@@ -498,8 +495,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("exact", help="exhaustive search within a node budget")
     _add_graph_arguments(sub)
-    sub.add_argument("--budget", type=non_negative_int, default=EXACT_BUDGET,
-                     help="node budget, at most the default")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_exact)
 

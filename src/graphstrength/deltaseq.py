@@ -26,11 +26,11 @@ table only saves nodes and never changes what a completed search returns.
 It stops taking new sets at ``BOUND_TABLE_CAP`` entries, which bounds its
 memory.
 
-``certify`` is the labeling pipeline: closed forms, then one sequence
+``certify`` is the one labeling pipeline: closed forms, then one sequence
 stage (the min-degree engine, then one any-degree search rooted at a
 minimum-degree vertex, best-Z with ``embed``, which certifies the graph
 itself or sizes a biclique host); the ``label`` command only formats its
-result.
+result.  ``embed_minimal`` is its embed route without the closed forms.
 """
 
 from __future__ import annotations
@@ -577,40 +577,37 @@ def _closed_form_certificate(h: Graph) -> StrengthCertificate | None:
 def embed_minimal(h: Graph, budget: int = DEFAULT_BUDGET) -> EmbedResult:
     """Certify strength p + delta for h itself or for h plus one biclique.
 
-    This is the min-degree embed path of ``certify``, for a graph with no
-    isolated vertex: a complete graph short-circuits, then a minimum-degree
-    sequence of h, then one best-Z search that certifies h itself or sizes
-    the biclique host, each search with the full budget.
+    The embed route of ``certify`` without its closed forms, for a graph
+    with no isolated vertex: a complete graph short-circuits, then
+    ``_sequence_stage`` runs with ``embed``.
     """
     if h.edge_count == 0 or not all(h.adj[v] for v in range(h.n)):
         raise ValueError("host must have minimum degree at least 1")
-    return certify(h, "min-degree", budget, embed=True)
+    cert = _complete_certificate(h)
+    if cert is not None:
+        return EmbedResult(cert.status, h, cert, None, None, 0)
+    return _sequence_stage(h, budget, True)
 
 
-def _sequence_stage(h: Graph, mode: str, budget: int, embed: bool) -> EmbedResult:
+def _sequence_stage(h: Graph, budget: int, embed: bool) -> EmbedResult:
     """The sequence searches, each with the full budget: the min-degree
-    engine unless the mode is any-degree, then one any-degree search rooted
-    at a minimum-degree vertex unless the mode is min-degree without
-    ``embed``.  Without ``embed`` that search keeps only sequences with
-    Z >= 0; with it, best-Z keeps the largest Z however negative.  Z >= 0
-    certifies h itself at p + delta, and Z < 0 certifies h plus
-    K_{delta, d_1 - Z} at |union| + delta exactly."""
+    engine, then one any-degree search rooted at a minimum-degree vertex.
+    Without ``embed`` that search keeps only sequences with Z >= 0; with
+    it, best-Z keeps the largest Z however negative.  Z >= 0 certifies h
+    itself at p + delta, and Z < 0 certifies h plus K_{delta, d_1 - Z} at
+    |union| + delta exactly."""
     delta = h.min_degree()
-    spent = 0
-    if mode != "any-degree":
-        res = find_delta_sequence(h, "min-degree", budget)
-        spent = res.nodes_explored
-        if res.status == "found":
-            return _sequence_result(h, res.sequence,
-                                    f"min-degree sequence: {res.sequence.render()}", spent)
-    h_seq = None
+    res = find_delta_sequence(h, "min-degree", budget)
+    spent = res.nodes_explored
+    if res.status == "found":
+        return _sequence_result(h, res.sequence,
+                                f"min-degree sequence: {res.sequence.render()}", spent)
     if embed:
         h_seq, nodes, _ = best_z_sequence(h, budget, root_degree=delta)
-        spent += nodes
-    elif mode != "min-degree":
+    else:
         res = find_delta_sequence(h, "any-degree", budget, root_degree=delta)
-        h_seq = res.sequence
-        spent += res.nodes_explored
+        h_seq, nodes = res.sequence, res.nodes_explored
+    spent += nodes
     if h_seq is None:
         return EmbedResult("inconclusive", h, None, None, None, spent)
     if h_seq.min_prefix >= 0:
@@ -624,32 +621,25 @@ def _sequence_stage(h: Graph, mode: str, budget: int, embed: bool) -> EmbedResul
     return _sequence_result(union, seq, note, spent, (m, n))
 
 
-def certify(
-    g: Graph, mode: str = "auto", budget: int = DEFAULT_BUDGET, embed: bool = False
-) -> EmbedResult:
+def certify(g: Graph, budget: int = DEFAULT_BUDGET, embed: bool = False) -> EmbedResult:
     """Certified strength of g: the one labeling pipeline.
 
-    Sets isolated vertices aside and certifies a complete graph, in every
-    mode.  ``auto`` then tries the closed forms (cycle unions, forests,
-    recognized cubes).  Every mode then runs ``_sequence_stage``, which
-    with ``embed`` certifies either the input itself or the input plus one
-    biclique on the next ids.  The witness is lifted back over the isolated
-    vertices, which take the top labels.  Budget rule: each search gets the
-    full ``budget``.  Raises ValueError on a graph with no edges or an
-    unknown mode.
+    Sets isolated vertices aside, certifies a complete graph, then tries
+    the closed forms (cycle unions, forests, recognized cubes), then runs
+    ``_sequence_stage``, which with ``embed`` certifies either the input
+    itself or the input plus one biclique on the next ids.  The witness is
+    lifted back over the isolated vertices, which take the top labels.
+    Budget rule: each search gets the full ``budget``.  Raises ValueError
+    on a graph with no edges.
     """
-    if mode not in ("auto",) + MODES:
-        raise ValueError(f"mode must be 'auto' or one of {MODES}")
     core, _ = g.core()
     if core.n == 0:
         raise ValueError("graph has no edges; strength is undefined")
-    cert = _complete_certificate(core)
-    if cert is None and mode == "auto":
-        cert = _closed_form_certificate(core)
+    cert = _complete_certificate(core) or _closed_form_certificate(core)
     if cert is not None:
         res = EmbedResult(cert.status, core, cert, None, None, 0)
     else:
-        res = _sequence_stage(core, mode, budget, embed)
+        res = _sequence_stage(core, budget, embed)
     if core is g or res.certificate is None:
         return res
     host = g

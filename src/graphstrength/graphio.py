@@ -122,9 +122,11 @@ def write_graph6(g: Graph) -> str:
 
 
 def read_edgelist(text: str) -> Graph:
-    """Parse the ``n m`` / ``u v`` edge-list format."""
+    """Parse the ``n m`` / ``u v`` edge-list format; an edge may appear once,
+    in either orientation."""
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
+    first_line: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -149,6 +151,9 @@ def read_edgelist(text: str) -> Graph:
             raise EdgeListError(lineno, f"endpoint out of range 0..{header[0] - 1}")
         if a == b:
             raise EdgeListError(lineno, "loops are not allowed")
+        seen = first_line.setdefault((min(a, b), max(a, b)), lineno)
+        if seen != lineno:
+            raise EdgeListError(lineno, f"edge {a} {b} repeats the edge on line {seen}")
         edges.append((a, b))
     if header is None:
         raise EdgeListError(1, "missing 'n m' header line")

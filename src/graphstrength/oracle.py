@@ -425,26 +425,25 @@ def _scan_start(core: Graph) -> int:
     return max(start, independence_lower_bound_str(core)) if core.n <= DEFAULT_ALPHA_CAP else start
 
 
-def exact_strength(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
+def exact_strength(g: Graph) -> OracleResult:
     """Exact strength by scanning thresholds upward from a lower bound.
 
     Isolated vertices are split off first (they never affect edge sums) and
     re-attached to the witness afterwards.  The scan starts at the core's
     ``_scan_start``, so the first feasible threshold is exact: every smaller
-    one is below it or refuted exhaustively.  The budget is capped at
-    ``DEFAULT_BUDGET``, the most ``verify`` spends, so every refutation
-    behind an exact result reruns there.  When a search stops on the budget
-    or the recursion limit, the result is the honest bracket [first
-    unrefuted threshold, 2p'-1], p' the non-isolated count.
+    one is below it or refuted exhaustively.  The scan spends at most
+    ``DEFAULT_BUDGET`` nodes, read at call time, which is what ``verify``
+    spends, so every refutation behind an exact result reruns there.  When
+    a search stops on the budget or the recursion limit, the result is the
+    honest bracket [first unrefuted threshold, 2p'-1], p' the non-isolated
+    count.
     """
     if g.edge_count == 0:
         raise ValueError("strength is undefined for graphs with no edges")
-    if budget > DEFAULT_BUDGET:
-        raise ValueError(f"budget {budget} exceeds the limit {DEFAULT_BUDGET}")
     core, _ = g.core()
     total = 0
     for t in range(_scan_start(core), 2 * core.n):
-        res = feasible_at(core, t, budget - total)
+        res = feasible_at(core, t, DEFAULT_BUDGET - total)
         total += res.nodes_explored
         if res.status == "feasible":
             witness = extend_over_isolated(g, res.witness)
@@ -454,9 +453,10 @@ def exact_strength(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     raise AssertionError("threshold 2p-1 is always feasible")  # pragma: no cover
 
 
-def stop_reason(res: FeasibilityResult | OracleResult, budget: int) -> str:
-    """Why a search ended in "budget": the recursion limit stops one within budget."""
-    spent = "budget exhausted" if res.nodes_explored > budget else "search stopped"
+def stop_reason(res: FeasibilityResult | OracleResult) -> str:
+    """Why a search ended in "budget": past ``DEFAULT_BUDGET`` nodes, read
+    at call time, or stopped within it by the recursion limit."""
+    spent = "budget exhausted" if res.nodes_explored > DEFAULT_BUDGET else "search stopped"
     return f"{spent} after {res.nodes_explored} nodes"
 
 
@@ -469,18 +469,17 @@ def _search_bound(core: Graph, upper: int | None) -> int:
     ``exact_strength`` result verifies: it refuted upper - 1 with no more
     nodes, or upper is its scan start.  Otherwise, or when upper - 1 is
     feasible, the full scan gives it."""
-    budget = DEFAULT_BUDGET
     if upper is not None and core.edge_count:
         if core.n + core.min_degree() >= upper:
             return upper
-        res = feasible_at(core, upper - 1, budget)
+        res = feasible_at(core, upper - 1, DEFAULT_BUDGET)
         if res.status == "infeasible" or res.status == "budget" and _scan_start(core) >= upper:
             return upper
         if res.status == "budget":
-            raise UnconfirmedBound(f"{stop_reason(res, budget)} refuting threshold {upper - 1}")
-    res = exact_strength(core, budget=budget)
+            raise UnconfirmedBound(f"{stop_reason(res)} refuting threshold {upper - 1}")
+    res = exact_strength(core)
     if res.status != "exact":
-        raise UnconfirmedBound(f"{stop_reason(res, budget)} at [{res.lower}, {res.upper}]")
+        raise UnconfirmedBound(f"{stop_reason(res)} at [{res.lower}, {res.upper}]")
     return res.value
 
 

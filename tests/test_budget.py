@@ -150,9 +150,11 @@ def test_complete_and_balanced_bipartite_graphs_are_proven_transitive():
 def test_public_searches_report_a_spent_budget(monkeypatch):
     # none of these raises: each search turns its exhaustion into a status
     q4 = hypercube(4)
-    res = exact_strength(q4, budget=0)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "DEFAULT_BUDGET", 0)
+        res = exact_strength(q4)
     assert (res.status, res.lower, res.upper, res.nodes_explored) == ("bracket", 20, 31, 1)
-    for res in (certify(q4, "min-degree", budget=0, embed=True), embed_minimal(q4, budget=0)):
+    for res in (certify(petersen(), budget=0, embed=True), embed_minimal(q4, budget=0)):
         assert (res.status, res.nodes_explored) == ("inconclusive", 2)
     assert not any(xi_profile(hypercube(5), budget=0).complete)
     monkeypatch.setattr(bounds, "xi_profile", lambda core: xi_profile(core, budget=0))

@@ -16,7 +16,7 @@ import graphstrength
 from graphstrength import deltaseq, oracle
 from graphstrength.cli import EXIT_INPUT, _build_parser, main
 from graphstrength.graphio import MAX_EDGELIST_VERTICES, parse_graph6, write_edgelist, write_graph6
-from graphstrength.graphs import Graph, complete_bipartite, cycle, disjoint_union, hypercube
+from graphstrength.graphs import Graph, complete_bipartite, cycle, disjoint_union
 from graphstrength.labeling import LowerBound, StrengthCertificate, require, verify_certificate
 
 from conftest import shallow_stack
@@ -54,6 +54,16 @@ def test_bounds_takes_no_limit_flags(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--family", "cycle:7", flag, "4"])
     require(exc.value.code == EXIT_INPUT, f"{flag}: exit {exc.value.code}")
+    err = capsys.readouterr().err
+    require(f"unrecognized arguments: {flag} 4" in err, err)
+
+
+@pytest.mark.parametrize("command, flag", [("label", "--mode"), ("exact", "--budget")])
+def test_label_has_no_mode_and_exact_no_budget(capsys, command, flag):
+    # label runs one pipeline, and exact spends the budget verify recomputes with
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--family", "cycle:7", flag, "4"])
+    require(exc.value.code == EXIT_INPUT, f"{command} {flag}: exit {exc.value.code}")
     err = capsys.readouterr().err
     require(f"unrecognized arguments: {flag} 4" in err, err)
 
@@ -136,7 +146,7 @@ def test_label_hypercube_six_is_inconclusive(capsys):
 
 
 def test_label_recognizes_scrambled_cube(capsys):
-    # auto mode spots the cube even under --graph6 input and certifies 21
+    # label spots the cube even under --graph6 input and certifies 21
     code, out, _ = run(capsys, "label", "--family", "hypercube:4")
     assert code == 0
     assert "strength: 21 (exact)" in out
@@ -144,25 +154,23 @@ def test_label_recognizes_scrambled_cube(capsys):
 
 
 def test_label_embed(capsys):
-    # min-degree alone cannot finish Q4; --embed certifies it inside a host
-    code, out, _ = run(capsys, "label", "--family", "hypercube:4",
-                       "--mode", "min-degree", "--embed")
+    # no sequence certifies Petersen itself; --embed certifies it inside a host
+    code, out, _ = run(capsys, "label", "--graph6", PETERSEN_G6, "--embed")
     assert code == 0
-    assert "K_{4,5}" in out
-    assert "strength 29 (exact)" in out
+    assert "K_{3,4}" in out
+    assert "strength 20 (exact)" in out
 
 
 def test_label_embed_host_is_input_plus_biclique(capsys, tmp_path):
     # the isolated vertex stays in the host and takes the top label
-    g = disjoint_union(hypercube(4), Graph(1, []))
-    code, out, _ = run(capsys, "label", "--graph6", write_graph6(g),
-                       "--mode", "min-degree", "--embed", "--json")
+    g = disjoint_union(parse_graph6(PETERSEN_G6), Graph(1, []))
+    code, out, _ = run(capsys, "label", "--graph6", write_graph6(g), "--embed", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["added_biclique"] == [4, 5]
+    assert payload["added_biclique"] == [3, 4]
     host = parse_graph6(payload["host_graph6"])
-    assert host == disjoint_union(g, complete_bipartite(4, 5))
-    assert payload["certificate"]["witness"]["labels"][16] == 26
+    assert host == disjoint_union(g, complete_bipartite(3, 4))
+    assert payload["certificate"]["witness"]["labels"][10] == 18
     cert_file = tmp_path / "cert.json"
     cert_file.write_text(json.dumps(payload["certificate"]))
     code, out, _ = run(capsys, "verify", "--graph6", payload["host_graph6"],
@@ -173,21 +181,19 @@ def test_label_embed_host_is_input_plus_biclique(capsys, tmp_path):
 def test_label_embed_without_biclique_prints_plain_certificate(capsys):
     # min-degree exhausts on example22, but the any-degree engine certifies
     # the input itself, so no host is reported
-    code, out, _ = run(capsys, "label", "--fixture", "example22",
-                       "--mode", "min-degree", "--embed")
+    code, out, _ = run(capsys, "label", "--fixture", "example22", "--embed")
     assert code == 0
     assert "strength: 17 (exact)" in out and "any-degree sequence" in out
     assert "host" not in out
 
-    code, out, _ = run(capsys, "label", "--fixture", "example22",
-                       "--mode", "min-degree", "--embed", "--json")
+    code, out, _ = run(capsys, "label", "--fixture", "example22", "--embed", "--json")
     payload = json.loads(out)
     assert "embedded" not in payload and payload["upper"] == 17
 
 
+# a complete graph is certified before any search runs, so no budget matters
 @pytest.mark.parametrize("flags", [
-    ("--mode", "min-degree"), ("--mode", "any-degree"),
-    ("--mode", "min-degree", "--embed"), ("--mode", "any-degree", "--embed"),
+    (), ("--embed",), ("--budget", "0"), ("--embed", "--budget", "0"),
 ])
 def test_label_complete_graph_in_every_mode(capsys, flags):
     code, out, _ = run(capsys, "label", "--family", "complete:5", *flags)
@@ -196,16 +202,14 @@ def test_label_complete_graph_in_every_mode(capsys, flags):
 
 
 def test_label_inconclusive_prints_bounds_to_stderr(capsys):
-    code, out, err = run(capsys, "label", "--family", "hypercube:4",
-                         "--mode", "min-degree")
+    code, out, err = run(capsys, "label", "--graph6", PETERSEN_G6)
     assert code == 3
     assert out == ""
     assert "best bounds" in err and "--embed" in err
 
 
 def test_label_embed_inconclusive_reports_nodes_not_a_spent_budget(capsys):
-    code, out, err = run(capsys, "label", "--family", "hypercube:4",
-                         "--mode", "min-degree", "--embed", "--budget", "0")
+    code, out, err = run(capsys, "label", "--graph6", PETERSEN_G6, "--embed", "--budget", "0")
     assert code == 3 and out == ""
     assert err == "inconclusive: no certificate after 2 search nodes\n"
 
@@ -219,18 +223,19 @@ def test_exact_small(capsys):
     assert "exact strength: 7" in out
 
 
-def test_exact_budget_bracket(capsys):
-    code, out, _ = run(capsys, "exact", "--family", "hypercube:4",
-                       "--budget", "10", "--json")
+def test_exact_budget_bracket(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 10)
+    code, out, _ = run(capsys, "exact", "--family", "hypercube:4", "--json")
     assert code == 3
     payload = json.loads(out)
     assert payload["status"] == "bracket"
     assert payload["lower"] <= 21 <= payload["upper"]
 
 
-def test_exact_bracket_says_why_the_search_stopped(capsys):
-    code, out, _ = run(capsys, "exact", "--family", "hypercube:4",
-                       "--budget", "10")
+def test_exact_bracket_says_why_the_search_stopped(capsys, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "DEFAULT_BUDGET", 10)
+        code, out, _ = run(capsys, "exact", "--family", "hypercube:4")
     assert code == 3
     assert out == "inconclusive: strength in [20, 31] (budget exhausted after 11 nodes)\n"
     with shallow_stack():
@@ -243,9 +248,11 @@ def test_exact_has_no_vertex_cap_but_a_budget_limit(capsys):
     code, out, _ = run(capsys, "exact", "--family", "complete:20")
     assert code == 0
     assert "exact strength: 39" in out
-    code, _, err = run(capsys, "exact", "--family", "cycle:5", "--budget", "2000001")
-    assert code == 2
-    assert "budget 2000001 exceeds the limit 2000000" in err
+    # the budget is the one verify recomputes with; none above it can be asked for
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--family", "cycle:5", "--budget", "2000001"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 2000001" in capsys.readouterr().err
 
 
 # -- verify ------------------------------------------------------------------------
@@ -452,19 +459,17 @@ def test_edgeless_graph_rejected(capsys):
 
 
 def test_parser_defaults_are_library_constants():
-    # verify refuses recompute arguments above these constants, so the CLI
-    # defaults must be the constants themselves
+    # label's budget defaults to the library's; exact has none to set
     parse = _build_parser().parse_args
-    args = parse(["exact", "--family", "cycle:5"])
-    assert args.budget == oracle.DEFAULT_BUDGET
+    assert not hasattr(parse(["exact", "--family", "cycle:5"]), "budget")
     assert parse(["label", "--family", "cycle:5"]).budget == deltaseq.DEFAULT_BUDGET
 
 
-# the budget is refused whichever engine or output the other flags pick
+# the budget is refused whichever route or output the other flags pick
 @pytest.mark.parametrize("argv", [
-    ["label", "--budget"], ["exact", "--budget"],
-    ["label", "--embed", "--budget"], ["label", "--mode", "any-degree", "--budget"],
-    ["exact", "--json", "--budget"],
+    ["label", "--budget"], ["label", "--json", "--budget"],
+    ["label", "--embed", "--budget"], ["label", "--dot", "-", "--budget"],
+    ["label", "--embed", "--json", "--budget"],
 ])
 def test_numeric_flags_refuse_negative_values(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 
 from graphstrength import deltaseq
@@ -241,37 +242,36 @@ def test_certify_routes():
     assert res.host == g and res.certificate.value == 7
     assert res.certificate.witness.labels[5:] == (6, 7)
 
-    # closed forms in auto mode only; the named engine certifies C6 itself
+    # closed forms come first; embed_minimal skips them and certifies C6
+    # by its min-degree sequence
     assert certify(cycle(6)).certificate.notes[0].startswith("cycles")
-    assert certify(cycle(6), "min-degree").certificate.notes[0].startswith("min-degree")
+    assert embed_minimal(cycle(6)).certificate.notes[0].startswith("min-degree")
     assert certify(hypercube(6)).status == "bracket"
 
-    # Q4 resists the engines; embed certifies it inside a host
-    assert certify(hypercube(4), "min-degree").status == "inconclusive"
-    res = certify(hypercube(4), "min-degree", embed=True)
-    assert res.added_biclique == (4, 5) and res.certificate.value == 29
+    # Petersen resists the engines; embed certifies it inside a host
+    assert certify(petersen()).status == "inconclusive"
+    res = certify(petersen(), embed=True)
+    assert res.added_biclique == (3, 4) and res.certificate.value == 20
 
     with pytest.raises(ValueError):
         certify(Graph(3, []))
-    with pytest.raises(ValueError):
-        certify(cycle(5), "greedy")
 
 
 def test_certify_embed_host_keeps_isolated_vertices():
-    g = disjoint_union(hypercube(4), Graph(1, []))
-    res = certify(g, "min-degree", embed=True)
-    assert res.added_biclique == (4, 5)
-    assert res.host.n == 26
-    assert res.host == disjoint_union(g, complete_bipartite(4, 5))
-    assert res.certificate.witness.labels[16] == 26
-    assert res.certificate.value == 29
+    g = disjoint_union(petersen(), Graph(1, []))
+    res = certify(g, embed=True)
+    assert res.added_biclique == (3, 4)
+    assert res.host.n == 18
+    assert res.host == disjoint_union(g, complete_bipartite(3, 4))
+    assert res.certificate.witness.labels[10] == 18
+    assert res.certificate.value == 20
     assert verify_certificate(res.host, res.certificate).status == "exact"
 
 
 def test_any_degree_embed_runs_each_engine_once(monkeypatch):
     # one best-Z search with the full budget answers both "does h certify
-    # itself" and "how large a host", in every mode; any-degree mode runs no
-    # engine before it, and the biclique's sequence is built, not searched
+    # itself" and "how large a host"; only the min-degree engine runs before
+    # it, and the biclique's sequence is built, not searched
     finds, best_z_budgets = [], []
     find, best_z = deltaseq.find_delta_sequence, deltaseq.best_z_sequence
 
@@ -285,25 +285,18 @@ def test_any_degree_embed_runs_each_engine_once(monkeypatch):
 
     monkeypatch.setattr(deltaseq, "find_delta_sequence", counting_find)
     monkeypatch.setattr(deltaseq, "best_z_sequence", recording_best_z)
-    for mode in ("auto", "min-degree", "any-degree"):
-        finds.clear()
-        best_z_budgets.clear()
-        res = certify(petersen(), mode, budget=10**6, embed=True)
-        assert res.added_biclique == (3, 4) and res.certificate.value == 20
-        assert best_z_budgets == [10**6]
-        assert finds == ([] if mode == "any-degree" else [(10, "min-degree")])
+    res = certify(petersen(), budget=10**6, embed=True)
+    assert res.added_biclique == (3, 4) and res.certificate.value == 20
+    assert best_z_budgets == [10**6]
+    assert finds == [(10, "min-degree")]
 
 
-@pytest.mark.parametrize("mode, embed, searches", [
-    ("auto", False, [("min-degree", None), ("any-degree", 3)]),
-    ("min-degree", False, [("min-degree", None)]),
-    ("any-degree", False, [("any-degree", 3)]),
-    ("auto", True, [("min-degree", None), ("best-Z", 3)]),
-    ("min-degree", True, [("min-degree", None), ("best-Z", 3)]),
-    ("any-degree", True, [("best-Z", 3)]),
+@pytest.mark.parametrize("embed, searches", [
+    (False, [("min-degree", None), ("any-degree", 3)]),
+    (True, [("min-degree", None), ("best-Z", 3)]),
 ])
-def test_certify_runs_one_sequence_stage(monkeypatch, mode, embed, searches):
-    # Petersen resists every engine, so each mode runs all of its searches,
+def test_certify_runs_one_sequence_stage(monkeypatch, embed, searches):
+    # Petersen resists every engine, so the stage runs both of its searches,
     # each on the input itself with the full budget
     calls = []
     find, best_z = deltaseq.find_delta_sequence, deltaseq.best_z_sequence
@@ -318,7 +311,7 @@ def test_certify_runs_one_sequence_stage(monkeypatch, mode, embed, searches):
 
     monkeypatch.setattr(deltaseq, "find_delta_sequence", recording_find)
     monkeypatch.setattr(deltaseq, "best_z_sequence", recording_best_z)
-    res = certify(petersen(), mode, budget=1000, embed=embed)
+    res = certify(petersen(), budget=1000, embed=embed)
     assert calls == [(10, 1000, *call) for call in searches]
     assert (res.added_biclique, res.status) == (((3, 4), "exact") if embed
                                                 else (None, "inconclusive"))
@@ -327,7 +320,7 @@ def test_certify_runs_one_sequence_stage(monkeypatch, mode, embed, searches):
 @pytest.mark.parametrize("embed", [False, True])
 def test_any_degree_certify_gives_the_worked_example_numbering(embed):
     fx = load_fixture("example22")
-    res = certify(fx.graph, "any-degree", embed=embed)
+    res = certify(fx.graph, embed=embed)
     assert res.added_biclique is None and res.host == fx.graph
     assert res.certificate.notes[0].startswith("any-degree sequence")
     assert res.certificate.value == 17 and res.certificate.witness == fx.numbering
@@ -338,8 +331,9 @@ def test_any_degree_certify_gives_the_worked_example_numbering(embed):
     ("q4", True, 3),  # best-Z, the biclique's sequence, the spliced sequence
 ])
 def test_certify_replays_each_sequence_once(monkeypatch, name, embed, replays):
-    # every sequence certify labels comes out of replay; labeling it must
-    # not replay it again
+    # every sequence the pipeline labels comes out of replay; labeling it
+    # must not replay it again.  Q4 takes the embed route without the cube's
+    # closed form.
     g = hypercube(4) if name == "q4" else load_fixture(name).graph
     calls = []
     original = deltaseq.replay
@@ -349,6 +343,32 @@ def test_certify_replays_each_sequence_once(monkeypatch, name, embed, replays):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(deltaseq, "replay", counting_replay)
-    res = certify(g, "min-degree", embed=embed)
+    res = embed_minimal(g) if embed else certify(g)
     assert res.status == "exact"
     assert len(calls) == replays
+
+
+def test_converse_holds_on_every_atlas_graph():
+    # the paper proves only that a nonnegative min-degree sequence gives
+    # str = p + delta; on all 1,043 atlas graphs (at most 7 vertices) with
+    # no isolated vertex, str = p + delta holds exactly when the graph is
+    # complete or has such a sequence.  Evidence only: no bound rests on it.
+    graphs = [Graph(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()]
+    graphs = [g for g in graphs if g.n and all(g.adj)]
+    assert len(graphs) == 1043
+    counts = {"complete": 0, "sequence": 0, "p+delta": 0}
+    for g in graphs:
+        oracle = exact_strength(g)
+        assert oracle.status == "exact", g
+        complete = g.is_complete()  # already terminal: no sequence to search
+        found = False
+        if not complete:
+            search = find_delta_sequence(g, "min-degree")
+            assert search.status != "budget", g
+            found = search.status == "found"
+        at_p_delta = oracle.value == g.n + g.min_degree()
+        assert at_p_delta == (complete or found), g
+        counts["complete"] += complete
+        counts["sequence"] += found
+        counts["p+delta"] += at_p_delta
+    assert counts == {"complete": 6, "sequence": 595, "p+delta": 601}

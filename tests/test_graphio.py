@@ -120,6 +120,16 @@ def test_edgelist_errors_carry_line_numbers():
     assert err.value.line == 2
 
 
+def test_edgelist_refuses_a_repeated_edge():
+    # in either orientation; the repeat would load as fewer edges than declared
+    for text, line, repeat in (("3 3\n0 1\n1 0\n1 2\n", 3, "1 0"),
+                               ("3 3\n0 1\n1 2\n0 1\n", 4, "0 1")):
+        with pytest.raises(EdgeListError) as err:
+            read_edgelist(text)
+        assert err.value.line == line
+        assert f"edge {repeat} repeats the edge on line 2" in str(err.value)
+
+
 def test_edgelist_vertex_count_limit():
     g = read_edgelist(f"{MAX_EDGELIST_VERTICES} 1\n0 1\n")
     assert g.n == MAX_EDGELIST_VERTICES and g.edge_count == 1

@@ -110,10 +110,11 @@ def test_complete_bipartite_seven_eight_is_exact_and_verifies():
 
 
 def test_budget_above_the_verify_limit_is_refused():
-    # verify reruns a refutation with at most oracle.DEFAULT_BUDGET nodes
-    with pytest.raises(ValueError, match="exceeds the limit 2000000"):
+    # verify reruns a refutation with at most oracle.DEFAULT_BUDGET nodes,
+    # and exact_strength takes no budget of its own
+    with pytest.raises(TypeError, match="budget"):
         exact_strength(cycle(5), budget=oracle.DEFAULT_BUDGET + 1)
-    assert exact_strength(cycle(5), budget=oracle.DEFAULT_BUDGET).value == 7
+    assert exact_strength(cycle(5)).value == 7
 
 
 def test_feasibility_thresholds_on_square():
@@ -125,8 +126,9 @@ def test_feasibility_thresholds_on_square():
     assert strength_of(g, attain.witness) <= 6
 
 
-def test_budget_reports_bracket_not_exhaustion():
-    res = exact_strength(hypercube(4), budget=10)
+def test_budget_reports_bracket_not_exhaustion(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 10)
+    res = exact_strength(hypercube(4))
     assert res.status == "bracket"
     assert res.witness is None
     # the scan starts at p + delta = 20 (alpha = 8 gives only 17), and the

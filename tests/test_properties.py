@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from graphstrength import labeling
 from graphstrength.bounds import bounds_report
-from graphstrength.deltaseq import certify
+from graphstrength.deltaseq import certify, embed_minimal
 from graphstrength.graphs import Graph, disjoint_union
 from graphstrength.labeling import (
     LowerBound,
@@ -36,15 +36,20 @@ from conftest import brute_strength, small_graphs
 @given(small_graphs(max_n=7))
 def test_certify_certificates_reverify_on_their_host(g):
     assume(g.edge_count > 0)
-    for mode in ("auto", "min-degree", "any-degree"):
-        for embed in (False, True):
-            res = certify(g, mode, embed=embed)
-            if res.certificate is None:
-                assert not embed and res.status == "inconclusive"
-                continue
-            assert res.host.n >= g.n and res.host.adj[:g.n] == g.adj
-            verdict = verify_certificate(res.host, res.certificate)
-            assert verdict.status == res.certificate.status == res.status, (mode, embed)
+    for embed in (False, True):
+        res = certify(g, embed=embed)
+        if res.certificate is None:
+            assert not embed and res.status == "inconclusive"
+            continue
+        assert res.host.n >= g.n and res.host.adj[:g.n] == g.adj
+        verdict = verify_certificate(res.host, res.certificate)
+        assert verdict.status == res.certificate.status == res.status, embed
+    # the embed route without closed forms certifies every core too
+    core = g.core()[0]
+    res = embed_minimal(core)
+    assert res.host.n >= core.n and res.host.adj[:core.n] == core.adj
+    verdict = verify_certificate(res.host, res.certificate)
+    assert verdict.status == res.certificate.status == res.status
 
 
 @settings(max_examples=100, deadline=None)
