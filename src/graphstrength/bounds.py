@@ -11,7 +11,10 @@ from scratch:
   (cutting a min-degree vertex free), so p + delta dominates it; kept
   because it is part of the certified-bounds contract.  kappa' takes
   max-flows only between the vertices of a dominating set (Matula's
-  lemma: a cut below delta leaves a dominated vertex on each side).
+  lemma: a cut below delta leaves a dominated vertex on each side).  The
+  report runs no flow on a connected core that the xi scan proved
+  vertex-transitive, a recognized hypercube first: there kappa' is the
+  degree (W. Mader, Math. Ann. 191 (1971) 21-28).
 * independence: the alpha + 1 vertices with the top labels cannot all be
   pairwise non-adjacent, and the two smallest of those labels sum to
   2p - 2*alpha + 1.  alpha must be exact - a greedy independent set
@@ -40,7 +43,7 @@ incomplete and left out of xi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import Graph, _bits, hypercube
 from .labeling import BudgetExhausted, UnconfirmedBound, register_lower_bound
@@ -57,9 +60,13 @@ DEFAULT_XI_I_MAX = 4
 def independence_number(g: Graph) -> tuple[int, frozenset[int]]:
     """Exact maximum independent set size and one witness, by branch and bound.
 
-    The upper bound at each node is a greedy clique cover (alpha cannot
-    exceed the number of cliques needed to cover the remaining vertices).
-    Graphs above ``DEFAULT_ALPHA_CAP`` vertices are refused before the search.
+    At each node every vertex with at most one neighbor left joins the set
+    and that neighbor is dropped: some maximum independent set of what is
+    left holds the vertex (swap it for its neighbor).  The upper bound is
+    then a greedy clique cover (alpha cannot exceed the number of cliques
+    needed to cover the remaining vertices), and the search branches on a
+    vertex of largest remaining degree.  Graphs above ``DEFAULT_ALPHA_CAP``
+    vertices are refused before the search.
     """
     if g.n > DEFAULT_ALPHA_CAP:
         raise ValueError(f"{g.n} vertices exceeds the independence cap {DEFAULT_ALPHA_CAP}")
@@ -84,17 +91,24 @@ def independence_number(g: Graph) -> tuple[int, frozenset[int]]:
 
     def rec(mask: int, chosen: int, size: int) -> None:
         nonlocal best_size, best_set
+        reduced = True
+        while reduced:  # a pass's pick stands only if it took no vertex
+            reduced, pick, pick_deg = False, -1, 1
+            for v in _bits(mask):
+                d = (adj[v] & mask).bit_count()
+                if d > pick_deg:
+                    pick, pick_deg = v, d
+                elif d <= 1 and mask >> v & 1:
+                    chosen |= 1 << v
+                    size += 1
+                    mask &= ~(adj[v] | 1 << v)
+                    reduced = True
         if size + cover_bound(mask) <= best_size:
             return
         if not mask:
             if size > best_size:
                 best_size, best_set = size, chosen
             return
-        pick, pick_deg = -1, -1
-        for v in _bits(mask):
-            d = (adj[v] & mask).bit_count()
-            if d > pick_deg:
-                pick, pick_deg = v, d
         rec(mask & ~(adj[pick] | 1 << pick), chosen | 1 << pick, size + 1)
         rec(mask & ~(1 << pick), chosen, size)
 
@@ -120,13 +134,16 @@ class XiProfile:
     ``complete[i-1]`` tells whether the enumeration for that i finished
     within budget; incomplete entries are upper estimates of the true
     minimum and are excluded from xi (using them could overstate a lower
-    bound).
+    bound).  ``transitive`` records that the graph was proven
+    vertex-transitive, so only the sets holding vertex 0 were scanned; it
+    takes no part in equality.
     """
 
     i_max: int
     x: tuple[int, ...]
     witnesses: tuple[tuple[int, ...], ...]
     complete: tuple[bool, ...]
+    transitive: bool = field(compare=False)
 
     @property
     def xi(self) -> int:
@@ -247,13 +264,15 @@ def xi_profile(g: Graph, budget: int = DEFAULT_XI_BUDGET) -> XiProfile:
     Each size gets its own ``budget`` of scan nodes.  On a graph proven
     vertex-transitive only the sets containing vertex 0 are scanned: the full
     scan visits those first and keeps its first minimum, so the result is the
-    same wherever the full scan finishes.  The radius-2 balls are built
-    once per profile.
+    same wherever the full scan finishes.  A recognized hypercube is
+    transitive (``recognize_hypercube`` checks its isomorphism to Q_n edge
+    by edge), so only other graphs run the refinement search's proof.  The
+    radius-2 balls are built once per profile.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     i_max = min(DEFAULT_XI_I_MAX, g.n - 1) if g.n > 1 else 1
-    transitive = is_vertex_transitive(g)
+    transitive = recognize_hypercube(g) is not None or is_vertex_transitive(g)
     balls = _radius2_balls(g.adj)
     xs: list[int] = []
     wits: list[tuple[int, ...]] = []
@@ -264,7 +283,7 @@ def xi_profile(g: Graph, budget: int = DEFAULT_XI_BUDGET) -> XiProfile:
         xs.append(best)
         wits.append(tuple(_bits(best_set)))
         comps.append(complete)
-    return XiProfile(i_max, tuple(xs), tuple(wits), tuple(comps))
+    return XiProfile(i_max, tuple(xs), tuple(wits), tuple(comps), transitive)
 
 
 # -- hypercubes ---------------------------------------------------------------
@@ -468,7 +487,8 @@ def bounds_report(g: Graph) -> BoundsReport:
         BoundEntry("p+delta", "lower", p + core.min_degree(), f"minimum degree {core.min_degree()}"),
         BoundEntry("2p-1", "upper", 2 * p - 1, "no edge sum can exceed p + (p-1)"),
     ]
-    kappa = edge_connectivity(core)
+    prof = xi_profile(core)  # its transitivity proof also settles kappa'
+    kappa = core.min_degree() if prof.transitive and core.is_connected() else edge_connectivity(core)
     entries.append(
         BoundEntry("p+edge-connectivity", "lower", p + kappa, f"edge connectivity {kappa}")
     )
@@ -479,7 +499,6 @@ def bounds_report(g: Graph) -> BoundsReport:
         )
     else:
         notes.append(f"independence bound skipped: p > {DEFAULT_ALPHA_CAP}")
-    prof = xi_profile(core)
     if any(prof.complete):
         entries.append(BoundEntry("xi", "lower", p + prof.xi,
                                   f"expansion profile {list(prof.x)} (sizes 1..{prof.i_max})"))

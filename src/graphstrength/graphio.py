@@ -12,12 +12,14 @@ The edge-list format is one header line ``n m`` followed by m lines ``u v``
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 _HEADER = ">>graph6<<"
 # Largest n an edge-list header may declare: the header alone sizes the graph.
 # graph6 needs no such limit, as its data length bounds n.
 MAX_EDGELIST_VERTICES = 2**16
+# graph6 data byte -> its six bits, most significant first
+_SIX_BITS = {63 + x: format(x, "06b") for x in range(64)}
 
 
 class Graph6Error(ValueError):
@@ -77,23 +79,24 @@ def parse_graph6(text: str) -> Graph:
         )
     if end - i > nbytes:
         raise Graph6Error(i + nbytes, "trailing data after adjacency bits")
-    edges = []
-    bit = 0
-    u, v = 0, 1
-    for k in range(nbytes):
-        b = _byte(text, i + k) - 63
-        for shift in (5, 4, 3, 2, 1, 0):
-            if bit >= nbits:
-                if b >> shift & 1:
-                    raise Graph6Error(i + k, "nonzero padding bits")
-                continue
-            if b >> shift & 1:
-                edges.append((u, v))
-            bit += 1
-            u += 1
-            if u == v:
-                u, v = 0, v + 1
-    return Graph(n, edges)
+    bits = text[i:end].translate(_SIX_BITS)
+    if len(bits) != 6 * nbytes:  # a byte outside the table kept its one character
+        for k in range(i, end):
+            _byte(text, k)
+    if "1" in bits[nbits:]:
+        raise Graph6Error(end - 1, "nonzero padding bits")
+    # column v holds x(0, v) .. x(v - 1, v): read whole, lowest vertex last
+    masks = [0] * n
+    start = 0
+    for v in range(1, n):
+        column = bits[start:start + v]
+        start += v
+        if "1" in column:
+            lower = masks[v] = int(column[::-1], 2)
+            bit = 1 << v
+            for u in _bits(lower):
+                masks[u] |= bit
+    return Graph._from_masks(masks)
 
 
 def write_graph6(g: Graph) -> str:

@@ -40,6 +40,15 @@ class Graph:
         self.adj = tuple(masks)
         self.edge_count = sum(map(int.bit_count, masks)) // 2
 
+    @classmethod
+    def _from_masks(cls, masks: list[int]) -> "Graph":
+        """The graph with these adjacency masks, which the caller has built
+        symmetric and free of loops."""
+        g = cls.__new__(cls)
+        g.n, g.adj = len(masks), tuple(masks)
+        g.edge_count = sum(map(int.bit_count, masks)) // 2
+        return g
+
     # -- basic accessors ---------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -77,10 +77,14 @@ def _refine(
     queue of splitter cells.  A splitter W counts |N(v) & W| only for the
     neighbors v of W; each cell W touches splits by that count, fragments
     in increasing count, the first keeping the cell's number and the rest
-    taking new ones.  A cell already queued queues all its fragments;
-    otherwise all but its first largest one are queued (Hopcroft's rule:
-    counts against the one left out follow from the counts against the cell
-    and the others).  Returns None as soon as the sides differ in the cells
+    taking new ones.  A vertex that leaves a cell stays in its list as a
+    stale entry until the cell is next a splitter, and the live sizes,
+    alike on every side, are kept in one list, so a split costs the
+    vertices it moves, not a rebuild of the cell they leave.  A cell
+    already queued queues all its fragments; otherwise all but its first
+    largest one are queued (Hopcroft's rule: counts against the one left
+    out follow from the counts against the cell and the others).  Returns
+    None as soon as the sides differ in the cells
     a splitter touches, the counts or the fragment sizes: no
     color-preserving isomorphism can map one onto the other.  Once every
     cell is a singleton the queue is dropped: all it could still show is
@@ -104,7 +108,8 @@ def _refine(
         for v, c in enumerate(cs):
             cells[c].append(v)
         sides.append((cs, cells))
-    if any([len(c) for c in cells] != [len(c) for c in sides[0][1]] for _, cells in sides[1:]):
+    live = [len(c) for c in sides[0][1]]
+    if any([len(c) for c in cells] != live for _, cells in sides[1:]):
         return None
     queue = deque(splitters)
     queued = [False] * k
@@ -116,23 +121,24 @@ def _refine(
         queued[w] = False
         splits = []
         for cs, cells in sides:
+            cells[w] = [v for v in cells[w] if cs[v] == w]
             groups: dict[tuple[int, int], list[int]] = {}
             for v, m in Counter(chain.from_iterable(map(nbrs.__getitem__, cells[w]))).items():
                 groups.setdefault((cs[v], m), []).append(v)
             splits.append(groups)
-        first, cells0 = splits[0], sides[0][1]
+        first = splits[0]
         if len(splits) > 1:
             shape = {key: len(vs) for key, vs in first.items()}
             if any({key: len(vs) for key, vs in groups.items()} != shape for groups in splits[1:]):
                 return None
         parts: dict[int, list[int]] = {}  # the counts in each cell that splits
         for (c, m), vs in first.items():
-            if len(vs) < len(cells0[c]):
+            if len(vs) < live[c]:
                 parts.setdefault(c, []).append(m)
         for c in sorted(parts):
             counts = sorted(parts[c])
             sizes = [len(first[c, m]) for m in counts]
-            untouched = len(cells0[c]) - sum(sizes)
+            untouched = live[c] - sum(sizes)
             if untouched:
                 sizes.insert(0, untouched)
             moved = counts if untouched else counts[1:]
@@ -141,7 +147,8 @@ def _refine(
                     for v in groups[c, m]:
                         cs[v] = f
                     cells.append(groups[c, m])
-                cells[c] = [v for v in cells[c] if cs[v] == c]
+            live[c] = sizes[0]
+            live += sizes[1:]
             grow = [c, *range(k, k + len(moved))]
             k += len(moved)
             queued += [False] * len(moved)

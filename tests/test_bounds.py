@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 from hypothesis import assume, given, settings
 
-from graphstrength import oracle
+from graphstrength import bounds, oracle
 from graphstrength.bounds import (
     BoundsReport,
     bounds_report,
@@ -76,6 +76,44 @@ def test_independence_matches_brute_force_on_random():
                 best = k
                 break
         assert size == best
+
+
+def pendant_rich_graphs(rng: random.Random) -> list[Graph]:
+    """Trees, caterpillars and cycles carrying pendant paths, ids shuffled:
+    graphs where vertices with at most one neighbor left keep turning up."""
+    graphs = []
+    for _ in range(15):
+        n = rng.randint(2, 13)
+        graphs.append(Graph(n, [(v, rng.randrange(v)) for v in range(1, n)]))
+        spine = rng.randint(1, 5)
+        edges = [(v, v + 1) for v in range(spine - 1)]
+        leaves = rng.randint(1, 8)
+        graphs.append(Graph(spine + leaves, edges + [(rng.randrange(spine), spine + j)
+                                                     for j in range(leaves)]))
+        c = rng.randint(3, 8)
+        edges = [(v, (v + 1) % c) for v in range(c)]
+        n = c
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(c)
+            for _ in range(rng.randint(1, 3)):
+                edges.append((at, n))
+                at, n = n, n + 1
+        graphs.append(Graph(n, edges))
+    out = []
+    for g in graphs:
+        ids = list(range(g.n))
+        rng.shuffle(ids)
+        out.append(g.relabeled(ids))
+    return out
+
+
+def test_independence_matches_brute_force_where_pendants_reduce():
+    for g in pendant_rich_graphs(random.Random(21)):
+        size, witness = independence_number(g)
+        brute = max(s.bit_count() for s in range(1 << g.n)
+                    if all(not g.adj[v] & s for v in range(g.n) if s >> v & 1))
+        assert size == brute == len(witness), g.edges()
+        assert all(not g.has_edge(u, v) for u in witness for v in witness)
 
 
 def test_independence_bound_value():
@@ -196,6 +234,56 @@ def test_transitivity_proof_stays_within_its_cap(monkeypatch):
         calls.clear()
         is_vertex_transitive(g)
         assert len(calls) <= oracle.TRANSITIVITY_REFINES_PER_VERTEX * g.n
+
+
+def prism(k: int) -> Graph:
+    """C_k x K_2: rungs (i, i + k)."""
+    return Graph(2 * k, [(i, (i + 1) % k) for i in range(k)]
+                 + [(k + i, k + (i + 1) % k) for i in range(k)] + [(i, i + k) for i in range(k)])
+
+
+def moebius_ladder(k: int) -> Graph:
+    """C_2k plus the k long diagonals (i, i + k)."""
+    return Graph(2 * k, [(i, (i + 1) % (2 * k)) for i in range(2 * k)]
+                 + [(i, i + k) for i in range(k)])
+
+
+def mader_graphs() -> dict[str, Graph]:
+    graphs = {**transitive_graphs(), "K4,4": complete_bipartite(4, 4)}
+    graphs.update({f"Q{n}": hypercube(n) for n in range(2, 8)})
+    for k in range(4, 21):
+        graphs[f"prism{k}"] = prism(k)
+        graphs[f"moebius{k}"] = moebius_ladder(k)
+    return graphs
+
+
+@pytest.mark.parametrize("name", list(mader_graphs()))
+def test_report_edge_connectivity_on_transitive_cores_matches_the_flows(name):
+    # the report reads kappa' off the xi scan's proof (Mader: the degree, on a
+    # connected core), the flows and the reference run every max-flow
+    g = mader_graphs()[name]
+    assert xi_profile(g).transitive
+    entries = {e.name: e.value for e in bounds_report(g).entries}
+    kappa = edge_connectivity(g)
+    assert entries["p+edge-connectivity"] == g.n + kappa
+    assert kappa == reference_edge_connectivity(g) == (g.min_degree() if g.is_connected() else 0)
+
+
+def test_report_runs_one_transitivity_proof_and_none_on_a_cube(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return is_vertex_transitive(g)
+
+    # the name the xi scan calls
+    monkeypatch.setattr(bounds, "is_vertex_transitive", counting)
+    report = bounds_report(torus(4, 5))
+    assert calls == [20] and report.best_lower == 25
+    calls.clear()
+    report = bounds_report(hypercube(5))
+    assert calls == [] and report.exact and report.best_lower == 40
+    assert {e.name: e.value for e in report.entries}["p+edge-connectivity"] == 37
 
 
 def test_q7_xi_profile_complete_at_default_budget(capsys):

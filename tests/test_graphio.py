@@ -53,6 +53,18 @@ def test_large_order_forms():
     assert to_graph(nxg) == g
 
 
+@pytest.mark.parametrize("n", [63, 64, 100, 200])
+def test_roundtrip_and_cross_check_past_one_byte_orders(n):
+    # the columns of vertices 62 and up straddle byte boundaries at every
+    # offset, and n >= 63 takes the four-byte order
+    rng = random.Random(n)
+    for p in (0.05, 0.5, 0.95):
+        g = random_graph(rng, n, p)
+        text = write_graph6(g)
+        assert parse_graph6(text) == g
+        assert to_graph(nx.from_graph6_bytes(text.encode())) == g
+
+
 def test_header_and_whitespace():
     text = ">>graph6<<" + write_graph6(cycle(5))
     assert parse_graph6(text) == cycle(5)
@@ -79,6 +91,21 @@ def test_graph6_error_offsets():
     with pytest.raises(Graph6Error) as err:
         parse_graph6("D?\x1f")  # byte below the graph6 range
     assert err.value.offset == 2
+
+    # a byte above the range in the middle of the data: the first bad byte
+    # is reported, though the padding of the last byte is bad too
+    text = write_graph6(cycle(41))  # 820 bits: two padding bits
+    padded = text[:-1] + chr(63 + (ord(text[-1]) - 63 | 1))
+    bad = padded[:100] + "\x7f" + padded[101:]
+    with pytest.raises(Graph6Error) as err:
+        parse_graph6(bad)
+    assert err.value.offset == 100
+    assert str(err.value) == (
+        "graph6: byte 127 outside the printable graph6 range 63..126 (byte offset 100)")
+    with pytest.raises(Graph6Error) as err:
+        parse_graph6(padded)
+    assert err.value.offset == len(text) - 1
+    assert "nonzero padding bits" in str(err.value)
 
 
 def test_edgelist_roundtrip():
