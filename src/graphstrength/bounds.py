@@ -174,20 +174,19 @@ def _xi_scan(
     adj: tuple[int, ...],
     n: int,
     i: int,
-    firsts: list[int],
+    firsts: int,
     budget: int,
     balls: list[int] | None = None,
 ) -> tuple[int, int, bool, int]:
-    """Min exterior over sets of size i whose minimum element is in ``firsts``.
+    """Min exterior over sets of size i whose minimum element is < ``firsts``.
 
-    ``firsts`` must be a prefix 0..k-1 with k <= n - i + 1, as n - i is the
-    largest minimum an i-set can have.  Returns (min_value, witness_mask,
-    complete, nodes).  Enumerates by increasing minimum element; each added
-    vertex can shrink the exterior by at most one (only by joining S
-    itself), giving the pruning bound |N(S')\\S'| - (i - |S'|).  A parent
-    applies it to each child in its own loop and recurses only into the
-    children that survive.  The scan starts from the empty set, whose
-    children are the firsts.
+    ``firsts`` <= n - i + 1, as n - i is the largest minimum an i-set can
+    have.  Returns (min_value, witness_mask, complete, nodes).  Enumerates
+    by increasing minimum element; each added vertex can shrink the exterior
+    by at most one (only by joining S itself), giving the pruning bound
+    |N(S')\\S'| - (i - |S'|).  A parent applies it to each child in its own
+    loop and recurses only into the children that survive.  The scan starts
+    from the empty set, whose children are 0..firsts-1.
 
     Two rules count children without visiting them, with r the vertices
     still to add after the child.  The exterior rule: a child v outside ext
@@ -251,23 +250,23 @@ def _xi_scan(
             raise BudgetExhausted
 
     try:
-        expand(0, 0, 0, 0, 0, len(firsts))
+        expand(0, 0, 0, 0, 0, firsts)
     except BudgetExhausted:
         return best, best_set, False, nodes
     return best, best_set, True, nodes
 
 
-def xi_profile(g: Graph, budget: int = DEFAULT_XI_BUDGET) -> XiProfile:
+def xi_profile(g: Graph) -> XiProfile:
     """Exhaustive neighborhood-expansion profile up to set size
     ``DEFAULT_XI_I_MAX`` (at most n - 1).
 
-    Each size gets its own ``budget`` of scan nodes.  On a graph proven
-    vertex-transitive only the sets containing vertex 0 are scanned: the full
-    scan visits those first and keeps its first minimum, so the result is the
-    same wherever the full scan finishes.  A recognized hypercube is
-    transitive (``recognize_hypercube`` checks its isomorphism to Q_n edge
-    by edge), so only other graphs run the refinement search's proof.  The
-    radius-2 balls are built once per profile.
+    Each size gets its own ``DEFAULT_XI_BUDGET`` scan nodes, read at call
+    time.  On a graph proven vertex-transitive only the sets whose minimum
+    is vertex 0 are scanned: the full scan visits those first and keeps its
+    first minimum, so the result is the same wherever the full scan
+    finishes.  A recognized hypercube is transitive (``recognize_hypercube``
+    checks its isomorphism to Q_n edge by edge), so only other graphs run
+    the refinement search's proof.  The radius-2 balls are built once.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -278,8 +277,8 @@ def xi_profile(g: Graph, budget: int = DEFAULT_XI_BUDGET) -> XiProfile:
     wits: list[tuple[int, ...]] = []
     comps: list[bool] = []
     for i in range(1, i_max + 1):
-        firsts = [0] if transitive else list(range(g.n - i + 1))
-        best, best_set, complete, _ = _xi_scan(g.adj, g.n, i, firsts, budget, balls)
+        firsts = 1 if transitive else g.n - i + 1
+        best, best_set, complete, _ = _xi_scan(g.adj, g.n, i, firsts, DEFAULT_XI_BUDGET, balls)
         xs.append(best)
         wits.append(tuple(_bits(best_set)))
         comps.append(complete)

@@ -247,7 +247,8 @@ def _search(
     incumbent reaches 0, as no caller needs more.  Returns (incumbent's
     choices or None, nodes explored, complete); complete is False when the
     budget ran out or the search, one call deep per stage, reached the
-    recursion limit.
+    recursion limit.  A single clique is terminal already: its sequence
+    makes no choice and has Z = 0, found at no node.
 
     A node holds ``levels``, one mask per residual degree 0..max degree
     (level 0: the stage's isolated vertices), so the (degree, id) order is
@@ -283,8 +284,7 @@ def _search(
     for v in range(g.n):
         root[adj[v].bit_count()] |= 1 << v
     if len(root) == g.n and root[-1] == g.full_mask:
-        raise ValueError("graph is a single clique: already terminal, "
-                         "strength is 2p-1 directly")
+        return (), 0, True  # one clique: terminal already, Z = 0
     min_degree = mode == "min-degree"
     nodes = 0
     best: float = floor

@@ -14,7 +14,7 @@ Exactness comes from the scan's start and completed refutations: the scan
 starts at max(p + delta, 2p - 2*alpha + 1), two lower bounds, and every
 threshold from there up to the first feasible one is refuted exhaustively.
 Feasibility is monotone in t, so verify confirms a claimed strength s with
-a witness by p + delta reaching s or by one refutation at s - 1.
+a witness by the scan start reaching s or by one refutation at s - 1.
 
 Automorphism orbits and vertex transitivity (the xi scan's reduction) are
 never read off refinement classes: two vertices are merged only when a
@@ -469,18 +469,18 @@ def stop_reason(res: FeasibilityResult | OracleResult) -> str:
 
 def _search_bound(core: Graph, upper: int | None) -> int:
     """The strength of the core, within ``DEFAULT_BUDGET`` nodes, read at
-    call time.  With ``upper``, a witness strength, it is upper when p +
-    delta reaches it, when upper - 1 is refuted (feasibility is monotone in
-    t) or, should that refutation spend its budget, when ``_scan_start``,
-    the costlier lower bound, reaches upper.  So every exact
-    ``exact_strength`` result verifies: it refuted upper - 1 with no more
-    nodes, or upper is its scan start.  Otherwise, or when upper - 1 is
-    feasible, the full scan gives it."""
+    call time.  With ``upper``, a witness strength, it is upper when
+    ``_scan_start``, the start ``exact_strength`` reads, reaches it, or else
+    when upper - 1 is refuted (feasibility is monotone in t); a refutation
+    that spends its budget leaves upper unconfirmed.  So every exact
+    ``exact_strength`` result verifies: upper is its scan start, or it
+    refuted upper - 1 with no more nodes.  Without ``upper``, or when upper
+    - 1 is feasible, the full scan gives it."""
     if upper is not None and core.edge_count:
-        if core.n + core.min_degree() >= upper:
+        if _scan_start(core) >= upper:
             return upper
         res = feasible_at(core, upper - 1, DEFAULT_BUDGET)
-        if res.status == "infeasible" or res.status == "budget" and _scan_start(core) >= upper:
+        if res.status == "infeasible":
             return upper
         if res.status == "budget":
             raise UnconfirmedBound(f"{stop_reason(res)} refuting threshold {upper - 1}")

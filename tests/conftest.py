@@ -252,9 +252,9 @@ def reference_search(
 
 
 def reference_xi_scan(
-    adj: tuple[int, ...], n: int, i: int, firsts: list[int], budget: int
+    adj: tuple[int, ...], n: int, i: int, firsts: int, budget: int
 ) -> tuple[int, int, bool, int]:
-    """Min exterior over sets of size i whose minimum element is in ``firsts``.
+    """Min exterior over sets of size i whose minimum element is < ``firsts``.
 
     Returns (min_value, witness_mask, complete, nodes).  Enumerates by
     increasing minimum element; each added vertex can shrink the exterior by
@@ -282,7 +282,7 @@ def reference_xi_scan(
             rec(ns, (ext | adj[v]) & ~ns, size + 1, v + 1)
 
     try:
-        for v in firsts:
+        for v in range(firsts):
             rec(1 << v, adj[v] & ~(1 << v), 1, v + 1)
     except BudgetExhausted:
         return best, best_set, False, nodes

@@ -295,8 +295,10 @@ def test_q7_xi_profile_complete_at_default_budget(capsys):
     assert not any("incomplete" in note for note in payload["notes"])
 
 
-def test_xi_budget_marks_incomplete():
-    prof = xi_profile(hypercube(5), budget=0)
+def test_xi_budget_marks_incomplete(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "DEFAULT_XI_BUDGET", 0)
+        prof = xi_profile(hypercube(5))
     assert not any(prof.complete)
     with pytest.raises(UnconfirmedBound):
         prof.xi

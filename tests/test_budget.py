@@ -19,6 +19,7 @@ a "budget" status, never a RecursionError or a claim of exhaustion.
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -49,16 +50,16 @@ def graphs() -> dict[str, Graph]:
 @pytest.mark.parametrize("budget", [0, 1, 7, 100])
 def test_xi_scan_stops_one_node_past_its_budget(budget):
     g = hypercube(5)
-    best, _, complete, nodes = _xi_scan(g.adj, g.n, 3, list(range(g.n - 2)), budget)
+    best, _, complete, nodes = _xi_scan(g.adj, g.n, 3, g.n - 2, budget)
     assert not complete and nodes == budget + 1
     assert best == (33 if budget < 7 else 10)
 
 
 def test_xi_scan_within_budget_is_complete():
     g = hypercube(5)
-    assert _xi_scan(g.adj, g.n, 2, list(range(g.n - 1)), 10**6) == (8, 3, True, 527)
-    assert _xi_scan(g.adj, g.n, 2, list(range(g.n - 1)), 527) == (8, 3, True, 527)
-    assert _xi_scan(g.adj, g.n, 2, list(range(g.n - 1)), 526)[2:] == (False, 527)
+    assert _xi_scan(g.adj, g.n, 2, g.n - 1, 10**6) == (8, 3, True, 527)
+    assert _xi_scan(g.adj, g.n, 2, g.n - 1, 527) == (8, 3, True, 527)
+    assert _xi_scan(g.adj, g.n, 2, g.n - 1, 526)[2:] == (False, 527)
 
 
 # (graph, mode, budget) -> (status, nodes)
@@ -156,9 +157,10 @@ def test_public_searches_report_a_spent_budget(monkeypatch):
     assert (res.status, res.lower, res.upper, res.nodes_explored) == ("bracket", 20, 31, 1)
     for res in (certify(petersen(), budget=0, embed=True), embed_minimal(q4, budget=0)):
         assert (res.status, res.nodes_explored) == ("inconclusive", 2)
-    assert not any(xi_profile(hypercube(5), budget=0).complete)
-    monkeypatch.setattr(bounds, "xi_profile", lambda core: xi_profile(core, budget=0))
-    report = bounds_report(hypercube(5))
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "DEFAULT_XI_BUDGET", 0)
+        assert not any(xi_profile(hypercube(5)).complete)
+        report = bounds_report(hypercube(5))
     assert "expansion profile incomplete within budget; skipped" in report.notes
 
     # Petersen: str 14 is above p + delta = 13, so confirming a search
@@ -182,10 +184,11 @@ def test_a_starved_search_certificate_needs_no_search_when_a_cheap_bound_reaches
     assert (verdict.status, verdict.reasons, verdict.recomputed_lower) == ("exact", (), 11)
 
 
-def test_a_search_certificate_above_p_plus_delta_needs_one_refutation(monkeypatch):
-    # K5 plus a pendant vertex: str 9 = 2p - 2*alpha + 1 is above p + delta = 7,
-    # so verify refutes threshold 8, once; alpha is computed only when that
-    # refutation spends its budget, and then the scan start 9 confirms it
+def test_a_search_certificate_reads_the_scan_start_before_any_refutation(monkeypatch):
+    # K5 plus a pendant vertex: str 9 = 2p - 2*alpha + 1 is above p + delta = 7.
+    # verify reads the alpha start first; it reaches 9, so no refutation runs,
+    # even on a starved budget.  Held below 9, the start leaves one
+    # refutation at 8, which a starved budget cannot complete.
     g = Graph(6, [*complete(5).edges(), (0, 5)])
     cert = exact_strength(g).to_certificate()
     require(cert.upper == 9, f"strength {cert.upper}")
@@ -199,15 +202,55 @@ def test_a_search_certificate_above_p_plus_delta_needs_one_refutation(monkeypatc
         calls.append(("alpha",))
         return independence_lower_bound_str(core)
 
+    def no_alpha_bound(core):
+        calls.append(("alpha",))
+        return 0
+
     monkeypatch.setattr(oracle, "feasible_at", refute)
-    monkeypatch.setattr(bounds, "independence_lower_bound_str", alpha_bound)
-    for budget, alpha in ((0, [("alpha",)]), (1, [])):
+    for alpha, budget, refuted in ((alpha_bound, 0, []), (alpha_bound, 1, []),
+                                   (no_alpha_bound, 1, [("refute", 8, 1)])):
         calls.clear()
+        monkeypatch.setattr(bounds, "independence_lower_bound_str", alpha)
         monkeypatch.setattr(oracle, "DEFAULT_BUDGET", budget)
         verdict = verify_certificate(g, cert)
         require((verdict.status, verdict.reasons, verdict.recomputed_lower) == ("exact", (), 9),
                 str(verdict))
-        require(calls == [("refute", 8, budget), *alpha], f"budget {budget}: {calls}")
+        require(calls == [("alpha",), *refuted], f"budget {budget}: {calls}")
+    calls.clear()
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 0)
+    verdict = verify_certificate(g, cert)
+    require(verdict.status == "invalid" and "refuting threshold 8" in verdict.reasons[0],
+            str(verdict))
+    require(calls == [("alpha",), ("refute", 8, 0)], str(calls))
+
+
+def _seeded_sample(count: int) -> list[Graph]:
+    """The first ``count`` draws of G(n, p), n in 16..40, p in 0.1..0.5."""
+    rng = random.Random(2026)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(16, 40)
+        p = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5])
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p]))
+    return graphs
+
+
+@pytest.mark.parametrize("draw", [21, 32])
+def test_a_search_certificate_at_the_alpha_start_verifies_without_a_refutation(
+        monkeypatch, draw):
+    # exact at the alpha start (37 and 49) within 107 nodes, far above
+    # p + delta; refuting one below the start spends the whole budget
+    g = _seeded_sample(draw + 1)[draw]
+    core, _ = g.core()
+    cert = exact_strength(g).to_certificate()
+    require(cert.upper == independence_lower_bound_str(core) > core.n + core.min_degree(),
+            f"strength {cert.upper}")
+    calls = []
+    monkeypatch.setattr(oracle, "feasible_at", lambda *args: calls.append(args))
+    verdict = verify_certificate(g, cert)
+    require((verdict.status, verdict.recomputed_lower, calls) == ("exact", cert.upper, []),
+            f"{verdict}, {calls}")
 
 
 def test_sequence_search_stops_at_the_recursion_limit():

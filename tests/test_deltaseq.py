@@ -83,9 +83,21 @@ def test_find_delta_sequence_deterministic():
         assert a.sequence == b.sequence
 
 
-def test_complete_graph_is_rejected_as_terminal():
-    with pytest.raises(ValueError):
-        find_delta_sequence(complete(4))
+def test_complete_graph_is_its_own_terminal_stage():
+    # one stage, no choice, Z = 0: the sequence replay builds from no choices
+    for n in range(2, 8):
+        g = complete(n)
+        assert replay(g, ()).terminal.clique == tuple(range(n))
+        for mode in ("min-degree", "any-degree"):
+            res = find_delta_sequence(g, mode)
+            want = ("found", replay(g, (), mode), 0)
+            assert (res.status, res.sequence, res.nodes_explored) == want
+        seq, nodes, done = best_z_sequence(g)
+        assert (seq, seq.min_prefix, nodes, done) == (replay(g, (), "any-degree"), 0, 0, True)
+        res = certify(g)
+        assert res.sequence is None
+        assert res.certificate.notes == ("complete graph: every numbering attains 2p-1",)
+        assert verify_certificate(g, res.certificate).status == "exact"
     with pytest.raises(ValueError):
         find_delta_sequence(Graph(3, []))
 
