@@ -1,20 +1,19 @@
 """Small exact solver for graph strength, by threshold feasibility search.
 
-strength(G) <= t iff the labels p, p-1, ..., 1 can be handed out so that no
-edge's label sum exceeds t.  The solver assigns labels in descending order;
-once any neighbor of v is labeled, v's own budget cap(v) = t - (that label)
-is fixed for good, which makes two prunes cheap and sound:
-
-* a vertex can host the current label l only if its unlabeled neighbors fit
-  under t - l, and
-* the unlabeled caps, sorted, must dominate 1, 2, 3, ... (a Hall-style
-  counting argument on nested label intervals).
+strength(G) <= t iff some independent set T of the H = p - t//2 vertices
+labelled above t/2 can be ordered so that its first k vertices have at
+most max(0, t - p + k - 1) neighbours, for every k <= H: those
+neighbours need distinct labels that sum to at most t with the k-th
+label, p - k + 1.  Such a T is numbered from the top, its neighbours
+from the bottom, and everything else in between.  So the solver
+searches top sets, not the p! numberings, and since whether a prefix
+extends depends only on its set, a set once found dead stays dead.
 
 Exactness comes from the scan's start and completed refutations: the scan
-starts at max(p + delta, 2p - 2*alpha + 1), two lower bounds, and every
-threshold from there up to the first feasible one is refuted exhaustively.
-Feasibility is monotone in t, so verify confirms a claimed strength s with
-a witness by the scan start reaching s or by one refutation at s - 1.
+starts at p + delta, a lower bound, and every threshold from there up to
+the first feasible one is refuted exhaustively.  Feasibility is monotone
+in t, so verify confirms a claimed strength s with a witness by p + delta
+reaching s or by one refutation at s - 1.
 
 Automorphism orbits and vertex transitivity (the xi scan's reduction) are
 never read off refinement classes: two vertices are merged only when a
@@ -50,6 +49,9 @@ from .labeling import (
 )
 
 DEFAULT_BUDGET = 2_000_000
+# Dead top sets ``feasible_at`` records per call; past this many it records
+# no more, which bounds its memory.
+DEAD_SET_CAP = 1 << 16
 # Refinements ``is_vertex_transitive`` may run per vertex before it gives up.
 TRANSITIVITY_REFINES_PER_VERTEX = 2
 
@@ -330,72 +332,76 @@ class FeasibilityResult:
 
 
 def feasible_at(g: Graph, t: int, budget: int = DEFAULT_BUDGET) -> FeasibilityResult:
-    """Decide whether some numbering of g has strength <= t.
+    """Decide whether some numbering of g has strength <= t, by a search
+    over top sets (see the module docstring).
 
     "infeasible" means the search space was exhausted, a completed proof;
-    "budget" means neither answer was reached within ``budget`` assignments,
-    or the search, one call deep per label, reached the recursion limit.
-    Every vertex is tried for label p, as for the other labels: one root per
-    automorphism orbit saved too few nodes to pay for computing the orbits.
+    "budget" means neither answer was reached within ``budget`` nodes.
 
-    Candidates for a label are taken in (degree, id) order: each level walks
-    the free vertices of each degree class, pruned as they come up, so a
-    level costs no pass over all p vertices.  A vertex's cap is t minus its
-    largest labeled neighbor's label, so both prunes read ``reach[l]``, the
-    neighbors of the vertices labeled l or more.  The Hall test after label
-    l is placed needs one count, of the unlabeled vertices with cap at most
-    t - l, which are the reached ones: the parent node passed the test, and
-    no count below t - l can have grown since.
+    Each node extends T by one vertex v outside T and N(T), in id order,
+    such that N(T) and N(v) together fit under max(0, t - p + |T|).  A set
+    whose extensions all fail is recorded as dead, up to ``DEAD_SET_CAP``
+    sets.  A vertex outside N(N(T)) adds its whole degree to N(T), so while
+    fewer than delta new neighbours fit, only N(N(T)) is searched.  The
+    stack keeps, per level, the vertex, its new neighbours and the vertices
+    it brought into N(N(T)), and a level resumes past the vertex it undoes.
+    The witness gives T the labels p, p - 1, ... in order, each new
+    neighbour the next label up from 1 in order of first appearance, and
+    the rest the labels left, none above t/2.
     """
     if g.edge_count == 0:
         raise ValueError("feasibility is about edge sums; graph has no edges")
-    p = g.n
-    adj = g.adj
-    by_degree: dict[int, int] = {}
-    for v, d in enumerate(g.degrees()):
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    classes = [by_degree[d] for d in sorted(by_degree)]
+    p, adj, delta = g.n, g.adj, g.min_degree()
+    top = p - t // 2
+    chosen = near = near2 = 0  # T, N(T) and N(N(T))
+    stack: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+    dead: set[int] = set()
+    nodes = after = 0  # candidates start at id ``after``
+    while len(stack) < top:
+        room = max(0, t - p + len(stack)) - near.bit_count()
+        pool = near2 if room < delta else g.full_mask
+        for v in _bits((pool & ~(chosen | near)) >> after << after):
+            new = adj[v] & ~near
+            if new.bit_count() <= room and (chosen | 1 << v) not in dead:
+                break
+        else:
+            if not stack:
+                return FeasibilityResult("infeasible", None, nodes)
+            if len(dead) < DEAD_SET_CAP:
+                dead.add(chosen)
+            v, fresh, reached = stack.pop()
+            chosen ^= 1 << v
+            for w in fresh:
+                near ^= 1 << w
+            for w in reached:
+                near2 ^= 1 << w
+            after = v + 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            return FeasibilityResult("budget", None, nodes)
+        fresh = tuple(_bits(new))
+        reached = 0
+        for w in fresh:
+            reached |= adj[w]
+        reached &= ~near2
+        chosen |= 1 << v
+        near |= new
+        near2 |= reached
+        stack.append((v, fresh, tuple(_bits(reached))))
+        after = 0
     labels = [0] * p
-    reach = [0] * (p + 2)  # reach[p + 1] stays empty
-    unlabeled = g.full_mask
-    nodes = 0
-
-    def place(level: int) -> bool:
-        nonlocal unlabeled, nodes
-        if level == 0:
-            return True
-        room = max(0, t - level)
-        avail = min(level - 1, room)
-        # cap >= level: no labeled neighbor (labels placed are > level) above t - level
-        free = unlabeled & ~reach[min(p + 1, max(t - level + 1, level + 1))]
-        for cls in classes:
-            cands = free & cls
-            while cands:
-                low = cands & -cands
-                cands ^= low
-                v = low.bit_length() - 1
-                if (adj[v] & unlabeled).bit_count() > avail:
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExhausted
-                labels[v] = level
-                unlabeled ^= low
-                reach[level] = reach[level + 1] | adj[v]
-                # Hall: the reached vertices left all have cap <= room, so at most room of them
-                if (unlabeled & reach[level]).bit_count() <= room and place(level - 1):
-                    return True
-                unlabeled ^= low
-                labels[v] = 0
-        return False
-
-    try:
-        found = place(p)
-    except (BudgetExhausted, RecursionError):
-        return FeasibilityResult("budget", None, nodes)
-    if found:
-        return FeasibilityResult("feasible", Numbering(tuple(labels)), nodes)
-    return FeasibilityResult("infeasible", None, nodes)
+    low = 0
+    for k, (v, fresh, _) in enumerate(stack):
+        labels[v] = p - k
+        for w in fresh:
+            low += 1
+            labels[w] = low
+    for v in range(p):
+        if not labels[v]:
+            low += 1
+            labels[v] = low
+    return FeasibilityResult("feasible", Numbering(tuple(labels)), nodes)
 
 
 @dataclass(frozen=True)
@@ -423,33 +429,23 @@ class OracleResult:
         )
 
 
-def _scan_start(core: Graph) -> int:
-    """max(p + delta, 2p - 2*alpha + 1) on a core, two lower bounds; alpha
-    must be exact, so the independence term is left out above its cap."""
-    from .bounds import DEFAULT_ALPHA_CAP, independence_lower_bound_str  # bounds imports oracle
-
-    start = core.n + core.min_degree()
-    return max(start, independence_lower_bound_str(core)) if core.n <= DEFAULT_ALPHA_CAP else start
-
-
 def exact_strength(g: Graph) -> OracleResult:
-    """Exact strength by scanning thresholds upward from a lower bound.
+    """Exact strength by scanning thresholds upward from p + delta.
 
     Isolated vertices are split off first (they never affect edge sums) and
     re-attached to the witness afterwards.  The scan starts at the core's
-    ``_scan_start``, so the first feasible threshold is exact: every smaller
-    one is below it or refuted exhaustively.  The scan spends at most
-    ``DEFAULT_BUDGET`` nodes, read at call time, which is what ``verify``
-    spends, so every refutation behind an exact result reruns there.  When
-    a search stops on the budget or the recursion limit, the result is the
-    honest bracket [first unrefuted threshold, 2p'-1], p' the non-isolated
-    count.
+    p + delta, a lower bound, so the first feasible threshold is exact:
+    every smaller one is below it or refuted exhaustively.  The scan spends
+    at most ``DEFAULT_BUDGET`` nodes, read at call time, which is what
+    ``verify`` spends, so every refutation behind an exact result reruns
+    there.  When the budget runs out, the result is the honest bracket
+    [first unrefuted threshold, 2p'-1], p' the non-isolated count.
     """
     if g.edge_count == 0:
         raise ValueError("strength is undefined for graphs with no edges")
     core, _ = g.core()
     total = 0
-    for t in range(_scan_start(core), 2 * core.n):
+    for t in range(core.n + core.min_degree(), 2 * core.n):
         res = feasible_at(core, t, DEFAULT_BUDGET - total)
         total += res.nodes_explored
         if res.status == "feasible":
@@ -461,23 +457,21 @@ def exact_strength(g: Graph) -> OracleResult:
 
 
 def stop_reason(res: FeasibilityResult | OracleResult) -> str:
-    """Why a search ended in "budget": past ``DEFAULT_BUDGET`` nodes, read
-    at call time, or stopped within it by the recursion limit."""
-    spent = "budget exhausted" if res.nodes_explored > DEFAULT_BUDGET else "search stopped"
-    return f"{spent} after {res.nodes_explored} nodes"
+    """Why a search ended in "budget": the nodes it spent, past its budget."""
+    return f"budget exhausted after {res.nodes_explored} nodes"
 
 
 def _search_bound(core: Graph, upper: int | None) -> int:
     """The strength of the core, within ``DEFAULT_BUDGET`` nodes, read at
     call time.  With ``upper``, a witness strength, it is upper when
-    ``_scan_start``, the start ``exact_strength`` reads, reaches it, or else
-    when upper - 1 is refuted (feasibility is monotone in t); a refutation
-    that spends its budget leaves upper unconfirmed.  So every exact
-    ``exact_strength`` result verifies: upper is its scan start, or it
-    refuted upper - 1 with no more nodes.  Without ``upper``, or when upper
-    - 1 is feasible, the full scan gives it."""
+    p + delta, where ``exact_strength`` starts, reaches it, or else when
+    upper - 1 is refuted (feasibility is monotone in t); a refutation that
+    spends its budget leaves upper unconfirmed.  So every exact
+    ``exact_strength`` result verifies: upper is p + delta, or it refuted
+    upper - 1 with no more nodes.  Without ``upper``, or when upper - 1 is
+    feasible, the full scan gives it."""
     if upper is not None and core.edge_count:
-        if _scan_start(core) >= upper:
+        if core.n + core.min_degree() >= upper:
             return upper
         res = feasible_at(core, upper - 1, DEFAULT_BUDGET)
         if res.status == "infeasible":

@@ -362,12 +362,13 @@ def reference_edge_connectivity(g: Graph) -> int:
     return best
 
 
-# -- the threshold search with orbit roots at label p (test-side reference) ----
+# -- the numbering search (test-side reference engine) ------------------------
 #
-# ``oracle.feasible_at`` as it stood when it tried one vertex per automorphism
-# orbit for label p, copied unchanged apart from its name.  The library now
-# tries every vertex for label p in the same (degree, id) order, and must
-# give the same status and witness in no fewer nodes.
+# ``oracle.feasible_at`` as it stood when it placed every label p, p-1, ..., 1,
+# one level per label, with a Hall test, and tried one vertex per automorphism
+# orbit for label p; copied unchanged apart from its name.  The library now
+# searches top sets instead, so the two engines share no code: they must
+# agree on every status, and each witness must have strength at most t.
 
 
 def reference_feasible_at(

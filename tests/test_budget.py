@@ -4,23 +4,23 @@ Every node-budgeted search counts its own nodes and reports a spent budget
 as a status (or ``complete=False``).  The statuses and node counts below
 were recorded before the searches shared one exhaustion signal; they must
 not move, except the sequence search marked below, which completes in
-fewer nodes since the sequence DFS keeps a per-call bound table, the two
-threshold searches marked below, which need more nodes since every vertex,
-not one per automorphism orbit, is tried for label p, and the four ex22
-and w7 best-Z entries at budget 5 and above, which complete sooner since
-the best-Z search stops at its first sequence with worst prefix sum
-Z >= 0 (a biclique host only uses min(Z, 0)).  The node
-that overshoots the budget is counted, so a search stopped at budget b
-reports b + 1 nodes.
+fewer nodes since the sequence DFS keeps a per-call bound table, the
+threshold searches, whose counts are those of the top-set search that
+replaced the numbering search, and the four ex22 and w7 best-Z entries at
+budget 5 and above, which complete sooner since the best-Z search stops at
+its first sequence with worst prefix sum Z >= 0 (a biclique host only uses
+min(Z, 0)).  The node that overshoots the budget is counted, so a search
+stopped at budget b reports b + 1 nodes.
 
-The recursion limit stops a search like a spent budget: deep inputs end in
-a "budget" status, never a RecursionError or a claim of exhaustion.
+The recursion limit stops the recursive searches (the sequence DFS and the
+transitivity proof) like a spent budget: deep inputs end in a "budget"
+status, never a RecursionError or a claim of exhaustion.  The threshold
+search runs on an explicit stack, so the recursion limit does not stop it.
 """
 
 from __future__ import annotations
 
 import random
-import re
 
 import pytest
 
@@ -33,7 +33,6 @@ from graphstrength.labeling import (
     LowerBound,
     Numbering,
     StrengthCertificate,
-    UnconfirmedBound,
     recompute_lower_bound,
     require,
     verify_certificate,
@@ -108,18 +107,20 @@ def test_best_z_sequence_budget_results(key):
 
 # (graph, threshold, budget) -> (status, nodes)
 FEASIBLE = {
-    ("petersen", 12, 0): ("infeasible", 0),
+    ("petersen", 12, 0): ("infeasible", 0),  # t - p = 2 < delta: no vertex fits
     ("petersen", 13, 0): ("budget", 1),
     ("petersen", 13, 5): ("budget", 6),
-    ("petersen", 13, 20): ("budget", 21),  # ("infeasible", 7) with orbit roots
-    ("petersen", 14, 5): ("budget", 6),
-    ("petersen", 14, 20): ("feasible", 11),
+    ("petersen", 13, 9): ("budget", 10),
+    ("petersen", 13, 10): ("infeasible", 10),
+    ("petersen", 14, 2): ("budget", 3),
+    ("petersen", 14, 3): ("feasible", 3),
     ("q4", 20, 5): ("budget", 6),
-    ("q4", 20, 20): ("budget", 21),  # ("infeasible", 12) with orbit roots
+    ("q4", 20, 15): ("budget", 16),
     ("q4", 21, 1): ("budget", 2),
-    ("q4", 21, 20): ("feasible", 16),
-    ("petersen", 13, 100): ("infeasible", 70),
-    ("q4", 20, 200): ("infeasible", 192),
+    ("q4", 21, 6): ("feasible", 6),
+    ("q4", 20, 16): ("infeasible", 16),
+    ("petersen", 13, 100): ("infeasible", 10),
+    ("q4", 20, 200): ("infeasible", 16),
 }
 
 
@@ -186,42 +187,34 @@ def test_a_starved_search_certificate_needs_no_search_when_a_cheap_bound_reaches
 
 def test_a_search_certificate_reads_the_scan_start_before_any_refutation(monkeypatch):
     # K5 plus a pendant vertex: str 9 = 2p - 2*alpha + 1 is above p + delta = 7.
-    # verify reads the alpha start first; it reaches 9, so no refutation runs,
-    # even on a starved budget.  Held below 9, the start leaves one
-    # refutation at 8, which a starved budget cannot complete.
+    # verify reads p + delta first, which falls short, so it refutes 8 once,
+    # with the full budget, and reads no independence number; a starved budget
+    # cannot complete that refutation.
     g = Graph(6, [*complete(5).edges(), (0, 5)])
     cert = exact_strength(g).to_certificate()
     require(cert.upper == 9, f"strength {cert.upper}")
     calls = []
 
     def refute(core, t, budget):
-        calls.append(("refute", t, budget))
-        return feasible_at(core, t, budget)
+        res = feasible_at(core, t, budget)
+        calls.append((t, budget, res.status))
+        return res
 
-    def alpha_bound(core):
-        calls.append(("alpha",))
-        return independence_lower_bound_str(core)
-
-    def no_alpha_bound(core):
-        calls.append(("alpha",))
-        return 0
+    def no_alpha(core):
+        raise AssertionError("a search bound reads no independence number")
 
     monkeypatch.setattr(oracle, "feasible_at", refute)
-    for alpha, budget, refuted in ((alpha_bound, 0, []), (alpha_bound, 1, []),
-                                   (no_alpha_bound, 1, [("refute", 8, 1)])):
-        calls.clear()
-        monkeypatch.setattr(bounds, "independence_lower_bound_str", alpha)
-        monkeypatch.setattr(oracle, "DEFAULT_BUDGET", budget)
-        verdict = verify_certificate(g, cert)
-        require((verdict.status, verdict.reasons, verdict.recomputed_lower) == ("exact", (), 9),
-                str(verdict))
-        require(calls == [("alpha",), *refuted], f"budget {budget}: {calls}")
+    monkeypatch.setattr(bounds, "independence_number", no_alpha)
+    verdict = verify_certificate(g, cert)
+    require((verdict.status, verdict.reasons, verdict.recomputed_lower) == ("exact", (), 9),
+            str(verdict))
+    require(calls == [(8, oracle.DEFAULT_BUDGET, "infeasible")], str(calls))
     calls.clear()
     monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 0)
     verdict = verify_certificate(g, cert)
     require(verdict.status == "invalid" and "refuting threshold 8" in verdict.reasons[0],
             str(verdict))
-    require(calls == [("alpha",), ("refute", 8, 0)], str(calls))
+    require(calls == [(8, 0, "budget")], str(calls))
 
 
 def _seeded_sample(count: int) -> list[Graph]:
@@ -237,20 +230,27 @@ def _seeded_sample(count: int) -> list[Graph]:
 
 
 @pytest.mark.parametrize("draw", [21, 32])
-def test_a_search_certificate_at_the_alpha_start_verifies_without_a_refutation(
+def test_a_search_certificate_above_p_plus_delta_verifies_through_one_refutation(
         monkeypatch, draw):
-    # exact at the alpha start (37 and 49) within 107 nodes, far above
-    # p + delta; refuting one below the start spends the whole budget
+    # exact at the independence bound (37 and 49), far above p + delta: the
+    # scan refutes every threshold from p + delta up, and verify reruns only
+    # the last refutation, at upper - 1
     g = _seeded_sample(draw + 1)[draw]
     core, _ = g.core()
     cert = exact_strength(g).to_certificate()
     require(cert.upper == independence_lower_bound_str(core) > core.n + core.min_degree(),
             f"strength {cert.upper}")
     calls = []
-    monkeypatch.setattr(oracle, "feasible_at", lambda *args: calls.append(args))
+
+    def refute(core, t, budget):
+        res = feasible_at(core, t, budget)
+        calls.append((t, res.status))
+        return res
+
+    monkeypatch.setattr(oracle, "feasible_at", refute)
     verdict = verify_certificate(g, cert)
-    require((verdict.status, verdict.recomputed_lower, calls) == ("exact", cert.upper, []),
-            f"{verdict}, {calls}")
+    require((verdict.status, verdict.recomputed_lower, calls)
+            == ("exact", cert.upper, [(cert.upper - 1, "infeasible")]), f"{verdict}, {calls}")
 
 
 def test_sequence_search_stops_at_the_recursion_limit():
@@ -265,24 +265,24 @@ def test_transitivity_proof_stops_at_the_recursion_limit():
         assert not is_vertex_transitive(complete(120))
 
 
-def test_threshold_search_stops_at_the_recursion_limit():
-    with shallow_stack():
-        res = exact_strength(path(200))
-    assert (res.status, res.lower, res.upper) == ("bracket", 201, 399)
-    assert res.nodes_explored < 200
+def test_threshold_search_is_exact_under_a_shallow_stack():
+    g = path(200)
+    with shallow_stack():  # the top-set search keeps its levels on a list
+        res = exact_strength(g)
+        verdict = verify_certificate(g, res.to_certificate())
+    assert (res.status, res.lower, res.upper) == ("exact", 201, 201)
+    assert (verdict.status, verdict.recomputed_lower) == ("exact", 201)
 
 
-def test_a_search_bound_stopped_by_the_recursion_limit_says_so():
-    # path(200): confirming the witness (strength 399 > p + delta) needs a
-    # refutation at 398, which the shallow stack stops long before its budget
+def test_a_search_bound_recomputes_exactly_under_a_shallow_stack():
+    # path(200): the witness 1..200 has strength 399 > p + delta, and 398 is
+    # feasible, so the search bound is the full scan's value, 201
     g = path(200)
     cert = StrengthCertificate(LowerBound("search", 399), 399, Numbering(tuple(range(1, 201))))
     with shallow_stack():
         verdict = verify_certificate(g, cert)
-        with pytest.raises(UnconfirmedBound) as exc:
-            recompute_lower_bound(g, "search")
-    require(verdict.status == "invalid" and re.fullmatch(
-        r"lower bound 'search' unconfirmed: search stopped after \d+ nodes "
-        r"refuting threshold 398", verdict.reasons[0]) is not None, str(verdict))
-    require(re.fullmatch(r"search stopped after \d+ nodes at \[201, 399\]", str(exc.value))
-            is not None, str(exc.value))
+        value = recompute_lower_bound(g, "search")
+    require((verdict.status, verdict.reasons, verdict.recomputed_lower) == (
+        "invalid", ("lower bound 'search' recomputes to 201, certificate claims 399",), 201),
+        str(verdict))
+    require(value == 201, str(value))

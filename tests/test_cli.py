@@ -238,10 +238,28 @@ def test_exact_bracket_says_why_the_search_stopped(capsys, monkeypatch):
         code, out, _ = run(capsys, "exact", "--family", "hypercube:4")
     assert code == 3
     assert out == "inconclusive: strength in [20, 31] (budget exhausted after 11 nodes)\n"
-    with shallow_stack():
+
+
+def test_exact_on_a_long_path_is_exact_under_a_shallow_stack(capsys):
+    with shallow_stack():  # the threshold search keeps its levels on a list
         code, out, _ = run(capsys, "exact", "--family", "path:200")
-    assert code == 3
-    assert out.startswith("inconclusive: strength in [201, 399] (search stopped after ")
+    assert code == 0
+    assert out.startswith("exact strength: 201 (")
+
+
+def test_exact_certifies_the_six_cube_at_78_and_verify_accepts_it(capsys, tmp_path):
+    # above the paper's lower bound 2^6 + 4*6 - 12 = 76 for Q6: p + delta = 70,
+    # and the scan refutes 70..77 before 78 is feasible
+    code, out, _ = run(capsys, "exact", "--family", "hypercube:6", "--json")
+    require(code == 0, out)
+    payload = json.loads(out)
+    require((payload["status"], payload["upper"], payload["lower"]["value"]) == ("exact", 78, 78),
+            out)
+    cert_file = tmp_path / "q6.json"
+    cert_file.write_text(out)
+    code, out, _ = run(capsys, "verify", "--family", "hypercube:6",
+                       "--certificate", str(cert_file))
+    require(code == 0 and "verdict: exact" in out, out)
 
 
 def test_exact_has_no_vertex_cap_but_a_budget_limit(capsys):

@@ -101,22 +101,30 @@ MUTANTS = (
            "    return two_regular_strength(lengths)\n\n\nregister_lower_bound",
            "    return two_regular_strength(lengths) + 1\n\n\nregister_lower_bound",
            ("test_labeling.py", "test_constructions.py")),
-    Mutant("feasible-hall-test-off-by-one", "oracle.py",
-           ".bit_count() <= room and place(level - 1):",
-           ".bit_count() < room and place(level - 1):",
+    Mutant("feasible-room-one-high", "oracle.py",
+           "room = max(0, t - p + len(stack)) - near.bit_count()",
+           "room = max(0, t - p + len(stack) + 1) - near.bit_count()",
            ("test_oracle.py",)),
-    Mutant("search-bound-start-is-p+delta", "oracle.py",
-           "        if _scan_start(core) >= upper:\n",
-           "        if core.n + core.min_degree() >= upper:\n",
-           ("test_budget.py",)),
+    Mutant("feasible-candidate-from-the-neighbourhood", "oracle.py",
+           "_bits((pool & ~(chosen | near)) >> after << after)",
+           "_bits((pool & ~chosen) >> after << after)",
+           ("test_oracle.py",)),
+    Mutant("feasible-memo-reads-the-parent", "oracle.py",
+           "(chosen | 1 << v) not in dead",
+           "chosen not in dead",
+           ("test_oracle.py",)),
+    Mutant("feasible-distance-two-at-delta", "oracle.py",
+           "pool = near2 if room < delta else g.full_mask",
+           "pool = near2 if room <= delta else g.full_mask",
+           ("test_oracle.py",)),
+    Mutant("feasible-witness-neighbours-by-id", "oracle.py",
+           "        labels[v] = p - k\n        for w in fresh:\n",
+           "        labels[v] = p - k\n        for w in ():\n",
+           ("test_oracle.py",)),
     Mutant("search-bound-accepts-spent-refutation", "oracle.py",
            '        if res.status == "infeasible":\n            return upper\n',
            '        if res.status != "feasible":\n            return upper\n',
            ("test_budget.py",)),
-    Mutant("scan-start-alpha-one-high", "oracle.py",
-           "return max(start, independence_lower_bound_str(core)) if",
-           "return max(start, independence_lower_bound_str(core) + 1) if",
-           ("test_oracle.py",)),
     Mutant("sequence-bound-table-one-low", "deltaseq.py",
            "bound[nxt] = best - nz\n",
            "bound[nxt] = best - nz - 1\n",
@@ -129,11 +137,13 @@ MUTANTS = (
 
 # (name, file, old, new, why no test can kill it)
 EQUIVALENT = (
-    ("feasible-hall-test-skipped-at-l-2", "oracle.py",
-     ".bit_count() <= room and place(level - 1):",
-     ".bit_count() <= room + (room == level - 2) and place(level - 1):",
-     "when the count fails only at t - l = l - 2, all l - 1 unlabeled vertices are reached, "
-     "so each has cap <= t - l < l - 1 and label l - 1 has no candidate: no node is lost"),
+    ("feasible-dead-set-recorded-on-entry", "oracle.py",
+     "        chosen |= 1 << v\n",
+     "        if len(dead) < DEAD_SET_CAP:\n            dead.add(chosen)\n        chosen |= 1 << v\n",
+     "a set is recorded before its extensions are explored, but only sets on the stack are, and "
+     "the search finishes a set's subtree before any other order can reach the set, so no lookup "
+     "sees the early entry until DEAD_SET_CAP sets are held; checked equal, node counts included, "
+     "on 19,288 feasible_at calls"),
 )
 
 
