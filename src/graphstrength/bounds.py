@@ -135,8 +135,9 @@ class XiProfile:
     within budget; incomplete entries are upper estimates of the true
     minimum and are excluded from xi (using them could overstate a lower
     bound).  ``transitive`` records that the graph was proven
-    vertex-transitive, so only the sets holding vertex 0 were scanned; it
-    takes no part in equality.
+    vertex-transitive, so only the sets holding vertex 0 were scanned, and
+    ``cube`` the dimension n when the graph was recognized as Q_n, else
+    None; neither takes part in equality.
     """
 
     i_max: int
@@ -144,6 +145,7 @@ class XiProfile:
     witnesses: tuple[tuple[int, ...], ...]
     complete: tuple[bool, ...]
     transitive: bool = field(compare=False)
+    cube: int | None = field(compare=False)
 
     @property
     def xi(self) -> int:
@@ -266,12 +268,14 @@ def xi_profile(g: Graph) -> XiProfile:
     first minimum, so the result is the same wherever the full scan
     finishes.  A recognized hypercube is transitive (``recognize_hypercube``
     checks its isomorphism to Q_n edge by edge), so only other graphs run
-    the refinement search's proof.  The radius-2 balls are built once.
+    the refinement search's proof; its dimension is kept for the bounds
+    report.  The radius-2 balls are built once.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     i_max = min(DEFAULT_XI_I_MAX, g.n - 1) if g.n > 1 else 1
-    transitive = recognize_hypercube(g) is not None or is_vertex_transitive(g)
+    cube = recognize_hypercube(g)
+    transitive = cube is not None or is_vertex_transitive(g)
     balls = _radius2_balls(g.adj)
     xs: list[int] = []
     wits: list[tuple[int, ...]] = []
@@ -282,7 +286,8 @@ def xi_profile(g: Graph) -> XiProfile:
         xs.append(best)
         wits.append(tuple(_bits(best_set)))
         comps.append(complete)
-    return XiProfile(i_max, tuple(xs), tuple(wits), tuple(comps), transitive)
+    return XiProfile(i_max, tuple(xs), tuple(wits), tuple(comps), transitive,
+                     None if cube is None else cube[0])
 
 
 # -- hypercubes ---------------------------------------------------------------
@@ -486,7 +491,7 @@ def bounds_report(g: Graph) -> BoundsReport:
         BoundEntry("p+delta", "lower", p + core.min_degree(), f"minimum degree {core.min_degree()}"),
         BoundEntry("2p-1", "upper", 2 * p - 1, "no edge sum can exceed p + (p-1)"),
     ]
-    prof = xi_profile(core)  # its transitivity proof also settles kappa'
+    prof = xi_profile(core)  # its transitivity proof also settles kappa' and the cube
     kappa = core.min_degree() if prof.transitive and core.is_connected() else edge_connectivity(core)
     entries.append(
         BoundEntry("p+edge-connectivity", "lower", p + kappa, f"edge connectivity {kappa}")
@@ -503,9 +508,8 @@ def bounds_report(g: Graph) -> BoundsReport:
                                   f"expansion profile {list(prof.x)} (sizes 1..{prof.i_max})"))
     else:
         notes.append("expansion profile incomplete within budget; skipped")
-    cube = recognize_hypercube(core)
-    if cube is not None and cube[0] >= 2:
-        n = cube[0]
+    n = prof.cube
+    if n is not None and n >= 2:
         entries.append(
             BoundEntry("hypercube", "lower", hypercube_lower_bound(n), f"this is the {n}-cube")
         )

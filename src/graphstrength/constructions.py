@@ -3,12 +3,14 @@
 Three construction routes live here, each producing a certificate whose
 witness can be re-checked edge by edge:
 
-* ``label_two_regular`` -- disjoint unions of cycles.  Even cycles alternate
-  a low block against a mirrored high block (edge sums p+1 / p+2); each odd
-  cycle needs one extra low label, pushing its sums to p+j / p+j+1 for the
-  j-th odd cycle.  The result is exactly max(p+2, p+1+k) where k counts odd
-  cycles, and that value is also a valid lower bound (p+delta when k=0, the
-  independence-number bound otherwise), so the certificate is exact.
+* ``label_two_regular`` -- disjoint unions of cycles: the top-set
+  numbering (``labeling.top_set_numbering``) of every second vertex of each
+  cycle, even cycles first.  An even cycle's sums alternate p+1 / p+2; an
+  odd one takes one more low label than high, which pushes the j-th odd
+  cycle's sums to p+j / p+j+1.  The result is exactly max(p+2, p+1+k)
+  where k counts odd cycles, and that value is also a valid lower bound
+  (p+delta when k=0, the independence-number bound otherwise), so the
+  certificate is exact.
 
 * ``double_bipartite`` -- given a balanced bipartite graph on parts X, Y of
   size m whose numbering f puts 1..m on X, builds a numbering F of G x K2
@@ -51,7 +53,8 @@ from .bounds import (
 )
 from .graphs import Graph, cartesian_product_k2, hypercube
 from .graphio import parse_graph6
-from .labeling import LowerBound, Numbering, StrengthCertificate, require, strength_of
+from .labeling import (LowerBound, Numbering, StrengthCertificate, require, strength_of,
+                       top_set_numbering)
 
 # -- two-regular graphs -------------------------------------------------------
 
@@ -69,47 +72,17 @@ def _ring(g: Graph, comp: tuple[int, ...]) -> list[int]:
 
 
 def label_two_regular(g: Graph) -> tuple[Numbering, StrengthCertificate]:
-    """Optimal numbering of a disjoint union of cycles.
-
-    Strength is max(p+2, p+1+k) with k the number of odd cycles; the
-    certificate is exact.
+    """Optimal numbering of a disjoint union of cycles: ``top_set_numbering``
+    of ``_ring(g, c)[1::2]`` for each cycle c, even cycles first, each group
+    by (length, min id).  Strength is max(p+2, p+1+k) with k the number of
+    odd cycles, checked against ``two_regular_strength``; the certificate
+    is exact.
     """
     lengths = two_regular_cycle_lengths(g)
     if lengths is None:
         raise ValueError("graph is not 2-regular (a disjoint union of cycles)")
-    p = g.n
-    comps = g.components()
-    evens = sorted((c for c in comps if len(c) % 2 == 0), key=lambda c: (len(c), c[0]))
-    odds = sorted((c for c in comps if len(c) % 2 == 1), key=lambda c: (len(c), c[0]))
-
-    labels = [0] * p
-    low = 0  # lows handed out so far; next low label is low + 1
-
-    # Even cycles: ring position 2j gets low + j + 1, position 2j+1 mirrors it
-    # to p - low - j, so consecutive sums alternate p+1 / p+2.
-    for comp in evens:
-        ring = _ring(g, comp)
-        half = len(comp) // 2
-        for j in range(half):
-            labels[ring[2 * j]] = low + j + 1
-            labels[ring[2 * j + 1]] = p - low - j
-        low += half
-
-    # Odd cycles: the j-th (1-based) uses n_j + 1 lows against n_j highs,
-    # interleaved, so its sums sit at p+j / p+j+1.  Highs continue downward
-    # from where the previous cycle stopped.
-    high = low  # highs handed out so far; next high label is p - high
-    for comp in odds:
-        ring = _ring(g, comp)
-        n_j = len(comp) // 2
-        for r in range(n_j + 1):
-            labels[ring[2 * r]] = low + r + 1
-        for r in range(n_j):
-            labels[ring[2 * r + 1]] = p - high - r
-        low += n_j + 1
-        high += n_j
-
-    numbering = Numbering(tuple(labels))
+    comps = sorted(g.components(), key=lambda c: (len(c) % 2, len(c), c[0]))
+    numbering = top_set_numbering(g, [v for c in comps for v in _ring(g, c)[1::2]])
     value = two_regular_strength(lengths)
     got = strength_of(g, numbering)
     if got != value:

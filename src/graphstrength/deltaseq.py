@@ -7,7 +7,10 @@ vertices, or isolated vertices plus one clique.  Writing d_i for the chosen
 vertex's current degree, each stage from the second onward contributes
 y_i = m_i + 1 - d_i, and the running totals z_i = y_2 + ... + y_i are the
 whole story: if every z_i (terminal stage included) is nonnegative, an
-explicit numbering built from the sequence achieves strength p + d_1.
+explicit numbering built from the sequence achieves strength p + d_1: the
+top-set numbering (``labeling.top_set_numbering``) of each stage's isolated
+vertices, ids descending, then its chosen vertex, and last the terminal's
+isolated vertices, ids descending.
 
 When every chosen vertex has minimum degree, d_1 is the graph's minimum
 degree and the numbering is optimal (strength is always at least p + delta).
@@ -48,6 +51,7 @@ from .labeling import (
     StrengthCertificate,
     extend_over_isolated,
     strength_of,
+    top_set_numbering,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -403,12 +407,12 @@ def best_z_sequence(
 def label_from_sequence(g: Graph, seq: DeltaSequence) -> Numbering:
     """The explicit numbering a nonnegative sequence promises: strength p + d_1.
 
-    First chosen vertex takes label p and its neighbors take 1..d_1; each
-    later stage hands its isolated vertices the next labels down from the
-    top, its chosen vertex the next one below those, and its neighbors the
-    next labels up from the bottom; a terminal clique takes what is left in
-    the middle.  The nonnegative prefix sums are exactly what keeps every
-    edge's sum at or below p + d_1, and the top edge attains it.
+    The top-set numbering of the sequence's chain: the first chosen vertex
+    takes label p and its neighbors 1..d_1; each later stage's isolated
+    vertices, then its chosen vertex, take the next labels down from the
+    top, and its neighbors the next labels up from the bottom; a terminal
+    clique takes what is left in the middle.  The nonnegative prefix sums
+    keep every edge's sum at or below p + d_1, and the top edge attains it.
     """
     if replay(g, seq.choices(), seq.mode) != seq:
         raise ValueError("sequence was not produced from this graph")
@@ -417,35 +421,23 @@ def label_from_sequence(g: Graph, seq: DeltaSequence) -> Numbering:
 
 def _numbering(g: Graph, seq: DeltaSequence) -> Numbering:
     """``label_from_sequence`` for a sequence ``replay`` built from g itself,
-    as every sequence of ``certify`` is; the strength check still runs."""
+    as every sequence of ``certify`` is.  The prefix sums, the leftover
+    vertices (the terminal clique) and the strength are still checked."""
     if not seq.satisfies_condition:
         raise ValueError(
             f"sequence has a negative prefix sum ({seq.min_prefix}); "
             "it certifies nothing"
         )
     p = g.n
-    labels = [0] * p
-    high = p
-    low = 1
+    chain: list[int] = []
     for step in seq.steps:
-        for v in sorted(step.isolated, reverse=True):
-            labels[v] = high
-            high -= 1
-        labels[step.chosen] = high
-        high -= 1
-        for v in sorted(step.neighbors):
-            labels[v] = low
-            low += 1
-    for v in sorted(seq.terminal.isolated, reverse=True):
-        labels[v] = high
-        high -= 1
-    clique = sorted(seq.terminal.clique)
-    if len(clique) != high - low + 1:
+        chain += [*step.isolated[::-1], step.chosen]
+    chain += seq.terminal.isolated[::-1]
+    numbering = top_set_numbering(g, chain)
+    low = sum(len(step.neighbors) for step in seq.steps)
+    leftover = sorted(numbering.labels[v] for v in seq.terminal.clique)
+    if leftover != list(range(low + 1, p - len(chain) + 1)):
         raise AssertionError("stage bookkeeping out of sync with label supply")
-    for v in clique:
-        labels[v] = low
-        low += 1
-    numbering = Numbering(tuple(labels))
     achieved = strength_of(g, numbering)
     if achieved != p + seq.d1:
         raise AssertionError(

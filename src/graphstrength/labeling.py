@@ -2,9 +2,11 @@
 
 A numbering of a graph on p vertices is a bijection onto {1, ..., p}; its
 strength is the largest label sum over the edges.  The strength of the graph
-is the minimum of that over all numberings.  A StrengthCertificate pins the
-graph's strength between a named, recomputable lower bound and the strength
-of an explicit witness numbering; when the two meet the value is exact.
+is the minimum of that over all numberings.  ``top_set_numbering`` builds
+the oracle's witnesses and the delta-sequence and 2-regular numberings.  A
+StrengthCertificate pins the graph's strength between a named, recomputable
+lower bound and the strength of an explicit witness numbering; when the two
+meet the value is exact.
 
 Lower bounds are referenced by name so a certificate can be re-verified from
 scratch: other modules register their bound computations in a small registry
@@ -14,10 +16,10 @@ at import time, and verify_certificate recomputes every claim it sees.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,33 @@ def extend_over_isolated(g: Graph, core_numbering: Numbering) -> Numbering:
         labels[v] = label
     for label, v in enumerate(g.isolated_vertices(), start=len(ids) + 1):
         labels[v] = label
+    return Numbering(tuple(labels))
+
+
+def top_set_numbering(g: Graph, chain: Sequence[int]) -> Numbering:
+    """The top-set lemma's numbering of an ordered independent chain.
+
+    ``chain[k]`` takes label p - k and its unlabelled neighbours the next
+    labels up from 1, by id; the rest take the labels between, by id.  If
+    the chain has at least p - t//2 vertices and its first k have at most
+    max(0, t - p + k - 1) neighbours for each k, the strength is at most t.
+    A chain that repeats a vertex or is not independent raises ValueError.
+    """
+    p = g.n
+    labels = [0] * p
+    low = 0
+    for k, v in enumerate(chain):
+        if labels[v]:
+            raise ValueError(f"chain vertex {v} is already labelled; the chain is not independent")
+        labels[v] = p - k
+        for w in _bits(g.adj[v]):
+            if not labels[w]:
+                low += 1
+                labels[w] = low
+    for v in range(p):
+        if not labels[v]:
+            low += 1
+            labels[v] = low
     return Numbering(tuple(labels))
 
 

@@ -46,6 +46,7 @@ from .labeling import (
     UnconfirmedBound,
     extend_over_isolated,
     register_lower_bound,
+    top_set_numbering,
 )
 
 DEFAULT_BUDGET = 2_000_000
@@ -345,9 +346,9 @@ def feasible_at(g: Graph, t: int, budget: int = DEFAULT_BUDGET) -> FeasibilityRe
     fewer than delta new neighbours fit, only N(N(T)) is searched.  The
     stack keeps, per level, the vertex, its new neighbours and the vertices
     it brought into N(N(T)), and a level resumes past the vertex it undoes.
-    The witness gives T the labels p, p - 1, ... in order, each new
-    neighbour the next label up from 1 in order of first appearance, and
-    the rest the labels left, none above t/2.
+    The witness is ``top_set_numbering`` of T in stack order: T takes
+    p, p - 1, ..., its neighbours the labels up from 1, and the rest the
+    labels left, none above t/2.
     """
     if g.edge_count == 0:
         raise ValueError("feasibility is about edge sums; graph has no edges")
@@ -390,18 +391,8 @@ def feasible_at(g: Graph, t: int, budget: int = DEFAULT_BUDGET) -> FeasibilityRe
         near2 |= reached
         stack.append((v, fresh, tuple(_bits(reached))))
         after = 0
-    labels = [0] * p
-    low = 0
-    for k, (v, fresh, _) in enumerate(stack):
-        labels[v] = p - k
-        for w in fresh:
-            low += 1
-            labels[w] = low
-    for v in range(p):
-        if not labels[v]:
-            low += 1
-            labels[v] = low
-    return FeasibilityResult("feasible", Numbering(tuple(labels)), nodes)
+    witness = top_set_numbering(g, [v for v, _, _ in stack])
+    return FeasibilityResult("feasible", witness, nodes)
 
 
 @dataclass(frozen=True)

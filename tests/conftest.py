@@ -445,6 +445,57 @@ def reference_feasible_at(
     return FeasibilityResult("infeasible", None, nodes)
 
 
+# -- the interleaved 2-regular numbering (test-side reference) ----------------
+#
+# ``constructions.label_two_regular`` as it stood when it wrote its low and
+# high blocks out by hand, cycle by cycle; copied apart from its name and
+# its certificate.  The library now builds it as the top-set numbering of
+# every second ring vertex, and must give the same labels.
+
+
+def _ring(g: Graph, comp: tuple[int, ...]) -> list[int]:
+    start = comp[0]
+    ring = [start, min(g.neighbors(start))]
+    while len(ring) < len(comp):
+        prev, cur = ring[-2], ring[-1]
+        a, b = g.neighbors(cur)
+        ring.append(b if a == prev else a)
+    return ring
+
+
+def reference_label_two_regular(g: Graph) -> Numbering:
+    """Optimal numbering of a disjoint union of cycles, block by block.
+
+    Even cycles alternate a low block against a mirrored high block (edge
+    sums p+1 / p+2); the j-th odd cycle uses n_j + 1 lows against n_j
+    highs, interleaved, so its sums sit at p+j / p+j+1.
+    """
+    p = g.n
+    comps = g.components()
+    evens = sorted((c for c in comps if len(c) % 2 == 0), key=lambda c: (len(c), c[0]))
+    odds = sorted((c for c in comps if len(c) % 2 == 1), key=lambda c: (len(c), c[0]))
+    labels = [0] * p
+    low = 0  # lows handed out so far; next low label is low + 1
+    for comp in evens:
+        ring = _ring(g, comp)
+        half = len(comp) // 2
+        for j in range(half):
+            labels[ring[2 * j]] = low + j + 1
+            labels[ring[2 * j + 1]] = p - low - j
+        low += half
+    high = low  # highs handed out so far; next high label is p - high
+    for comp in odds:
+        ring = _ring(g, comp)
+        n_j = len(comp) // 2
+        for r in range(n_j + 1):
+            labels[ring[2 * r]] = low + r + 1
+        for r in range(n_j):
+            labels[ring[2 * r + 1]] = p - high - r
+        low += n_j + 1
+        high += n_j
+    return Numbering(tuple(labels))
+
+
 @pytest.fixture(scope="session")
 def atlas_small() -> list[Graph]:
     return atlas_connected(3, 6)

@@ -271,19 +271,29 @@ def test_report_edge_connectivity_on_transitive_cores_matches_the_flows(name):
 
 def test_report_runs_one_transitivity_proof_and_none_on_a_cube(monkeypatch):
     calls = []
+    cubes = []
 
     def counting(g):
         calls.append(g.n)
         return is_vertex_transitive(g)
 
-    # the name the xi scan calls
+    def counting_cubes(g):
+        cubes.append(g.n)
+        return recognize_hypercube(g)
+
+    # the names the xi scan calls; the report reads the cube off its profile
     monkeypatch.setattr(bounds, "is_vertex_transitive", counting)
+    monkeypatch.setattr(bounds, "recognize_hypercube", counting_cubes)
     report = bounds_report(torus(4, 5))
-    assert calls == [20] and report.best_lower == 25
+    assert calls == [20] and cubes == [20] and report.best_lower == 25
+    assert not any(e.name.startswith("hypercube") for e in report.entries)
     calls.clear()
+    cubes.clear()
     report = bounds_report(hypercube(5))
-    assert calls == [] and report.exact and report.best_lower == 40
-    assert {e.name: e.value for e in report.entries}["p+edge-connectivity"] == 37
+    assert calls == [] and cubes == [32] and report.exact and report.best_lower == 40
+    entries = {e.name: e.value for e in report.entries}
+    assert entries["p+edge-connectivity"] == 37
+    assert entries["hypercube"] == 40 and entries["hypercube-table"] == 40
 
 
 def test_q7_xi_profile_complete_at_default_budget(capsys):
@@ -341,7 +351,8 @@ def test_recognize_hypercube():
     # non-cubes with cube-like parameters are rejected
     assert recognize_hypercube(cycle(8)) is None
     assert recognize_hypercube(complete(4)) is None
-    assert recognize_hypercube(complete_bipartite(2, 2)) is None or True  # C4 = Q2
+    got = recognize_hypercube(complete_bipartite(2, 2))  # C4 = Q2
+    assert got is not None and got[0] == 2
     assert recognize_hypercube(cycle(4)) is not None
 
 

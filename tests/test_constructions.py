@@ -29,6 +29,8 @@ from graphstrength.graphs import (
 from graphstrength.labeling import Numbering, strength_of, verify_certificate
 from graphstrength.oracle import exact_strength
 
+from conftest import reference_label_two_regular
+
 
 # -- two-regular ----------------------------------------------------------------
 
@@ -69,6 +71,19 @@ def test_two_regular_on_scrambled_ids():
     assert cert.value == 12 + 1 + 2
     assert strength_of(h, num) == cert.value
     assert verify_certificate(h, cert).ok
+
+
+def test_two_regular_matches_the_interleaved_reference():
+    # the top-set numbering gives the hand-interleaved blocks' labels, on
+    # cycle unions numbered in order and at random
+    rng = random.Random(27)
+    for trial in range(600):
+        g = cycles_union([rng.randint(3, 12) for _ in range(rng.randint(1, 6))])
+        if trial % 2:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = g.relabeled(perm)
+        assert label_two_regular(g)[0] == reference_label_two_regular(g), g.edges()
 
 
 def test_two_regular_rejects_other_graphs():

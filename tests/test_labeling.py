@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphstrength import labeling, oracle
 from graphstrength.constructions import hypercube_certificate, load_fixture
@@ -29,11 +31,12 @@ from graphstrength.labeling import (
     recompute_lower_bound,
     strength_of,
     to_dot,
+    top_set_numbering,
     verify_certificate,
 )
 from graphstrength.oracle import exact_strength
 
-from conftest import petersen, random_graph
+from conftest import petersen, random_graph, small_graphs
 
 
 def test_strength_of_simple():
@@ -72,6 +75,46 @@ def test_extend_with_interleaved_isolated():
     g = Graph(4, [(1, 3)])  # 0 and 2 isolated
     full = extend_over_isolated(g, Numbering((1, 2)))
     assert full.labels == (3, 1, 4, 2)
+
+
+def test_top_set_numbering_labels():
+    # 0 - 1 - 2 - 3, 4 isolated: the chain [2, 0] takes 5 and 4, 2's
+    # neighbours 1 and 3 take 1 and 2 by id, 0 has none left, 4 takes 3
+    g = Graph(5, [(0, 1), (1, 2), (2, 3)])
+    assert top_set_numbering(g, [2, 0]).labels == (4, 1, 5, 2, 3)
+    assert top_set_numbering(g, []).labels == (1, 2, 3, 4, 5)
+    for chain in ([1, 2], [0, 0], [2, 4, 1]):
+        with pytest.raises(ValueError, match="not independent"):
+            top_set_numbering(g, chain)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs(max_n=9), st.data())
+def test_a_lemma_chain_numbers_within_its_threshold(g, data):
+    # the top-set lemma: an independent chain of at least p - t//2 vertices
+    # whose first k have at most max(0, t - p + k - 1) neighbours gives a
+    # numbering of strength at most t; isolated vertices stay in the draw
+    assume(g.n >= 2 and g.edge_count)
+    p = g.n
+    t = data.draw(st.integers(1, 2 * p), label="t")
+    order = data.draw(st.permutations(range(p)), label="order")
+    top = max(0, p - t // 2)
+    length = top + data.draw(st.integers(0, 2), label="extra")
+    chain: list[int] = []
+    taken = near = 0
+    while len(chain) < length:
+        room = max(0, t - p + len(chain))
+        fits = [v for v in order if not (taken | near) >> v & 1
+                and (near | g.adj[v]).bit_count() <= room]
+        if not fits:
+            break
+        chain.append(fits[0])
+        taken |= 1 << fits[0]
+        near |= g.adj[fits[0]]
+    assume(len(chain) >= top)
+    f = top_set_numbering(g, chain)
+    assert [f.labels[v] for v in chain] == list(range(p, p - len(chain), -1))
+    assert strength_of(g, f) <= t
 
 
 def test_certificate_round_trip_and_status():

@@ -117,10 +117,10 @@ MUTANTS = (
            "pool = near2 if room < delta else g.full_mask",
            "pool = near2 if room <= delta else g.full_mask",
            ("test_oracle.py",)),
-    Mutant("feasible-witness-neighbours-by-id", "oracle.py",
-           "        labels[v] = p - k\n        for w in fresh:\n",
-           "        labels[v] = p - k\n        for w in ():\n",
-           ("test_oracle.py",)),
+    Mutant("top-set-neighbours-by-id", "labeling.py",
+           "        for w in _bits(g.adj[v]):\n",
+           "        for w in sorted(_bits(g.adj[v]), reverse=True):\n",
+           ("test_labeling.py", "test_deltaseq.py")),
     Mutant("search-bound-accepts-spent-refutation", "oracle.py",
            '        if res.status == "infeasible":\n            return upper\n',
            '        if res.status != "feasible":\n            return upper\n',
@@ -133,6 +133,14 @@ MUTANTS = (
            "return (), 0, True  # one clique",
            "return None, 0, True  # one clique",
            ("test_deltaseq.py",)),
+    Mutant("sequence-chain-isolated-ascending", "deltaseq.py",
+           "[*step.isolated[::-1], step.chosen]",
+           "[*step.isolated, step.chosen]",
+           ("test_deltaseq.py",)),
+    Mutant("two-regular-odd-cycles-first", "constructions.py",
+           "key=lambda c: (len(c) % 2, len(c), c[0])",
+           "key=lambda c: (1 - len(c) % 2, len(c), c[0])",
+           ("test_constructions.py",)),
 )
 
 # (name, file, old, new, why no test can kill it)
