@@ -34,6 +34,8 @@ stage (the min-degree engine, then one any-degree search rooted at a
 minimum-degree vertex, best-Z with ``embed``, which certifies the graph
 itself or sizes a biclique host); the ``label`` command only formats its
 result.  ``embed_minimal`` is its embed route without the closed forms.
+A complete graph has no route of its own: it is one terminal stage, which
+the min-degree engine returns before it counts a node, at p + d_1 = 2p - 1.
 """
 
 from __future__ import annotations
@@ -449,11 +451,13 @@ def _numbering(g: Graph, seq: DeltaSequence) -> Numbering:
 def forest_delta_sequence(t: Graph) -> DeltaSequence:
     """Minimum-degree sequence of a forest with every prefix sum nonnegative.
 
-    Pick a pendant vertex whose neighbor has degree at least 2 when one
-    exists (deleting its closed neighborhood frees that neighbor's other
-    children as isolated vertices); otherwise the remaining forest is a
-    perfect matching and any pendant does.  Every forest with at least one
-    edge and no isolated vertices admits this, so its strength is p + 1.
+    With no isolated vertex, every stage that is not terminal has minimum
+    degree 1, so each choice has y_i = m_i + 1 - 1 = m_i >= 0, and a
+    terminal stage holds at most a K_2, so its y is at least 0 too: every
+    pendant peeling has nonnegative prefix sums, the strength is p + 1, and
+    the min-degree DFS never backtracks on a forest.  The rule here (a
+    pendant whose neighbor has degree at least 2 when one exists) only
+    fixes which sequence is returned, and stays so certificates do not change.
     """
     if not t.is_forest():
         raise ValueError("not a forest")
@@ -542,13 +546,6 @@ def _sequence_result(h: Graph, seq: DeltaSequence, note: str, nodes: int,
     return EmbedResult(cert.status, h, cert, seq, added, nodes)
 
 
-def _complete_certificate(h: Graph) -> StrengthCertificate | None:
-    if not h.is_complete():
-        return None
-    return _p_delta_certificate(h, Numbering(tuple(range(1, h.n + 1))), 2 * h.n - 1,
-                                "complete graph: every numbering attains 2p-1")
-
-
 def _closed_form_certificate(h: Graph) -> StrengthCertificate | None:
     """Unions of cycles, forests and recognized cubes of dimension >= 2."""
     if two_regular_cycle_lengths(h) is not None:
@@ -570,14 +567,10 @@ def embed_minimal(h: Graph, budget: int = DEFAULT_BUDGET) -> EmbedResult:
     """Certify strength p + delta for h itself or for h plus one biclique.
 
     The embed route of ``certify`` without its closed forms, for a graph
-    with no isolated vertex: a complete graph short-circuits, then
-    ``_sequence_stage`` runs with ``embed``.
+    with no isolated vertex: ``_sequence_stage`` with ``embed``.
     """
     if h.edge_count == 0 or not all(h.adj[v] for v in range(h.n)):
         raise ValueError("host must have minimum degree at least 1")
-    cert = _complete_certificate(h)
-    if cert is not None:
-        return EmbedResult(cert.status, h, cert, None, None, 0)
     return _sequence_stage(h, budget, True)
 
 
@@ -616,18 +609,17 @@ def _sequence_stage(h: Graph, budget: int, embed: bool) -> EmbedResult:
 def certify(g: Graph, budget: int = DEFAULT_BUDGET, embed: bool = False) -> EmbedResult:
     """Certified strength of g: the one labeling pipeline.
 
-    Sets isolated vertices aside, certifies a complete graph, then tries
-    the closed forms (cycle unions, forests, recognized cubes), then runs
-    ``_sequence_stage``, which with ``embed`` certifies either the input
-    itself or the input plus one biclique on the next ids.  The witness is
-    lifted back over the isolated vertices, which take the top labels.
-    Budget rule: each search gets the full ``budget``.  Raises ValueError
-    on a graph with no edges.
+    Sets isolated vertices aside, tries the closed forms (cycle unions,
+    forests, recognized cubes), then runs ``_sequence_stage``, which with
+    ``embed`` certifies either the input itself or the input plus one
+    biclique on the next ids.  The witness is lifted back over the
+    isolated vertices, which take the top labels.  Budget rule: each search
+    gets the full ``budget``.  Raises ValueError on a graph with no edges.
     """
     core, _ = g.core()
     if core.n == 0:
         raise ValueError("graph has no edges; strength is undefined")
-    cert = _complete_certificate(core) or _closed_form_certificate(core)
+    cert = _closed_form_certificate(core)
     if cert is not None:
         res = EmbedResult(cert.status, core, cert, None, None, 0)
     else:

@@ -92,7 +92,7 @@ def _refine(
     color-preserving isomorphism can map one onto the other.  Once every
     cell is a singleton the queue is dropped: all it could still show is
     that a side's vertex map onto the first side is no automorphism, and
-    that is checked directly.
+    that is checked directly, edge by edge.
 
     Colors are cell numbers (a number no vertex has is an empty cell) and
     only ``splitters`` are queued, which is enough when the rest of the
@@ -207,8 +207,8 @@ def _find_automorphism(
     be (a ``_refine`` result, or one color on a regular graph), and if it
     is not, the search prunes less but stays complete.  Any automorphism
     extending the choices so far maps x into that cell, so None is the
-    outcome of a completed search.  A discrete coloring induces a map that
-    is returned only once it is checked edge by edge.  With ``ticks``, each
+    outcome of a completed search.  A discrete pair's map is returned as
+    it is: ``_refine`` has checked it edge by edge.  With ``ticks``, each
     refinement takes one item; none left raises BudgetExhausted.  ``nbrs``
     are the neighbor lists, built here when not given.
     """
@@ -216,6 +216,7 @@ def _find_automorphism(
         nbrs = _neighbor_lists(g)
 
     def extend(left: list[int], right: list[int], x: int, y: int) -> list[int] | None:
+        """An automorphism extending x -> y, or None; ``_refine`` checked it."""
         if ticks is not None and next(ticks, None) is None:
             raise BudgetExhausted
         fresh = max(left) + 1
@@ -228,8 +229,7 @@ def _find_automorphism(
             cells.setdefault(left[w], []).append(w)
         if len(cells) == g.n:
             where = {c: w for w, c in enumerate(right)}
-            sigma = [where[left[w]] for w in range(g.n)]
-            return sigma if _is_automorphism(g, sigma) else None
+            return [where[left[w]] for w in range(g.n)]
         color = min((c for c in cells if len(cells[c]) > 1), key=lambda c: (len(cells[c]), c))
         x = cells[color][0]
         for y in range(g.n):

@@ -191,7 +191,8 @@ def test_label_embed_without_biclique_prints_plain_certificate(capsys):
     assert "embedded" not in payload and payload["upper"] == 17
 
 
-# a complete graph is certified before any search runs, so no budget matters
+# the min-degree engine certifies a complete graph before it counts a node,
+# so --budget 0 still gives an exact answer
 @pytest.mark.parametrize("flags", [
     (), ("--embed",), ("--budget", "0"), ("--embed", "--budget", "0"),
 ])
@@ -339,6 +340,18 @@ def test_verify_refuses_certificate_numbers_that_are_not_integers(capsys, monkey
     code, out, err = run(capsys, "verify", "--graph6", PETERSEN_G6, "--certificate", "-")
     require(code == 2 and out == "", f"{field}={value!r}: exit {code}, {out!r}")
     require(f"bad certificate JSON: {field} must be an integer, got {value!r}" in err, err)
+
+
+@pytest.mark.parametrize("p", [9, 11])
+def test_verify_refuses_a_witness_whose_p_is_not_its_length(capsys, monkeypatch, p):
+    _, cert_json, _ = run(capsys, "exact", "--graph6", PETERSEN_G6, "--json")
+    cert = json.loads(cert_json)
+    require(cert["witness"]["p"] == len(cert["witness"]["labels"]) == 10, "real certificate")
+    cert["witness"]["p"] = p
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(cert)))
+    code, out, err = run(capsys, "verify", "--graph6", PETERSEN_G6, "--certificate", "-")
+    require(code == 2 and out == "", f"p={p}: exit {code}, {out!r}")
+    require("bad certificate JSON: numbering JSON: p does not match labels length" in err, err)
 
 
 def test_a_maxdeg_certificate_names_an_unknown_bound(capsys, monkeypatch):

@@ -27,7 +27,7 @@ from graphstrength.graphs import (
     path,
     star,
 )
-from graphstrength.labeling import strength_of, verify_certificate
+from graphstrength.labeling import LowerBound, Numbering, strength_of, verify_certificate
 from graphstrength.oracle import exact_strength
 
 from conftest import petersen, random_forest, random_graph
@@ -94,12 +94,32 @@ def test_complete_graph_is_its_own_terminal_stage():
             assert (res.status, res.sequence, res.nodes_explored) == want
         seq, nodes, done = best_z_sequence(g)
         assert (seq, seq.min_prefix, nodes, done) == (replay(g, (), "any-degree"), 0, 0, True)
-        res = certify(g)
-        assert res.sequence is None
-        assert res.certificate.notes == ("complete graph: every numbering attains 2p-1",)
-        assert verify_certificate(g, res.certificate).status == "exact"
     with pytest.raises(ValueError):
         find_delta_sequence(Graph(3, []))
+
+
+def test_certify_takes_a_complete_graph_through_the_min_degree_engine():
+    # no route of its own: K_n is the sequence of no choices, found at 0 nodes
+    for n in range(4, 8):
+        g = complete(n)
+        res = certify(g)
+        assert res.sequence == replay(g, ()) and res.nodes_explored == 0
+        cert = res.certificate
+        assert cert.lower == LowerBound("p+delta", 2 * n - 1) and cert.upper == 2 * n - 1
+        assert cert.witness == Numbering(tuple(range(1, n + 1)))
+        assert cert.notes == (f"min-degree sequence: (0K1+K{n}, z1=0)",)
+        assert verify_certificate(g, cert).status == "exact"
+    # K2 is a forest and K3 a cycle: the closed forms come first
+    cert = certify(complete(2)).certificate
+    assert (cert.lower.name, cert.upper, cert.witness.labels) == ("p+delta", 3, (1, 2))
+    assert cert.notes == ("leaf-peeling sequence: (0K1+K2, z1=0)",)
+    cert = certify(complete(3)).certificate
+    assert (cert.lower, cert.upper, cert.witness.labels) == (LowerBound("two-regular", 5), 5, (1, 3, 2))
+    # isolated vertices aside, the clique keeps the identity labels below them
+    g = disjoint_union(complete(5), Graph(2, []))
+    res = certify(g)
+    assert res.status == "exact" and res.certificate.witness.labels == tuple(range(1, 8))
+    assert verify_certificate(g, res.certificate).status == "exact"
 
 
 def test_complete_bipartite_reduces_in_one_step():
@@ -179,6 +199,18 @@ def test_forest_sequences():
         assert strength_of(t, num) == t.n + 1
 
 
+def test_the_min_degree_search_never_backtracks_on_a_forest():
+    # every pendant peeling has nonnegative prefix sums, K2 components included
+    rng = random.Random(37)
+    for _ in range(300):
+        t = random_forest(rng, rng.randint(2, 60))
+        ids = list(range(t.n))
+        rng.shuffle(ids)
+        t = Graph(t.n, [(ids[u], ids[v]) for u, v in t.edges()])
+        res = find_delta_sequence(t)
+        assert res.status == "found" and res.nodes_explored == len(res.sequence.steps)
+
+
 def test_forest_rejects_non_forests():
     with pytest.raises(ValueError):
         forest_delta_sequence(cycle(4))
@@ -211,9 +243,10 @@ def test_compose_refuses_insufficient_reserve():
 
 
 def test_embed_minimal_routes():
-    # complete graphs short-circuit
-    res = embed_minimal(complete(5))
-    assert res.status == "exact" and res.certificate.value == 9
+    # a complete graph is the min-degree engine's sequence of no choices
+    res = embed_minimal(complete(6))
+    assert (res.status, res.added_biclique, res.nodes_explored) == ("exact", None, 0)
+    assert res.certificate.value == 11
 
     # a min-degree reducible graph stays itself
     res = embed_minimal(cycle(6))

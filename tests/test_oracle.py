@@ -229,6 +229,19 @@ def test_every_found_map_is_an_automorphism():
                     assert sigma[u] == v and is_automorphism(g, sigma)
 
 
+def test_orbits_of_a_rigid_regular_graph_that_refines_to_a_false_map():
+    # 4-regular, no automorphism but the identity.  Individualizing 0 against
+    # 9 refines to a discrete pair before the splitter queue runs dry, and the
+    # map it induces is no automorphism: only _refine's edge-by-edge check
+    # rejects it, and without the check the orbits merge 0 with 9
+    g = Graph(10, [(0, 3), (0, 4), (0, 5), (0, 8), (1, 4), (1, 5), (1, 6), (1, 7), (2, 5),
+                   (2, 7), (2, 8), (2, 9), (3, 4), (3, 8), (3, 9), (4, 7), (5, 6), (6, 7),
+                   (6, 9), (8, 9)])
+    assert automorphism_orbits(g) == reference_orbits(g) == [(v,) for v in range(10)]
+    assert oracle._find_automorphism(g, [0] * 10, 0, 9) is None
+    assert not is_vertex_transitive(g)
+
+
 def test_complete_bipartite_seven_seven_at_default_cap():
     g = complete_bipartite(7, 7)
     res = exact_strength(g)

@@ -121,6 +121,19 @@ MUTANTS = (
            "        for w in _bits(g.adj[v]):\n",
            "        for w in sorted(_bits(g.adj[v]), reverse=True):\n",
            ("test_labeling.py", "test_deltaseq.py")),
+    Mutant("refine-skips-the-automorphism-check", "oracle.py",
+           "if not _is_automorphism(g, [where[c] for c in colorings[0]]):",
+           "if False:",
+           ("test_oracle.py",)),
+    Mutant("json-int-accepts-bool", "labeling.py",
+           "if type(value) is not int:",
+           "if not isinstance(value, int):",
+           ("test_cli.py",)),
+    Mutant("numbering-json-ignores-p", "labeling.py",
+           '        if _json_int(obj.get("p", len(labels)), "p") != len(labels):\n'
+           '            raise ValueError("numbering JSON: p does not match labels length")\n',
+           '        _json_int(obj.get("p", len(labels)), "p")\n',
+           ("test_cli.py",)),
     Mutant("search-bound-accepts-spent-refutation", "oracle.py",
            '        if res.status == "infeasible":\n            return upper\n',
            '        if res.status != "feasible":\n            return upper\n',
