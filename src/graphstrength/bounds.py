@@ -14,7 +14,10 @@ from scratch:
   lemma: a cut below delta leaves a dominated vertex on each side).  The
   report runs no flow on a connected core that the xi scan proved
   vertex-transitive, a recognized hypercube first: there kappa' is the
-  degree (W. Mader, Math. Ann. 191 (1971) 21-28).
+  degree (W. Mader, Math. Ann. 191 (1971) 21-28).  Nor on a core of
+  diameter at most 2, read off the xi scan's hit table: there kappa' is
+  delta (J. Plesnik, Acta Fac. Rerum Natur. Univ. Comenian. Math. 30
+  (1975) 71-93).
 * independence: the alpha + 1 vertices with the top labels cannot all be
   pairwise non-adjacent, and the two smallest of those labels sum to
   2p - 2*alpha + 1.  alpha must be exact - a greedy independent set
@@ -24,12 +27,16 @@ from scratch:
   a label >= p - i + 1, hence str >= p + max_i (x_i - i + 1).  On a graph
   proven vertex-transitive the scan for x_i only needs the sets containing
   vertex 0: an automorphism maps every i-set onto one of them.  The scan
-  skips a set S + v that the bound rules out on S's exterior alone: a v
-  outside N(S)\\S keeps all of N(S)\\S in the child's exterior, and a v at
-  distance >= 3 from S touches neither S nor N(S), so its exterior is
-  |N(S)\\S| + deg(v) >= |N(S)\\S| + delta.  Every skipped set is one the
-  plain enumeration's own prune rejects, and the scan still counts it as a
-  node, so an xi node is every set position the plain enumeration visits,
+  skips a set S + v that the bound rules out on S's exterior and v's hits
+  alone.  S + v has exterior |N(S)\\S| - [v in N(S)] + deg(v) - h(v),
+  where the hits h(v) = |N(v) & N[S]| are the neighbours of v already in
+  S or its exterior.  So a v outside N(S)\\S keeps all of N(S)\\S in the
+  child's exterior, and a v with h hits adds at least delta - h to it.  A
+  table of, per vertex s, the vertices with at least one and at least two
+  neighbours in N[s] bounds h(v) from above, summed over S; a v at
+  distance >= 3 from S has none.  Every skipped set is one the plain
+  enumeration's own prune rejects, and the scan still counts it as a node,
+  so an xi node is every set position the plain enumeration visits,
   bulk-counted ones included, and node counts do not depend on the skips.
 
 Bounds are computed on ``Graph.core()``, the graph minus its isolated
@@ -135,9 +142,10 @@ class XiProfile:
     within budget; incomplete entries are upper estimates of the true
     minimum and are excluded from xi (using them could overstate a lower
     bound).  ``transitive`` records that the graph was proven
-    vertex-transitive, so only the sets holding vertex 0 were scanned, and
+    vertex-transitive, so only the sets holding vertex 0 were scanned,
     ``cube`` the dimension n when the graph was recognized as Q_n, else
-    None; neither takes part in equality.
+    None, and ``diameter_two`` that the graph has diameter at most 2 and no
+    isolated vertex; none of the three takes part in equality.
     """
 
     i_max: int
@@ -146,6 +154,7 @@ class XiProfile:
     complete: tuple[bool, ...]
     transitive: bool = field(compare=False)
     cube: int | None = field(compare=False)
+    diameter_two: bool = field(compare=False)
 
     @property
     def xi(self) -> int:
@@ -159,17 +168,26 @@ class XiProfile:
         return max(vals)
 
 
-def _radius2_balls(adj: tuple[int, ...]) -> list[int]:
-    """N^2[v] per vertex: v and every vertex within distance 2 of it."""
-    balls = []
-    for v, a in enumerate(adj):
-        ball = a | 1 << v
-        while a:
-            low = a & -a
-            ball |= adj[low.bit_length() - 1]
-            a ^= low
-        balls.append(ball)
-    return balls
+def _hit_table(adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Two rows per vertex s: the vertices with at least one neighbour in
+    N[s], and those with at least two.
+
+    The first row is N^2[s], the vertices within distance 2 of s, less s
+    itself when s is isolated.  One pass adds up the neighbour masks of s
+    and of its neighbours, saturating at two.
+    """
+    one, two = [], []
+    for a in adj:
+        hit1, hit2, rest = a, 0, a
+        while rest:
+            low = rest & -rest
+            b = adj[low.bit_length() - 1]
+            hit2 |= hit1 & b
+            hit1 |= b
+            rest ^= low
+        one.append(hit1)
+        two.append(hit2)
+    return one, two
 
 
 def _xi_scan(
@@ -178,7 +196,7 @@ def _xi_scan(
     i: int,
     firsts: int,
     budget: int,
-    balls: list[int] | None = None,
+    table: tuple[list[int], list[int]] | None = None,
 ) -> tuple[int, int, bool, int]:
     """Min exterior over sets of size i whose minimum element is < ``firsts``.
 
@@ -191,39 +209,50 @@ def _xi_scan(
     from the empty set, whose children are 0..firsts-1.
 
     Two rules count children without visiting them, with r the vertices
-    still to add after the child.  The exterior rule: a child v outside ext
-    keeps all of ext in its own exterior, so once |ext| - r fails the pruning
-    bound, only the children in ext are visited.  The distance-2 rule: a
-    child v outside ``balls[s]`` = N^2[s] for every s in S (built here when
-    not given) is at distance >= 3 from S, so it is adjacent to neither S
-    nor ext, and the child's exterior is exactly |ext| + deg(v) >= |ext| +
-    delta; once that fails the bound, only the children inside the balls
-    are visited.  ext lies inside the balls, so the rules nest; both are
-    applied again whenever the incumbent falls.  The empty set has no
-    exterior and no balls, so at the first level every remaining first is
-    counted in bulk once delta - (i - 1) fails the bound.  Each skipped
-    child is one the pruning bound would reject, and ``nodes`` still counts
-    every set position the plain enumeration visits, bulk-counted ones
-    included and in the same order, so node counts do not depend on the
-    skips and a budget runs out at the same set and leaves the same result.
+    still to add after the child v and ext = N(S)\\S.  The child's exterior
+    is |ext| - [v in ext] + deg(v) - h(v), with h(v) = |N(v) & N[S]|.
+    The exterior rule: h(v) <= deg(v), so once |ext| - r fails the pruning
+    bound, only the children in ext are visited.  The hit rule: deg(v) >=
+    delta, so v survives only if h(v) >= k - [v in ext], with k = |ext| - r
+    + delta - best + 1.  h(v) is at most the sum over s in S of |N(v) &
+    N[s]|, and ``table`` (``_hit_table``, built here when not given) holds
+    per vertex the masks where that term is >= 1 and >= 2, so a set carries
+    the sum saturated at two; a child is visited only if that sum can reach
+    k - [v in ext].  k = 1 leaves the children within distance 2 of S, and
+    k <= 0 all of them.  Both rules are applied again whenever the incumbent
+    falls.  The empty set has no exterior and no hits, so at the first level
+    every remaining first is counted in bulk once delta - (i - 1) fails the
+    bound.  Each skipped child is one the pruning bound would reject, and
+    ``nodes`` still counts every set position the plain enumeration visits,
+    bulk-counted ones included and in the same order, so node counts do not
+    depend on the skips and a budget runs out at the same set and leaves
+    the same result.
     """
-    if balls is None:
-        balls = _radius2_balls(adj)
+    one, two = _hit_table(adj) if table is None else table
     delta = min(map(int.bit_count, adj), default=0)
     best = n + 1
     best_set = 0
     nodes = 0
 
-    def expand(smask: int, ext: int, near: int, size: int, lowest_next: int, end: int) -> None:
+    def allowed(floor: int, ext: int, hit1: int, hit2: int) -> int:
+        """The children the two rules leave to visit (-1: all of them)."""
+        k = floor + delta - best + 1  # hits a child outside ext needs; one in ext, k - 1
+        if k <= 0:
+            return -1
+        # hit1 holds ext, and the sums saturate at two
+        hits = hit1 if k == 1 else (ext | hit2) if k == 2 else hit2
+        return hits & ext if floor >= best else hits
+
+    def expand(smask: int, ext: int, hit1: int, hit2: int, size: int,
+               lowest_next: int, end: int) -> None:
         """Visit children lowest_next..end-1 of a surviving set of size < i."""
         nonlocal best, best_set, nodes
         left = i - size - 1
-        window = (1 << end) - (1 << lowest_next)
-        # the least exterior of a child outside ext, and of a far child, less
-        # what the rest can shrink
+        # the least exterior of a child outside ext, less what the rest can shrink
         floor = ext.bit_count() - left
-        cut = floor + delta
-        cands = window if cut < best else window & (ext if floor >= best else near)
+        window = (1 << end) - (1 << lowest_next)
+        cands = window & allowed(floor, ext, hit1, hit2)
+        before = best
         # the nodes counted once position v is visited: base + v + 1
         base = nodes - lowest_next
         while cands:
@@ -240,19 +269,21 @@ def _xi_scan(
                 continue
             if left:
                 nodes = base + v + 1
-                expand(ns, cext, near | balls[v], size + 1, v + 1, n - left + 1)
+                expand(ns, cext, hit1 | one[v], hit2 | two[v] | (hit1 & one[v]),
+                       size + 1, v + 1, n - left + 1)
                 base = nodes - v - 1
             else:
                 best, best_set = c, ns
-            if cut >= best:  # best fell: skip the children it rules out
-                cands &= ext if floor >= best else near
+            if best < before:  # best fell: skip the children it rules out
+                before = best
+                cands &= allowed(floor, ext, hit1, hit2)
         nodes = base + end
         if nodes > budget:
             nodes = budget + 1
             raise BudgetExhausted
 
     try:
-        expand(0, 0, 0, 0, 0, firsts)
+        expand(0, 0, 0, 0, 0, 0, firsts)
     except BudgetExhausted:
         return best, best_set, False, nodes
     return best, best_set, True, nodes
@@ -269,25 +300,28 @@ def xi_profile(g: Graph) -> XiProfile:
     finishes.  A recognized hypercube is transitive (``recognize_hypercube``
     checks its isomorphism to Q_n edge by edge), so only other graphs run
     the refinement search's proof; its dimension is kept for the bounds
-    report.  The radius-2 balls are built once.
+    report.  The hit table is built once, in one pass, and every scan size
+    reads it; the graph has diameter at most 2 and no isolated vertex
+    exactly when each of its first rows is the full mask.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     i_max = min(DEFAULT_XI_I_MAX, g.n - 1) if g.n > 1 else 1
     cube = recognize_hypercube(g)
     transitive = cube is not None or is_vertex_transitive(g)
-    balls = _radius2_balls(g.adj)
+    table = _hit_table(g.adj)
     xs: list[int] = []
     wits: list[tuple[int, ...]] = []
     comps: list[bool] = []
     for i in range(1, i_max + 1):
         firsts = 1 if transitive else g.n - i + 1
-        best, best_set, complete, _ = _xi_scan(g.adj, g.n, i, firsts, DEFAULT_XI_BUDGET, balls)
+        best, best_set, complete, _ = _xi_scan(g.adj, g.n, i, firsts, DEFAULT_XI_BUDGET, table)
         xs.append(best)
         wits.append(tuple(_bits(best_set)))
         comps.append(complete)
+    full = g.full_mask
     return XiProfile(i_max, tuple(xs), tuple(wits), tuple(comps), transitive,
-                     None if cube is None else cube[0])
+                     None if cube is None else cube[0], all(row == full for row in table[0]))
 
 
 # -- hypercubes ---------------------------------------------------------------
@@ -491,8 +525,11 @@ def bounds_report(g: Graph) -> BoundsReport:
         BoundEntry("p+delta", "lower", p + core.min_degree(), f"minimum degree {core.min_degree()}"),
         BoundEntry("2p-1", "upper", 2 * p - 1, "no edge sum can exceed p + (p-1)"),
     ]
-    prof = xi_profile(core)  # its transitivity proof also settles kappa' and the cube
-    kappa = core.min_degree() if prof.transitive and core.is_connected() else edge_connectivity(core)
+    prof = xi_profile(core)  # its transitivity proof and hit table settle kappa' and the cube
+    if prof.diameter_two or prof.transitive and core.is_connected():
+        kappa = core.min_degree()
+    else:
+        kappa = edge_connectivity(core)
     entries.append(
         BoundEntry("p+edge-connectivity", "lower", p + kappa, f"edge connectivity {kappa}")
     )

@@ -61,10 +61,17 @@ class Graph:
         return self.adj[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [m.bit_count() for m in self.adj]
+        return list(map(int.bit_count, self.adj))
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v]
+        out = []
+        for u, m in enumerate(self.adj):
+            m >>= u + 1  # neighbour v > u sits at bit v - u - 1
+            while m:
+                low = m & -m
+                out.append((u, u + low.bit_length()))
+                m ^= low
+        return out
 
     @property
     def full_mask(self) -> int:
@@ -73,7 +80,7 @@ class Graph:
     def min_degree(self) -> int:
         if self.n == 0:
             raise ValueError("min degree of the empty graph is undefined")
-        return min(self.degrees())
+        return min(map(int.bit_count, self.adj))
 
     def max_degree(self) -> int:
         if self.n == 0:
@@ -112,9 +119,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
-
-    def is_complete(self) -> bool:
-        return all(m.bit_count() == self.n - 1 for m in self.adj)
 
     def is_forest(self) -> bool:
         return self.edge_count == self.n - len(self.components())

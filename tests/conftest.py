@@ -201,8 +201,9 @@ def reference_search(
     if g.n == 0 or not all(g.adj[v] for v in range(g.n)):
         raise ValueError("strip isolated vertices first")
     if _is_clique(g, g.full_mask):
-        raise ValueError("graph is a single clique: already terminal, "
-                         "strength is 2p-1 directly")
+        # stage 1 is already terminal: the empty sequence has no prefix sum
+        # below 0, so it is the answer before any node is explored
+        return (), 0, True
     adj = g.adj
     nodes = 0
     best: float = floor

@@ -190,8 +190,6 @@ def test_criterion_4_oracle_agrees_with_bounds_and_sequences():
 
         core_ids = [v for v in range(g.n) if g.adj[v]]
         core = g.induced(core_ids)[0] if len(core_ids) < g.n else g
-        if core.is_complete():
-            continue
         sr = find_delta_sequence(core, "min-degree")
         if sr.status == "found":
             sequence_hits += 1

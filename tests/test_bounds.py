@@ -31,6 +31,7 @@ from graphstrength.graphs import (
     hypercube,
     path,
     star,
+    wheel,
 )
 from graphstrength.cli import main
 from graphstrength.deltaseq import certify
@@ -267,6 +268,40 @@ def test_report_edge_connectivity_on_transitive_cores_matches_the_flows(name):
     kappa = edge_connectivity(g)
     assert entries["p+edge-connectivity"] == g.n + kappa
     assert kappa == reference_edge_connectivity(g) == (g.min_degree() if g.is_connected() else 0)
+
+
+def test_report_edge_connectivity_on_diameter_two_cores_matches_the_flows(monkeypatch):
+    # the report reads kappa' = delta off the hit table at diameter <= 2
+    # (Plesnik); elsewhere, as on two K4 joined by one edge (diameter 3, a
+    # row of each end of the bridge full, kappa' 1 < delta 3), it runs the flows
+    rng = random.Random(13)
+    barbell = Graph(8, complete(4).edges() + [(u + 4, v + 4) for u, v in complete(4).edges()]
+                    + [(3, 4)])
+    graphs = [barbell, petersen(), star(5), complete_bipartite(2, 5), cycle(5), cycle(6)]
+    graphs += [random_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 0.8)) for _ in range(150)]
+    seen = {True: 0, False: 0}
+    for g in graphs:
+        core = g.core()[0]
+        if not core.edge_count:
+            continue
+        gx = nx.Graph(core.edges())
+        gx.add_nodes_from(range(core.n))
+        diameter_two = nx.is_connected(gx) and nx.diameter(gx) <= 2
+        assert xi_profile(core).diameter_two == diameter_two, g
+        entries = {e.name: e.value for e in bounds_report(g).entries}
+        kappa = edge_connectivity(core)
+        assert entries["p+edge-connectivity"] == core.n + kappa == core.n + nx.edge_connectivity(gx)
+        seen[diameter_two] += 1
+    assert seen[True] >= 30 and seen[False] >= 30
+    assert edge_connectivity(barbell) == 1
+    # no flow in the report on a wheel (diameter 2, not transitive); the
+    # registered recompute still runs its own
+    flows = []
+    monkeypatch.setattr(bounds, "edge_connectivity", lambda g: flows.append(g.n) or 1)
+    entries = {e.name: e.value for e in bounds_report(wheel(6)).entries}
+    assert entries["p+edge-connectivity"] == 7 + 3 and flows == []
+    recompute_lower_bound(wheel(6), "p+edge-connectivity")
+    assert flows == [7]
 
 
 def test_report_runs_one_transitivity_proof_and_none_on_a_cube(monkeypatch):

@@ -141,8 +141,6 @@ def test_label_matches_p_plus_d1_on_random_graphs():
         if len(core_ids) < 2:
             continue
         core, _ = g.induced(core_ids)
-        if core.is_complete():
-            continue
         res = find_delta_sequence(core)
         if res.status != "found":
             continue
@@ -396,24 +394,22 @@ def test_certify_replays_each_sequence_once(monkeypatch, name, embed, replays):
 def test_converse_holds_on_every_atlas_graph():
     # the paper proves only that a nonnegative min-degree sequence gives
     # str = p + delta; on all 1,043 atlas graphs (at most 7 vertices) with
-    # no isolated vertex, str = p + delta holds exactly when the graph is
-    # complete or has such a sequence.  Evidence only: no bound rests on it.
+    # no isolated vertex, str = p + delta holds exactly when the graph has
+    # such a sequence (a complete graph is its own terminal stage, found at
+    # 0 nodes).  Evidence only: no bound rests on it.
     graphs = [Graph(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()]
     graphs = [g for g in graphs if g.n and all(g.adj)]
     assert len(graphs) == 1043
-    counts = {"complete": 0, "sequence": 0, "p+delta": 0}
+    counts = {"sequence": 0, "p+delta": 0, "zero nodes": 0}
     for g in graphs:
         oracle = exact_strength(g)
         assert oracle.status == "exact", g
-        complete = g.is_complete()  # already terminal: no sequence to search
-        found = False
-        if not complete:
-            search = find_delta_sequence(g, "min-degree")
-            assert search.status != "budget", g
-            found = search.status == "found"
+        search = find_delta_sequence(g, "min-degree")
+        assert search.status != "budget", g
+        found = search.status == "found"
         at_p_delta = oracle.value == g.n + g.min_degree()
-        assert at_p_delta == (complete or found), g
-        counts["complete"] += complete
+        assert at_p_delta == found, g
         counts["sequence"] += found
         counts["p+delta"] += at_p_delta
-    assert counts == {"complete": 6, "sequence": 595, "p+delta": 601}
+        counts["zero nodes"] += found and search.nodes_explored == 0
+    assert counts == {"sequence": 601, "p+delta": 601, "zero nodes": 6}

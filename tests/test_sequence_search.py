@@ -36,7 +36,7 @@ FLOORS = {"find": -1, "best-z": -inf}
 def _core(g: Graph) -> Graph | None:
     """g minus its isolated vertices, or None when no sequence search applies."""
     core, _ = g.core()
-    return core if core.n and not core.is_complete() else None
+    return core if core.n else None
 
 
 def _root(g: Graph, root: str) -> int | None:
@@ -146,6 +146,8 @@ def brute_best_worst_prefix(g: Graph, mode: str, root_degree: int | None) -> flo
         rest = alive - iso
         degree = {v: len(nbrs[v] & rest) for v in rest}
         if all(d == len(rest) - 1 for d in degree.values()):  # empty, or a clique
+            if stage == 1:  # terminal already: no prefix sum, z1 = 0
+                return 0
             return min(worst, z + len(iso) + 1 - max(len(rest) - 1, 0))
         best = -inf
         for v, d in degree.items():
@@ -180,7 +182,9 @@ def test_search_finds_the_brute_force_optimum(g):
             else:
                 seq = replay(g, choices, mode)
                 assert min(seq.min_prefix, 0) == min(brute, 0)
-                assert root_degree is None or seq.d1 == root_degree
+                # the root restricts the first chosen vertex, and a
+                # complete graph's sequence chooses none
+                assert root_degree is None or not choices or seq.d1 == root_degree
             found = find_delta_sequence(g, mode, 10**6, root_degree).status == "found"
             assert found == (brute >= 0)
     # best-Z stops at its first sequence with Z >= 0

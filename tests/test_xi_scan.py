@@ -3,8 +3,8 @@
 ``bounds._xi_scan`` prunes each child in its parent's loop; the firsts are
 the children of the empty set.  It counts in bulk, without examining them,
 the children outside the set's exterior when the exterior alone rules them
-out, and the children at distance >= 3 from the set when the distance-2
-argument does.  None of this may change anything it returns: the value, the
+out, and the children with too few neighbours in N[S] when the hit table
+shows it.  None of this may change anything it returns: the value, the
 witness, completion and the node count must equal
 ``conftest.reference_xi_scan``'s at every budget, so a scan that runs out
 stops at the same set.  The children it does examine are pinned exactly by
@@ -19,10 +19,10 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphstrength.bounds import _radius2_balls, _xi_scan
+from graphstrength.bounds import _hit_table, _xi_scan
 from graphstrength.graphs import Graph, _bits, hypercube
 
-from conftest import reference_xi_scan, small_graphs, to_graph
+from conftest import random_graph, reference_xi_scan, small_graphs, to_graph
 
 
 def _firsts(g: Graph, i: int, transitive: bool) -> int:
@@ -41,7 +41,7 @@ def test_scan_matches_the_reference(g, i, transitive, budget):
     firsts = _firsts(g, i, transitive)
     want = reference_xi_scan(g.adj, g.n, i, firsts, budget)
     assert _xi_scan(g.adj, g.n, i, firsts, budget) == want
-    assert _xi_scan(g.adj, g.n, i, firsts, budget, _radius2_balls(g.adj)) == want
+    assert _xi_scan(g.adj, g.n, i, firsts, budget, _hit_table(g.adj)) == want
 
 
 def _larger_graphs() -> list[Graph]:
@@ -60,16 +60,16 @@ def test_scan_matches_the_reference_on_larger_graphs():
     # distance 2, so the bulk count decides most node counts
     rng = random.Random(9)
     for g in _larger_graphs():
-        balls = _radius2_balls(g.adj)
+        table = _hit_table(g.adj)
         for i in range(1, 6):
             for transitive in (True, False):
                 firsts = _firsts(g, i, transitive)
                 full = reference_xi_scan(g.adj, g.n, i, firsts, 10**7)
-                assert full[2] and _xi_scan(g.adj, g.n, i, firsts, 10**7, balls) == full
+                assert full[2] and _xi_scan(g.adj, g.n, i, firsts, 10**7, table) == full
                 for budget in [0, full[3] - 1] + [rng.randrange(full[3]) for _ in range(3)]:
                     want = reference_xi_scan(g.adj, g.n, i, firsts, budget)
                     assert not want[2]
-                    assert _xi_scan(g.adj, g.n, i, firsts, budget, balls) == want
+                    assert _xi_scan(g.adj, g.n, i, firsts, budget, table) == want
 
 
 class _CountingAdj(tuple):
@@ -84,17 +84,18 @@ class _CountingAdj(tuple):
 
 
 def _examined_children(g: Graph, i: int) -> int:
-    """Children the exterior and distance-2 rules leave to be examined, in a
-    full scan.
+    """Children the exterior and hit rules leave to be examined, in a full
+    scan.
 
     The plain enumeration from the empty set, whose children are the firsts
-    0..n-i, with distances from networkx.  With r the vertices still to add
-    after v, when the enumeration reaches v, a child v of a set S that
-    survived its prune is examined exactly when v is in ext(S), or when
-    |ext(S)| - r < best and either v lies within distance 2 of S (never, when
-    S is empty) or |ext(S)| + delta - r < best.
+    0..n-i.  With r the vertices still to add after v, when the enumeration
+    reaches v, a child v of a set S that survived its prune is examined
+    exactly when v is in ext(S) or |ext(S)| - r < best, and its hit sum H,
+    the sum over s in S of |N(v) & N[s]| (0 when S is empty) capped at 2,
+    reaches min(2, k - [v in ext(S)]), with k = |ext(S)| - r + delta - best
+    + 1.
     """
-    dist = dict(nx.all_pairs_shortest_path_length(nx.Graph(g.edges())))
+    closed = [set(g.neighbors(v)) | {v} for v in range(g.n)]
     delta = g.min_degree()
     best = g.n + 1
     examined = 0
@@ -108,9 +109,10 @@ def _examined_children(g: Graph, i: int) -> int:
             best = ext.bit_count()
             return
         for v in range(s[-1] + 1 if s else 0, g.n - left + 1):
-            far = all(dist.get(u, {}).get(v, 3) >= 3 for u in s)
+            inside = ext >> v & 1
             floor = ext.bit_count() - (left - 1)
-            if ext >> v & 1 or floor < best and (not far or floor + delta < best):
+            hits = min(2, sum(len(closed[v] - {v} & closed[u]) for u in s))
+            if (inside or floor < best) and hits >= min(2, floor + delta - best + 1 - inside):
                 examined += 1
             ns = s + (v,)
             rec(ns, (ext | g.adj[v]) & ~sum(1 << u for u in ns))
@@ -122,14 +124,27 @@ def _examined_children(g: Graph, i: int) -> int:
 def test_children_beyond_distance_two_are_not_examined():
     for g in _larger_graphs()[:5]:
         adj = _CountingAdj(g.adj)
-        balls = _radius2_balls(g.adj)
+        table = _hit_table(g.adj)
         for i in (2, 3, 4):
             _CountingAdj.reads = 0
-            assert _xi_scan(adj, g.n, i, _firsts(g, i, False), 10**7, balls)[2]
+            assert _xi_scan(adj, g.n, i, _firsts(g, i, False), 10**7, table)[2]
             assert _CountingAdj.reads == _examined_children(g, i)
 
 
-def test_radius2_balls():
+def test_hit_table_rows():
+    # the rows against a direct count of |N(v) & N[s]|, isolated vertices
+    # included: an isolated s has N[s] = {s} and no vertex adjacent to it
+    rng = random.Random(10)
+    graphs = [to_graph(nx.path_graph(6)), Graph(3), Graph(5, [(0, 1), (1, 2), (0, 2)])]
+    graphs += [random_graph(rng, rng.randint(1, 12), rng.uniform(0.05, 0.6)) for _ in range(200)]
+    for g in graphs:
+        closed = [set(g.neighbors(v)) | {v} for v in range(g.n)]
+        for row, least in zip(_hit_table(g.adj), (1, 2)):
+            assert row == [sum(1 << v for v in range(g.n)
+                               if len(closed[v] - {v} & closed[s]) >= least)
+                           for s in range(g.n)]
     g = to_graph(nx.path_graph(6))
-    assert [list(_bits(b)) for b in _radius2_balls(g.adj)] == [
+    one, two = _hit_table(g.adj)
+    assert [list(_bits(b)) for b in one] == [
         [0, 1, 2], [0, 1, 2, 3], [0, 1, 2, 3, 4], [1, 2, 3, 4, 5], [2, 3, 4, 5], [3, 4, 5]]
+    assert [list(_bits(b)) for b in two] == [[], [1], [2], [3], [4], []]

@@ -93,6 +93,18 @@ MUTANTS = (
            "floor = ext.bit_count() - left\n",
            "floor = ext.bit_count() - left + 1\n",
            ("test_xi_scan.py",)),
+    Mutant("xi-second-row-counts-one-hit", "bounds.py",
+           "            hit2 |= hit1 & b\n",
+           "            hit2 |= b\n",
+           ("test_xi_scan.py",)),
+    Mutant("xi-hit-rule-k-one-high", "bounds.py",
+           "k = floor + delta - best + 1  #",
+           "k = floor + delta - best + 2  #",
+           ("test_xi_scan.py",)),
+    Mutant("plesnik-branch-at-diameter-three", "bounds.py",
+           "all(row == full for row in table[0])",
+           "any(row == full for row in table[0])",
+           ("test_bounds.py",)),
     Mutant("hypercube-bound-one-high", "bounds.py",
            "return hypercube_lower_bound(got[0])",
            "return hypercube_lower_bound(got[0]) + 1",
