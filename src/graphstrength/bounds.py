@@ -10,14 +10,16 @@ from scratch:
 * p + edge connectivity: valid on its own, though kappa' <= delta always
   (cutting a min-degree vertex free), so p + delta dominates it; kept
   because it is part of the certified-bounds contract.  kappa' takes
-  max-flows only between the vertices of a dominating set (Matula's
-  lemma: a cut below delta leaves a dominated vertex on each side).  The
-  report runs no flow on a connected core that the xi scan proved
-  vertex-transitive, a recognized hypercube first: there kappa' is the
-  degree (W. Mader, Math. Ann. 191 (1971) 21-28).  Nor on a core of
-  diameter at most 2, read off the xi scan's hit table: there kappa' is
-  delta (J. Plesnik, Acta Fac. Rerum Natur. Univ. Comenian. Math. 30
-  (1975) 71-93).
+  max-flows only along a dominating set D, from its first i vertices,
+  contracted into one source, to the next one (Matula's lemma: a cut
+  below delta leaves a vertex of D on each side).  Each augmenting path
+  is grown back from the target, which no source dominates, so a search
+  stays within a few levels of it.  The report runs no flow on a
+  connected core that the xi scan proved vertex-transitive, a recognized
+  hypercube first: there kappa' is the degree (W. Mader, Math. Ann. 191
+  (1971) 21-28).  Nor on a core of diameter at most 2, read off the xi
+  scan's hit table: there kappa' is delta (J. Plesnik, Acta Fac. Rerum
+  Natur. Univ. Comenian. Math. 30 (1975) 71-93).
 * independence: the alpha + 1 vertices with the top labels cannot all be
   pairwise non-adjacent, and the two smallest of those labels sum to
   2p - 2*alpha + 1.  alpha must be exact - a greedy independent set
@@ -401,53 +403,76 @@ def recognize_hypercube(g: Graph) -> tuple[int, list[int]] | None:
 def edge_connectivity(g: Graph) -> int:
     """Minimum number of edges whose removal disconnects g (0 if already so).
 
-    Unit-capacity max-flows from vertex 0 to the rest of a dominating set D,
-    by shortest augmenting paths, each stopped at delta >= kappa'.  D is
-    built greedily in vertex order, so it starts at 0.  This is Matula's
-    reduction (D. W. Matula, "Determining edge connectivity in O(nm)", FOCS
-    1987): a side of k <= delta vertices has at least k(delta - k + 1) >=
-    delta edges leaving it, so a cut below delta has more than delta > kappa'
-    vertices on each side; each side then holds a vertex no cut edge
-    touches, whose closed neighborhood lies in that side and meets D.  So
-    some flow crosses a minimum cut, and with |D| = 1 kappa' is delta.  The
-    residual graph is bitmasks: ``fwd[u]`` holds every w with a residual arc
-    u->w, ``back[w]`` every such u; the BFS keeps one mask per level to read
-    the path back.
+    Matula's contracted-source flows (D. W. Matula, "Determining edge
+    connectivity in O(nm)", FOCS 1987).  D = d_1, d_2, ... is a dominating
+    set built greedily in vertex order, and D_i = {d_1, ..., d_i}.  Then
+    kappa' = min(delta, min_i lambda(D_i, d_{i+1})), lambda being the
+    maximum number of edge-disjoint paths from D_i, contracted into one
+    source, to d_{i+1}:
+
+    * every lambda(D_i, d_{i+1}) >= kappa', as a set of edges that
+      separates D_i from d_{i+1} disconnects g;
+    * if kappa' < delta, take a minimum cut.  A side of k <= delta vertices
+      has at least k(delta - k + 1) >= delta edges leaving it, so each side
+      has more than delta > kappa' vertices and holds one that no cut edge
+      touches.  Its closed neighbourhood lies in that side and meets D, so
+      both sides hold a vertex of D.  The first of D, in D's order, that
+      lies on the side away from d_1 is some d_{i+1}, and the cut separates
+      it from all of D_i, so lambda(D_i, d_{i+1}) <= kappa'.
+
+    With |D| = 1 no flow runs and kappa' is delta.  Each flow is stopped at
+    the least value so far.  The residual graph is bitmasks: ``fwd[u]``
+    holds every w with a residual arc u->w, ``back[w]`` every such u.  An
+    augmenting path is found by a BFS that grows back from the target over
+    ``back`` and stops at the first level that meets D_i; t is not
+    dominated by D_i, so that is a few levels from t.  The path is then
+    read forward from a source in that level, one level at a time; it
+    passes through no other source.  Only path vertices change their
+    masks, and they are reset from a list after each target.
     """
     if g.n <= 1 or not g.is_connected():
         return 0
+    adj = g.adj
     best = g.min_degree()
     dominating, covered = [], 0
     for v in range(g.n):
         if not covered >> v & 1:
             dominating.append(v)
-            covered |= g.adj[v] | 1 << v
-    for target in dominating[1:]:
-        fwd, back = list(g.adj), list(g.adj)
+            covered |= adj[v] | 1 << v
+    fwd, back = list(adj), list(adj)
+    sources = 0
+    for source, target in zip(dominating, dominating[1:]):
+        sources |= 1 << source
+        touched = []
         flow = 0
         while flow < best:
-            levels, seen = [1], 1
-            while levels[-1] and not seen >> target & 1:
+            levels, seen = [1 << target], 1 << target
+            while levels[-1] and not levels[-1] & sources:
                 nxt = 0
-                for u in _bits(levels[-1]):
-                    nxt |= fwd[u]
+                for v in _bits(levels[-1]):
+                    nxt |= back[v]
                 levels.append(nxt & ~seen)
                 seen |= nxt
-            if not seen >> target & 1:
+            if not levels[-1]:
                 break
-            v = target
+            hit = levels[-1] & sources
+            u = (hit & -hit).bit_length() - 1
+            touched.append(u)
             for level in reversed(levels[:-1]):
-                arcs = level & back[v]
-                u = (arcs & -arcs).bit_length() - 1
+                arcs = level & fwd[u]
+                v = (arcs & -arcs).bit_length() - 1
                 if fwd[v] >> u & 1:  # no flow on v->u, so u->v fills
                     fwd[u] ^= 1 << v
                     back[v] ^= 1 << u
                 else:  # cancel the flow on v->u
                     fwd[v] |= 1 << u
                     back[u] |= 1 << v
-                v = u
+                touched.append(v)
+                u = v
             flow += 1
         best = flow
+        for v in touched:
+            fwd[v] = back[v] = adj[v]
     return best
 
 

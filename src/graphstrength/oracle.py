@@ -299,19 +299,29 @@ def is_vertex_transitive(g: Graph) -> bool:
     g must be regular (one refinement class), and its components must all
     have the same size: an automorphism maps the component of 0 onto a
     component of the same size, so a union such as C5 + C6 is rejected
-    without a search.  Each v not yet merged with 0, walking down from
-    n - 1, then needs an automorphism 0 -> v from ``_find_automorphism``,
-    whose pairs are then merged.  Walking down, the first map of K_n or
-    K_{n,n} is one cycle through every vertex, so one search proves them.
-    The proof gives up (False: not proven) at the first v without one,
-    after ``TRANSITIVITY_REFINES_PER_VERTEX * n`` refinements, or when the
+    without a search.  So is a graph whose vertices differ in |N^2[v]|, the
+    size of their ball of radius 2, which an automorphism keeps.  Each v
+    not yet merged with 0, walking down from n - 1, then needs an
+    automorphism 0 -> v from ``_find_automorphism``, whose pairs are then
+    merged.  Walking down, the first map of K_n or K_{n,n} is one cycle
+    through every vertex, so one search proves them.  The proof gives up
+    (False: not proven) at the first v without one, after
+    ``TRANSITIVITY_REFINES_PER_VERTEX * n`` refinements, or when the
     search, one call deep per individualized vertex, reaches the recursion
     limit.
     """
     if not g.is_regular() or len({len(c) for c in g.components()}) > 1:
         return False
-    ticks = iter(range(TRANSITIVITY_REFINES_PER_VERTEX * g.n))
     nbrs = _neighbor_lists(g)
+    balls = set()
+    for v, row in enumerate(nbrs):
+        ball = g.adj[v] | 1 << v
+        for w in row:
+            ball |= g.adj[w]
+        balls.add(ball.bit_count())
+    if len(balls) > 1:
+        return False
+    ticks = iter(range(TRANSITIVITY_REFINES_PER_VERTEX * g.n))
     parent = list(range(g.n))
     try:
         for v in range(g.n - 1, 0, -1):

@@ -410,6 +410,21 @@ def test_edge_connectivity_values():
                         (2, 3), (2, 7), (2, 8), (2, 10), (3, 6), (3, 10), (4, 5), (4, 6),
                         (4, 9), (5, 7), (5, 9), (6, 9), (7, 8), (8, 10)])
     assert edge_connectivity(cancel) == 4
+    # kappa' 2 < delta 3: D is 0, 3, 5, and a BFS level that meets the
+    # sources {0, 3} can hold other vertices, so a path must start at a source
+    off = Graph(8, [(0, 1), (0, 2), (0, 7), (1, 3), (1, 7), (2, 5), (2, 6), (3, 4), (3, 7),
+                    (4, 5), (4, 6), (5, 6)])
+    assert edge_connectivity(off) == 2
+    # seeded random 3-, 4- and 5-regular graphs, ids shuffled, at sizes the
+    # hypothesis strategies never draw
+    rng = random.Random(14)
+    for d in (3, 4, 5):
+        for n in (50, 96, 150, 200):
+            gx = nx.random_regular_graph(d, n, seed=rng.randrange(1 << 30))
+            ids = list(range(n))
+            rng.shuffle(ids)
+            g = Graph(n, [(ids[u], ids[v]) for u, v in gx.edges()])
+            assert edge_connectivity(g) == nx.edge_connectivity(gx)
 
 
 @settings(max_examples=200, deadline=None)
@@ -421,11 +436,12 @@ def test_edge_connectivity_matches_networkx(g):
     assert edge_connectivity(g) == nx.edge_connectivity(gx)
 
 
-def planted_cut(rng: random.Random) -> Graph:
-    """Two dense random blobs joined by 1-4 edges, vertex ids shuffled: kappa' < delta."""
-    a, b = rng.randint(6, 12), rng.randint(6, 12)
-    edges = random_graph(rng, a, 0.8).edges()
-    edges += [(a + u, a + v) for u, v in random_graph(rng, b, 0.8).edges()]
+def planted_cut(rng: random.Random, lo: int = 6, hi: int = 12, density: float = 0.8) -> Graph:
+    """Two random blobs of lo-hi vertices joined by 1-4 edges, vertex ids
+    shuffled: kappa' < delta when the blobs are dense enough."""
+    a, b = rng.randint(lo, hi), rng.randint(lo, hi)
+    edges = random_graph(rng, a, density).edges()
+    edges += [(a + u, a + v) for u, v in random_graph(rng, b, density).edges()]
     edges += [(rng.randrange(a), a + rng.randrange(b)) for _ in range(rng.randint(1, 4))]
     ids = list(range(a + b))
     rng.shuffle(ids)
@@ -443,6 +459,16 @@ def test_edge_connectivity_on_planted_small_cuts():
         assert kappa == nx.edge_connectivity(gx) == reference_edge_connectivity(g)
         below_delta += kappa < g.min_degree()
     assert below_delta >= 40
+    # blobs of 20-60 vertices, sparse enough for D to hold many vertices
+    below_delta = 0
+    for _ in range(20):
+        g = planted_cut(rng, 20, 60, rng.uniform(0.2, 0.5))
+        gx = nx.Graph(g.edges())
+        gx.add_nodes_from(range(g.n))
+        kappa = edge_connectivity(g)
+        assert kappa == nx.edge_connectivity(gx)
+        below_delta += kappa < g.min_degree()
+    assert below_delta >= 10
 
 
 def test_edge_connectivity_with_a_universal_vertex():

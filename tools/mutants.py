@@ -69,6 +69,22 @@ MUTANTS = (
            "lambda core, upper: core.n + edge_connectivity(core))",
            "lambda core, upper: core.n + edge_connectivity(core) + 1)",
            ("test_bounds.py",)),
+    Mutant("kappa-undo-resets-only-fwd", "bounds.py",
+           "fwd[v] = back[v] = adj[v]",
+           "fwd[v] = adj[v]",
+           ("test_bounds.py",)),
+    Mutant("kappa-path-starts-off-the-sources", "bounds.py",
+           "hit = levels[-1] & sources\n",
+           "hit = levels[-1]\n",
+           ("test_bounds.py",)),
+    Mutant("kappa-path-stops-a-level-before-the-target", "bounds.py",
+           "for level in reversed(levels[:-1]):",
+           "for level in reversed(levels[1:-1]):",
+           ("test_bounds.py",)),
+    Mutant("kappa-flow-runs-past-the-least", "bounds.py",
+           "        while flow < best:\n",
+           "        while flow <= best:\n",
+           ("test_bounds.py",)),
     Mutant("independence-bound-one-high", "bounds.py",
            "return 2 * g.n - 2 * alpha + 1",
            "return 2 * g.n - 2 * alpha + 2",
