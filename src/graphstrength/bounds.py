@@ -34,9 +34,11 @@ from scratch:
   where the hits h(v) = |N(v) & N[S]| are the neighbours of v already in
   S or its exterior.  So a v outside N(S)\\S keeps all of N(S)\\S in the
   child's exterior, and a v with h hits adds at least delta - h to it.  A
-  table of, per vertex s, the vertices with at least one and at least two
+  table of, per vertex s, the vertices with at least one, two and three
   neighbours in N[s] bounds h(v) from above, summed over S; a v at
-  distance >= 3 from S has none.  Every skipped set is one the plain
+  distance >= 3 from S has none.  A parent checks a child's own children
+  the same way before calling into it, and counts the child's positions
+  in bulk when none is left.  Every skipped set is one the plain
   enumeration's own prune rejects, and the scan still counts it as a node,
   so an xi node is every set position the plain enumeration visits,
   bulk-counted ones included, and node counts do not depend on the skips.
@@ -170,26 +172,29 @@ class XiProfile:
         return max(vals)
 
 
-def _hit_table(adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Two rows per vertex s: the vertices with at least one neighbour in
-    N[s], and those with at least two.
+def _hit_table(adj: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    """Three rows per vertex s: the vertices with at least one, at least two
+    and at least three neighbours in N[s].
 
     The first row is N^2[s], the vertices within distance 2 of s, less s
-    itself when s is isolated.  One pass adds up the neighbour masks of s
-    and of its neighbours, saturating at two.
+    itself when s is isolated.  The second and third rows leave s out: s is
+    never a child of a set that holds it.  One pass adds up the neighbour
+    masks of s and of its neighbours, saturating at three.
     """
-    one, two = [], []
-    for a in adj:
-        hit1, hit2, rest = a, 0, a
+    one, two, three = [], [], []
+    for s, a in enumerate(adj):
+        hit1, hit2, hit3, rest = a, 0, 0, a
         while rest:
             low = rest & -rest
             b = adj[low.bit_length() - 1]
+            hit3 |= hit2 & b
             hit2 |= hit1 & b
             hit1 |= b
             rest ^= low
         one.append(hit1)
-        two.append(hit2)
-    return one, two
+        two.append(hit2 & ~(1 << s))
+        three.append(hit3 & ~(1 << s))
+    return one, two, three
 
 
 def _xi_scan(
@@ -198,7 +203,7 @@ def _xi_scan(
     i: int,
     firsts: int,
     budget: int,
-    table: tuple[list[int], list[int]] | None = None,
+    table: tuple[list[int], list[int], list[int]] | None = None,
 ) -> tuple[int, int, bool, int]:
     """Min exterior over sets of size i whose minimum element is < ``firsts``.
 
@@ -218,51 +223,51 @@ def _xi_scan(
     delta, so v survives only if h(v) >= k - [v in ext], with k = |ext| - r
     + delta - best + 1.  h(v) is at most the sum over s in S of |N(v) &
     N[s]|, and ``table`` (``_hit_table``, built here when not given) holds
-    per vertex the masks where that term is >= 1 and >= 2, so a set carries
-    the sum saturated at two; a child is visited only if that sum can reach
-    k - [v in ext].  k = 1 leaves the children within distance 2 of S, and
-    k <= 0 all of them.  Both rules are applied again whenever the incumbent
-    falls.  The empty set has no exterior and no hits, so at the first level
-    every remaining first is counted in bulk once delta - (i - 1) fails the
-    bound.  Each skipped child is one the pruning bound would reject, and
-    ``nodes`` still counts every set position the plain enumeration visits,
-    bulk-counted ones included and in the same order, so node counts do not
-    depend on the skips and a budget runs out at the same set and leaves
-    the same result.
+    per vertex the masks where that term is >= 1, >= 2 and >= 3, so a set
+    carries the sum saturated at three; a child is visited only if that sum
+    can reach k - [v in ext].  k = 1 leaves the children within distance 2
+    of S, and k <= 0 all of them.  Both rules are applied again whenever the
+    incumbent falls.  A parent applies them to a surviving child's own
+    children before it calls into the child, and counts the child's
+    positions in bulk, with no call, when none is left.  The empty set has
+    no exterior and no hits, so at the first level every remaining first is
+    counted in bulk once delta - (i - 1) fails the bound.  Each skipped
+    child is one the pruning bound would reject, and ``nodes`` still counts
+    every set position the plain enumeration visits, bulk-counted ones
+    included and in the same order, so node counts do not depend on the
+    skips and a budget runs out at the same set and leaves the same result.
     """
-    one, two = _hit_table(adj) if table is None else table
-    delta = min(map(int.bit_count, adj), default=0)
+    one, two, three = _hit_table(adj) if table is None else table
+    delta = min(map(int.bit_count, adj)) if adj else 0
     best = n + 1
     best_set = 0
-    nodes = 0
 
-    def allowed(floor: int, ext: int, hit1: int, hit2: int) -> int:
-        """The children the two rules leave to visit (-1: all of them)."""
+    def allowed(ext: int, left: int, hit1: int, hit2: int, hit3: int) -> int:
+        """The children of a set that the two rules leave to visit (-1: all
+        of them), with ``left`` vertices still to add after the child."""
+        # the least exterior of a child outside ext, less what the rest can shrink
+        floor = ext.bit_count() - left
         k = floor + delta - best + 1  # hits a child outside ext needs; one in ext, k - 1
         if k <= 0:
             return -1
-        # hit1 holds ext, and the sums saturate at two
-        hits = hit1 if k == 1 else (ext | hit2) if k == 2 else hit2
+        # hit1 holds ext, each row holds the next, and the sums saturate at three
+        hits = (hit1 if k == 1 else (ext | hit2) if k == 2
+                else (ext & hit2) | hit3 if k == 3 else hit3)
         return hits & ext if floor >= best else hits
 
-    def expand(smask: int, ext: int, hit1: int, hit2: int, size: int,
-               lowest_next: int, end: int) -> None:
-        """Visit children lowest_next..end-1 of a surviving set of size < i."""
-        nonlocal best, best_set, nodes
-        left = i - size - 1
-        # the least exterior of a child outside ext, less what the rest can shrink
-        floor = ext.bit_count() - left
-        window = (1 << end) - (1 << lowest_next)
-        cands = window & allowed(floor, ext, hit1, hit2)
+    def expand(smask: int, ext: int, hit1: int, hit2: int, hit3: int, left: int,
+               base: int, end: int, cands: int) -> int:
+        """Visit the allowed children ``cands`` of a surviving set, with
+        ``left`` vertices to add after each, and return the nodes counted
+        once its last child, end - 1, is passed."""
+        nonlocal best, best_set
         before = best
         # the nodes counted once position v is visited: base + v + 1
-        base = nodes - lowest_next
         while cands:
             low = cands & -cands
             cands ^= low
             v = low.bit_length() - 1
             if base + v >= budget:
-                nodes = budget + 1
                 raise BudgetExhausted
             ns = smask | low
             cext = (ext | adj[v]) & ~ns
@@ -270,24 +275,29 @@ def _xi_scan(
             if c - left >= best:
                 continue
             if left:
-                nodes = base + v + 1
-                expand(ns, cext, hit1 | one[v], hit2 | two[v] | (hit1 & one[v]),
-                       size + 1, v + 1, n - left + 1)
-                base = nodes - v - 1
+                o, t = one[v], two[v]
+                chit1, chit2 = hit1 | o, hit2 | t | (hit1 & o)
+                chit3 = hit3 | three[v] | (hit2 & o) | (hit1 & t)
+                cend = n - left + 1
+                ccands = ((1 << cend) - (2 << v)) & allowed(cext, left - 1, chit1, chit2, chit3)
+                if ccands:
+                    base = expand(ns, cext, chit1, chit2, chit3, left - 1, base, cend, ccands) - v - 1
+                else:  # the child's positions, in bulk; the next budget test sees them
+                    base += cend - v - 1
             else:
                 best, best_set = c, ns
             if best < before:  # best fell: skip the children it rules out
                 before = best
-                cands &= allowed(floor, ext, hit1, hit2)
-        nodes = base + end
-        if nodes > budget:
-            nodes = budget + 1
+                cands &= allowed(ext, left, hit1, hit2, hit3)
+        if base + end > budget:
             raise BudgetExhausted
+        return base + end
 
     try:
-        expand(0, 0, 0, 0, 0, 0, firsts)
-    except BudgetExhausted:
-        return best, best_set, False, nodes
+        nodes = expand(0, 0, 0, 0, 0, i - 1, 0, firsts,
+                       ((1 << firsts) - 1) & allowed(0, i - 1, 0, 0, 0))
+    except BudgetExhausted:  # the plain enumeration stops at node budget + 1
+        return best, best_set, False, budget + 1
     return best, best_set, True, nodes
 
 

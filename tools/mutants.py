@@ -117,6 +117,18 @@ MUTANTS = (
            "k = floor + delta - best + 1  #",
            "k = floor + delta - best + 2  #",
            ("test_xi_scan.py",)),
+    Mutant("xi-third-row-counts-two-hits", "bounds.py",
+           "            hit3 |= hit2 & b\n",
+           "            hit3 |= hit1 & b\n",
+           ("test_xi_scan.py",)),
+    Mutant("xi-k-three-pick-admits-one-hit-exterior", "bounds.py",
+           "else (ext & hit2) | hit3 if k == 3",
+           "else (ext & hit1) | hit3 if k == 3",
+           ("test_xi_scan.py",)),
+    Mutant("xi-bulk-count-one-position-short", "bounds.py",
+           "base += cend - v - 1\n",
+           "base += cend - v - 2\n",
+           ("test_xi_scan.py",)),
     Mutant("plesnik-branch-at-diameter-three", "bounds.py",
            "all(row == full for row in table[0])",
            "any(row == full for row in table[0])",
