@@ -312,16 +312,19 @@ def xi_profile(g: Graph) -> XiProfile:
     finishes.  A recognized hypercube is transitive (``recognize_hypercube``
     checks its isomorphism to Q_n edge by edge), so only other graphs run
     the refinement search's proof; its dimension is kept for the bounds
-    report.  The hit table is built once, in one pass, and every scan size
-    reads it; the graph has diameter at most 2 and no isolated vertex
-    exactly when each of its first rows is the full mask.
+    report.  The hit table is built once, in one pass, before the proof,
+    and every scan size reads it.  Its first rows are the balls N^2[v],
+    whose sizes an automorphism keeps, so a graph whose balls differ in
+    size is refused without the proof; the graph has diameter at most 2 and
+    no isolated vertex exactly when each first row is the full mask.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     i_max = min(DEFAULT_XI_I_MAX, g.n - 1) if g.n > 1 else 1
     cube = recognize_hypercube(g)
-    transitive = cube is not None or is_vertex_transitive(g)
     table = _hit_table(g.adj)
+    transitive = cube is not None or (
+        len({row.bit_count() for row in table[0]}) == 1 and is_vertex_transitive(g))
     xs: list[int] = []
     wits: list[tuple[int, ...]] = []
     comps: list[bool] = []

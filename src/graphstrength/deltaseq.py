@@ -12,10 +12,12 @@ top-set numbering (``labeling.top_set_numbering``) of each stage's isolated
 vertices, ids descending, then its chosen vertex, and last the terminal's
 isolated vertices, ids descending.
 
-When every chosen vertex has minimum degree, d_1 is the graph's minimum
-degree and the numbering is optimal (strength is always at least p + delta).
-Choices of arbitrary degree still give the upper bound p + d_1, which is
-again optimal whenever d_1 equals the minimum degree.
+Strength is always at least p + delta, so the numbering is optimal
+whenever d_1 is the graph's minimum degree, whatever the degrees of the
+later choices.  Every search here starts at a minimum-degree vertex; in
+min-degree mode every later choice has minimum degree too, and in
+any-degree mode later choices may take any degree, so its tree holds every
+min-degree sequence.
 
 Searches here are deterministic: candidates are tried by (degree, id)
 ascending, budgets count choice applications, and "exhausted" is reported
@@ -29,13 +31,12 @@ table only saves nodes and never changes what a completed search returns.
 It stops taking new sets at ``BOUND_TABLE_CAP`` entries, which bounds its
 memory.
 
-``certify`` is the one labeling pipeline: closed forms, then one sequence
-stage (the min-degree engine, then one any-degree search rooted at a
-minimum-degree vertex, best-Z with ``embed``, which certifies the graph
-itself or sizes a biclique host); the ``label`` command only formats its
-result.  ``embed_minimal`` is its embed route without the closed forms.
-A complete graph has no route of its own: it is one terminal stage, which
-the min-degree engine returns before it counts a node, at p + d_1 = 2p - 1.
+``certify`` is the one labeling pipeline: closed forms, then one
+any-degree search (best-Z with ``embed``, which certifies the graph itself
+or sizes a biclique host); the ``label`` command only formats its result.
+``embed_minimal`` is its embed route without the closed forms.  A complete
+graph has no route of its own: it is one terminal stage, which the search
+returns before it counts a node, at p + d_1 = 2p - 1.
 """
 
 from __future__ import annotations
@@ -242,18 +243,18 @@ class DeltaSearchResult:
 
 
 def _search(
-    g: Graph, mode: str, budget: int, root_degree: int | None, floor: float
+    g: Graph, mode: str, budget: int, floor: float
 ) -> tuple[tuple[int, ...] | None, int, bool]:
     """Depth-first search for the sequence whose worst prefix sum is largest,
     up to 0.
 
-    Candidates go by (degree, id), only minimum-degree ones in min-degree
-    mode.  A branch is cut once its worst prefix sum cannot beat the
-    incumbent, which starts at ``floor``; the search stops once the
-    incumbent reaches 0, as no caller needs more.  Returns (incumbent's
-    choices or None, nodes explored, complete); complete is False when the
-    budget ran out or the search, one call deep per stage, reached the
-    recursion limit.  A single clique is terminal already: its sequence
+    Candidates go by (degree, id): only minimum-degree ones at stage 1,
+    which fixes d_1 = delta, and at every stage in min-degree mode.  A
+    branch is cut once its worst prefix sum cannot beat the incumbent,
+    which starts at ``floor``; the search stops once the incumbent reaches
+    0, as no caller needs more.  Returns (incumbent's choices or None,
+    nodes explored, complete); complete is False when the budget ran out or
+    the search, one call deep per stage, reached the recursion limit.  A single clique is terminal already: its sequence
     makes no choice and has Z = 0, found at no node.
 
     A node holds ``levels``, one mask per residual degree 0..max degree
@@ -311,11 +312,9 @@ def _search(
             if final > best:
                 best, best_choices = final, tuple(choices)
             return best >= 0
-        for d in range(dmin, dmin + 1 if min_degree else len(levels)):
+        for d in range(dmin, dmin + 1 if min_degree or stage == 1 else len(levels)):
             if stage == 1:
                 # stage 1 only fixes d_1; prefix sums start at stage 2
-                if root_degree is not None and d != root_degree:
-                    continue
                 nz, nworst = 0, worst
             else:
                 nz = z + m + 1 - d
@@ -369,30 +368,31 @@ def _search(
 
 
 def find_delta_sequence(
-    g: Graph,
-    mode: str = "min-degree",
-    budget: int = DEFAULT_BUDGET,
-    root_degree: int | None = None,
+    g: Graph, mode: str = "min-degree", budget: int = DEFAULT_BUDGET
 ) -> DeltaSearchResult:
-    """Depth-first search for a sequence with all prefix sums nonnegative.
+    """Depth-first search for a sequence with all prefix sums nonnegative
+    whose first chosen vertex has minimum degree, so that it certifies
+    strength p + delta.
 
     The incumbent starts at -1, so a stage whose running total already
     dipped below zero is cut at once: it can never recover admissibility.
-    The cut is exact, so "exhausted" really means no admissible sequence
-    exists, and the search stops at the first one it finds.  In any-degree
-    mode, ``root_degree`` restricts the first chosen vertex's degree (useful
-    when only d_1 = delta certifies an exact value).
+    The cut is exact, so "exhausted" really means no such sequence exists,
+    and the search stops at the first one it finds.  Min-degree mode keeps
+    every later choice at minimum degree too; any-degree mode lets choices
+    from stage 2 on take any degree, and its tree holds every min-degree
+    sequence, tried first at each stage.
     """
-    choices, nodes, complete = _search(g, mode, budget, root_degree, -1)
+    choices, nodes, complete = _search(g, mode, budget, -1)
     if choices is not None:
         return DeltaSearchResult("found", replay(g, choices, mode), nodes)
     return DeltaSearchResult("exhausted" if complete else "budget", None, nodes)
 
 
 def best_z_sequence(
-    g: Graph, budget: int = DEFAULT_BUDGET, root_degree: int | None = None
+    g: Graph, budget: int = DEFAULT_BUDGET
 ) -> tuple[DeltaSequence | None, int, bool]:
-    """Any-degree sequence maximizing the worst prefix sum Z, up to Z = 0.
+    """Any-degree sequence with d_1 = delta maximizing the worst prefix sum
+    Z, up to Z = 0.
 
     The incumbent starts at -inf, so the first sequence found sets it, and
     the search stops at the first one with Z >= 0: a host uses only
@@ -401,7 +401,7 @@ def best_z_sequence(
     so far (if any) is still returned - any sequence is usable, a better one
     only shrinks the host built from it.
     """
-    choices, nodes, complete = _search(g, "any-degree", budget, root_degree, -inf)
+    choices, nodes, complete = _search(g, "any-degree", budget, -inf)
     seq = replay(g, choices, "any-degree") if choices is not None else None
     return seq, nodes, complete
 
@@ -575,29 +575,21 @@ def embed_minimal(h: Graph, budget: int = DEFAULT_BUDGET) -> EmbedResult:
 
 
 def _sequence_stage(h: Graph, budget: int, embed: bool) -> EmbedResult:
-    """The sequence searches, each with the full budget: the min-degree
-    engine, then one any-degree search rooted at a minimum-degree vertex.
-    Without ``embed`` that search keeps only sequences with Z >= 0; with
-    it, best-Z keeps the largest Z however negative.  Z >= 0 certifies h
-    itself at p + delta, and Z < 0 certifies h plus K_{delta, d_1 - Z} at
-    |union| + delta exactly."""
-    delta = h.min_degree()
-    res = find_delta_sequence(h, "min-degree", budget)
-    spent = res.nodes_explored
-    if res.status == "found":
-        return _sequence_result(h, res.sequence,
-                                f"min-degree sequence: {res.sequence.render()}", spent)
+    """One any-degree search from a minimum-degree vertex, with the full
+    budget: ``find_delta_sequence`` keeps only sequences with Z >= 0, and
+    with ``embed`` ``best_z_sequence`` keeps the largest Z however
+    negative.  Z >= 0 certifies h itself at p + delta, and Z < 0 certifies
+    h plus K_{delta, d_1 - Z} at |union| + delta exactly."""
     if embed:
-        h_seq, nodes, _ = best_z_sequence(h, budget, root_degree=delta)
+        h_seq, spent, _ = best_z_sequence(h, budget)
     else:
-        res = find_delta_sequence(h, "any-degree", budget, root_degree=delta)
-        h_seq, nodes = res.sequence, res.nodes_explored
-    spent += nodes
+        res = find_delta_sequence(h, "any-degree", budget)
+        h_seq, spent = res.sequence, res.nodes_explored
     if h_seq is None:
         return EmbedResult("inconclusive", h, None, None, None, spent)
     if h_seq.min_prefix >= 0:
         return _sequence_result(h, h_seq, f"any-degree sequence: {h_seq.render()}", spent)
-    m, n = delta, h_seq.d1 - h_seq.min_prefix
+    m, n = h.min_degree(), h_seq.d1 - h_seq.min_prefix
     # n > m, so vertex m is K_{m,n}'s first minimum-degree vertex, and
     # deleting N[m] leaves n - 1 isolated vertices: z = n
     biclique = complete_bipartite(m, n)
@@ -610,11 +602,11 @@ def certify(g: Graph, budget: int = DEFAULT_BUDGET, embed: bool = False) -> Embe
     """Certified strength of g: the one labeling pipeline.
 
     Sets isolated vertices aside, tries the closed forms (cycle unions,
-    forests, recognized cubes), then runs ``_sequence_stage``, which with
-    ``embed`` certifies either the input itself or the input plus one
-    biclique on the next ids.  The witness is lifted back over the
-    isolated vertices, which take the top labels.  Budget rule: each search
-    gets the full ``budget``.  Raises ValueError on a graph with no edges.
+    forests, recognized cubes), then runs ``_sequence_stage``'s one search,
+    which with ``embed`` certifies either the input itself or the input
+    plus one biclique on the next ids.  The witness is lifted back over the
+    isolated vertices, which take the top labels.  The search gets the
+    full ``budget``.  Raises ValueError on a graph with no edges.
     """
     core, _ = g.core()
     if core.n == 0:

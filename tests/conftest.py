@@ -185,15 +185,15 @@ def _is_clique(g: Graph, mask: int) -> bool:
 
 
 def reference_search(
-    g: Graph, mode: str, budget: int, root_degree: int | None, floor: float
+    g: Graph, mode: str, budget: int, floor: float
 ) -> tuple[tuple[int, ...] | None, int, bool]:
     """Depth-first search for the sequence whose worst prefix sum is largest,
     up to 0.
 
-    Candidates go by (degree, id), only minimum-degree ones in min-degree
-    mode.  A branch is cut once its worst prefix sum cannot beat the
-    incumbent, which starts at ``floor``; the search stops once the
-    incumbent reaches 0.  Returns (incumbent's choices or None,
+    Candidates go by (degree, id), only minimum-degree ones at stage 1 and,
+    in min-degree mode, at every stage.  A branch is cut once its worst
+    prefix sum cannot beat the incumbent, which starts at ``floor``; the
+    search stops once the incumbent reaches 0.  Returns (incumbent's choices or None,
     nodes explored, complete); complete is False when the budget ran out.
     """
     if mode not in MODES:
@@ -222,10 +222,8 @@ def reference_search(
             return best >= 0
         degree = {v: (adj[v] & residual).bit_count() for v in _bits(residual)}
         pool = sorted(degree, key=degree.__getitem__)  # stable: ties by id
-        if mode == "min-degree":
+        if mode == "min-degree" or stage == 1:
             pool = [v for v in pool if degree[v] == degree[pool[0]]]
-        if stage == 1 and root_degree is not None:
-            pool = [v for v in pool if degree[v] == root_degree]
         for v in pool:
             # stage 1 only fixes d_1; prefix sums start at stage 2
             nz = z + m + 1 - degree[v] if stage > 1 else 0

@@ -147,12 +147,13 @@ def test_criterion_3_sequence_engine_worked_cases():
     assert perf_counter() - t0 < 5.0
 
     # octahedron-with-trees example: minimum-degree mode exhausts its complete
-    # search (no budget hit), any-degree rooted at delta certifies 17
+    # search (no budget hit), any-degree from a minimum-degree vertex
+    # certifies 17
     t0 = perf_counter()
     g = load_fixture("example22").graph
     res = find_delta_sequence(g, "min-degree")
     assert res.status == "exhausted"
-    any_res = find_delta_sequence(g, "any-degree", root_degree=g.min_degree())
+    any_res = find_delta_sequence(g, "any-degree")
     assert any_res.status == "found"
     num = label_from_sequence(g, any_res.sequence)
     assert strength_of(g, num) == g.n + g.min_degree() == 17
@@ -161,7 +162,7 @@ def test_criterion_3_sequence_engine_worked_cases():
     # dimension-4 cube plus K_{4,5}: composed sequence certifies 25 + 4 = 29
     t0 = perf_counter()
     q4 = hypercube(4)
-    h_seq, _, complete_search = best_z_sequence(q4, root_degree=4)
+    h_seq, _, complete_search = best_z_sequence(q4)
     assert complete_search
     t = complete_bipartite(4, 5)
     t_res = find_delta_sequence(t)

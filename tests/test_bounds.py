@@ -304,6 +304,26 @@ def test_report_edge_connectivity_on_diameter_two_cores_matches_the_flows(monkey
     assert flows == [7]
 
 
+def test_xi_profile_refuses_unequal_balls_without_a_search(monkeypatch):
+    # an automorphism keeps |N^2[v]|, the size of v's first hit-table row, so
+    # a regular graph whose rows differ in size needs no automorphism search
+    calls = []
+    original = oracle._find_automorphism
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_find_automorphism", counting)
+    unequal = [g for g in regular_not_transitive().values()
+               if len({row.bit_count() for row in bounds._hit_table(g.adj)[0]}) > 1]
+    assert len(unequal) == 12
+    for g in unequal:
+        assert not xi_profile(g).transitive
+    assert calls == []
+    assert xi_profile(petersen()).transitive and calls
+
+
 def test_report_runs_one_transitivity_proof_and_none_on_a_cube(monkeypatch):
     calls = []
     cubes = []

@@ -156,8 +156,9 @@ def test_public_searches_report_a_spent_budget(monkeypatch):
         m.setattr(oracle, "DEFAULT_BUDGET", 0)
         res = exact_strength(q4)
     assert (res.status, res.lower, res.upper, res.nodes_explored) == ("bracket", 20, 31, 1)
+    # one search at budget 0 stops at its first node
     for res in (certify(petersen(), budget=0, embed=True), embed_minimal(q4, budget=0)):
-        assert (res.status, res.nodes_explored) == ("inconclusive", 2)
+        assert (res.status, res.nodes_explored) == ("inconclusive", 1)
     with monkeypatch.context() as m:
         m.setattr(bounds, "DEFAULT_XI_BUDGET", 0)
         assert not any(xi_profile(hypercube(5)).complete)

@@ -179,8 +179,8 @@ def test_label_embed_host_is_input_plus_biclique(capsys, tmp_path):
 
 
 def test_label_embed_without_biclique_prints_plain_certificate(capsys):
-    # min-degree exhausts on example22, but the any-degree engine certifies
-    # the input itself, so no host is reported
+    # example22 has no min-degree sequence, but best-Z's any-degree
+    # sequence certifies the input itself, so no host is reported
     code, out, _ = run(capsys, "label", "--fixture", "example22", "--embed")
     assert code == 0
     assert "strength: 17 (exact)" in out and "any-degree sequence" in out
@@ -191,7 +191,7 @@ def test_label_embed_without_biclique_prints_plain_certificate(capsys):
     assert "embedded" not in payload and payload["upper"] == 17
 
 
-# the min-degree engine certifies a complete graph before it counts a node,
+# the sequence search certifies a complete graph before it counts a node,
 # so --budget 0 still gives an exact answer
 @pytest.mark.parametrize("flags", [
     (), ("--embed",), ("--budget", "0"), ("--embed", "--budget", "0"),
@@ -212,7 +212,7 @@ def test_label_inconclusive_prints_bounds_to_stderr(capsys):
 def test_label_embed_inconclusive_reports_nodes_not_a_spent_budget(capsys):
     code, out, err = run(capsys, "label", "--graph6", PETERSEN_G6, "--embed", "--budget", "0")
     assert code == 3 and out == ""
-    assert err == "inconclusive: no certificate after 2 search nodes\n"
+    assert err == "inconclusive: no certificate after 1 search nodes\n"
 
 
 # -- exact -----------------------------------------------------------------------

@@ -98,16 +98,16 @@ def test_complete_graph_is_its_own_terminal_stage():
         find_delta_sequence(Graph(3, []))
 
 
-def test_certify_takes_a_complete_graph_through_the_min_degree_engine():
+def test_certify_takes_a_complete_graph_through_the_sequence_search():
     # no route of its own: K_n is the sequence of no choices, found at 0 nodes
     for n in range(4, 8):
         g = complete(n)
         res = certify(g)
-        assert res.sequence == replay(g, ()) and res.nodes_explored == 0
+        assert res.sequence == replay(g, (), "any-degree") and res.nodes_explored == 0
         cert = res.certificate
         assert cert.lower == LowerBound("p+delta", 2 * n - 1) and cert.upper == 2 * n - 1
         assert cert.witness == Numbering(tuple(range(1, n + 1)))
-        assert cert.notes == (f"min-degree sequence: (0K1+K{n}, z1=0)",)
+        assert cert.notes == (f"any-degree sequence: (0K1+K{n}, z1=0)",)
         assert verify_certificate(g, cert).status == "exact"
     # K2 is a forest and K3 a cycle: the closed forms come first
     cert = certify(complete(2)).certificate
@@ -156,7 +156,7 @@ def test_worked_example_exhaustion_and_any_degree_recovery():
     res = find_delta_sequence(g, "min-degree")
     assert res.status == "exhausted"
 
-    res = find_delta_sequence(g, "any-degree", root_degree=g.min_degree())
+    res = find_delta_sequence(g, "any-degree")
     assert res.status == "found"
     seq = res.sequence
     assert seq.d1 == 2 and seq.prefix_sums == (1, 0, 0)
@@ -172,7 +172,7 @@ def test_budget_is_distinct_from_exhaustion():
 
 
 def test_best_z_on_q4():
-    seq, nodes, complete_search = best_z_sequence(hypercube(4), root_degree=4)
+    seq, nodes, complete_search = best_z_sequence(hypercube(4))
     assert complete_search and seq is not None
     assert seq.min_prefix == -1
     assert not seq.satisfies_condition
@@ -218,7 +218,7 @@ def test_forest_rejects_non_forests():
 
 def test_compose_certifies_q4_plus_biclique():
     q4 = hypercube(4)
-    h_seq, _, complete_search = best_z_sequence(q4, root_degree=4)
+    h_seq, _, complete_search = best_z_sequence(q4)
     assert complete_search
     t = complete_bipartite(4, 5)
     t_res = find_delta_sequence(t)
@@ -232,7 +232,7 @@ def test_compose_certifies_q4_plus_biclique():
 
 def test_compose_refuses_insufficient_reserve():
     q4 = hypercube(4)
-    h_seq, _, _ = best_z_sequence(q4, root_degree=4)
+    h_seq, _, _ = best_z_sequence(q4)
     t = complete_bipartite(4, 4)
     t_res = find_delta_sequence(t)
     with pytest.raises(ValueError) as err:
@@ -241,17 +241,17 @@ def test_compose_refuses_insufficient_reserve():
 
 
 def test_embed_minimal_routes():
-    # a complete graph is the min-degree engine's sequence of no choices
+    # a complete graph is the search's sequence of no choices
     res = embed_minimal(complete(6))
     assert (res.status, res.added_biclique, res.nodes_explored) == ("exact", None, 0)
     assert res.certificate.value == 11
 
-    # a min-degree reducible graph stays itself
+    # a graph with a nonnegative sequence stays itself
     res = embed_minimal(cycle(6))
     assert res.status == "exact" and res.host == cycle(6)
     assert res.added_biclique is None
 
-    # the worked example needs the any-degree engine but no biclique
+    # the worked example needs an any-degree choice but no biclique
     fx = load_fixture("example22")
     res = embed_minimal(fx.graph)
     assert res.status == "exact" and res.added_biclique is None
@@ -262,8 +262,7 @@ def test_embed_minimal_routes():
     assert res.status == "exact" and res.added_biclique == (4, 5)
     assert res.host.n == 25 and res.certificate.value == 29
 
-    # each search gets the full budget: min-degree runs out, and best-Z
-    # still reaches the Z = -1 sequence that sizes the host
+    # best-Z reaches the Z = -1 sequence that sizes the host in 5 nodes
     res = embed_minimal(hypercube(4), budget=5)
     assert res.status == "exact" and res.added_biclique == (4, 5)
     assert verify_certificate(res.host, res.certificate).status == "exact"
@@ -272,8 +271,7 @@ def test_embed_minimal_routes():
     res = embed_minimal(hypercube(4), budget=3)
     assert res.status == "inconclusive" and res.certificate is None
 
-    # min-degree runs out after 5 of its 6 nodes, and best-Z still reaches
-    # its first Z >= 0 sequence in 5 nodes
+    # best-Z reaches its first Z >= 0 sequence in 5 nodes
     res = embed_minimal(fx.graph, budget=5)
     assert res.status == "exact" and res.added_biclique is None
 
@@ -286,9 +284,9 @@ def test_certify_routes():
     assert res.certificate.witness.labels[5:] == (6, 7)
 
     # closed forms come first; embed_minimal skips them and certifies C6
-    # by its min-degree sequence
+    # by the search's sequence
     assert certify(cycle(6)).certificate.notes[0].startswith("cycles")
-    assert embed_minimal(cycle(6)).certificate.notes[0].startswith("min-degree")
+    assert embed_minimal(cycle(6)).certificate.notes[0].startswith("any-degree")
     assert certify(hypercube(6)).status == "bracket"
 
     # Petersen resists the engines; embed certifies it inside a host
@@ -313,8 +311,8 @@ def test_certify_embed_host_keeps_isolated_vertices():
 
 def test_any_degree_embed_runs_each_engine_once(monkeypatch):
     # one best-Z search with the full budget answers both "does h certify
-    # itself" and "how large a host"; only the min-degree engine runs before
-    # it, and the biclique's sequence is built, not searched
+    # itself" and "how large a host"; no find runs, and the biclique's
+    # sequence is built, not searched
     finds, best_z_budgets = [], []
     find, best_z = deltaseq.find_delta_sequence, deltaseq.best_z_sequence
 
@@ -331,26 +329,26 @@ def test_any_degree_embed_runs_each_engine_once(monkeypatch):
     res = certify(petersen(), budget=10**6, embed=True)
     assert res.added_biclique == (3, 4) and res.certificate.value == 20
     assert best_z_budgets == [10**6]
-    assert finds == [(10, "min-degree")]
+    assert finds == []
 
 
 @pytest.mark.parametrize("embed, searches", [
-    (False, [("min-degree", None), ("any-degree", 3)]),
-    (True, [("min-degree", None), ("best-Z", 3)]),
+    (False, [("any-degree",)]),
+    (True, [("best-Z",)]),
 ])
 def test_certify_runs_one_sequence_stage(monkeypatch, embed, searches):
-    # Petersen resists every engine, so the stage runs both of its searches,
-    # each on the input itself with the full budget
+    # Petersen resists every engine; the stage still runs one search, on
+    # the input itself with the full budget
     calls = []
     find, best_z = deltaseq.find_delta_sequence, deltaseq.best_z_sequence
 
-    def recording_find(h, engine, budget, root_degree=None):
-        calls.append((h.n, budget, engine, root_degree))
-        return find(h, engine, budget, root_degree)
+    def recording_find(h, engine, budget):
+        calls.append((h.n, budget, engine))
+        return find(h, engine, budget)
 
-    def recording_best_z(h, budget, root_degree=None):
-        calls.append((h.n, budget, "best-Z", root_degree))
-        return best_z(h, budget, root_degree)
+    def recording_best_z(h, budget):
+        calls.append((h.n, budget, "best-Z"))
+        return best_z(h, budget)
 
     monkeypatch.setattr(deltaseq, "find_delta_sequence", recording_find)
     monkeypatch.setattr(deltaseq, "best_z_sequence", recording_best_z)
@@ -362,15 +360,16 @@ def test_certify_runs_one_sequence_stage(monkeypatch, embed, searches):
 
 @pytest.mark.parametrize("embed", [False, True])
 def test_any_degree_certify_gives_the_worked_example_numbering(embed):
-    fx = load_fixture("example22")
-    res = certify(fx.graph, embed=embed)
-    assert res.added_biclique is None and res.host == fx.graph
-    assert res.certificate.notes[0].startswith("any-degree sequence")
-    assert res.certificate.value == 17 and res.certificate.witness == fx.numbering
+    for name, value in (("example21", 14), ("example22", 17)):
+        fx = load_fixture(name)
+        res = certify(fx.graph, embed=embed)
+        assert res.added_biclique is None and res.host == fx.graph
+        assert res.certificate.notes[0].startswith("any-degree sequence")
+        assert res.certificate.value == value and res.certificate.witness == fx.numbering
 
 
 @pytest.mark.parametrize("name, embed, replays", [
-    ("example21", False, 1),  # its min-degree sequence
+    ("example21", False, 1),  # the search's sequence
     ("q4", True, 3),  # best-Z, the biclique's sequence, the spliced sequence
 ])
 def test_certify_replays_each_sequence_once(monkeypatch, name, embed, replays):
@@ -413,3 +412,29 @@ def test_converse_holds_on_every_atlas_graph():
         counts["p+delta"] += at_p_delta
         counts["zero nodes"] += found and search.nodes_explored == 0
     assert counts == {"sequence": 601, "p+delta": 601, "zero nodes": 6}
+
+
+def test_a_min_degree_sequence_is_what_the_any_degree_searches_return():
+    # certify runs no min-degree search, which rests on this: whenever one
+    # finds a sequence, the any-degree find and best-Z return its choices.
+    # Their trees hold it and try minimum-degree candidates first at every
+    # stage, but they also try higher degrees below a min-degree dead end
+    # before they backtrack, so this is evidence on these graphs, not a
+    # theorem
+    rng = random.Random(32)
+    graphs = [Graph(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()]
+    graphs += [random_graph(rng, rng.randint(6, 18), rng.choice((0.2, 0.3, 0.5)))
+               for _ in range(2000)]
+    found = 0
+    for g in graphs:
+        core, _ = g.core()
+        if core.n == 0:
+            continue
+        res = find_delta_sequence(core, "min-degree")
+        if res.status != "found":
+            continue
+        found += 1
+        choices = res.sequence.choices()
+        assert find_delta_sequence(core, "any-degree").sequence.choices() == choices, g
+        assert best_z_sequence(core)[0].choices() == choices, g
+    assert found == 1559

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from graphstrength import deltaseq
 from graphstrength.deltaseq import MODES, best_z_sequence, certify, find_delta_sequence, replay
+from graphstrength.graphio import parse_graph6
 from graphstrength.graphs import Graph
 
 from conftest import random_graph, reference_search, small_graphs, to_graph
@@ -39,41 +40,35 @@ def _core(g: Graph) -> Graph | None:
     return core if core.n else None
 
 
-def _root(g: Graph, root: str) -> int | None:
-    return {"none": None, "delta": g.min_degree(), "delta+1": g.min_degree() + 1}[root]
-
-
 @settings(max_examples=400, deadline=None)
 @given(
     small_graphs(max_n=10),
     st.sampled_from(MODES),
-    st.sampled_from(("none", "delta", "delta+1")),
     st.sampled_from(sorted(FLOORS)),
     st.one_of(st.integers(0, 40), st.just(10**6)),
 )
-def test_search_matches_the_reference(g, mode, root, kind, budget):
-    _check_against_the_reference(g, mode, root, kind, budget)
+def test_search_matches_the_reference(g, mode, kind, budget):
+    _check_against_the_reference(g, mode, kind, budget)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     small_graphs(max_n=10),
     st.sampled_from(MODES),
-    st.sampled_from(("none", "delta", "delta+1")),
     st.sampled_from(sorted(FLOORS)),
     st.one_of(st.integers(0, 40), st.just(10**6)),
     st.sampled_from((0, 1, 8)),
 )
-def test_capped_table_matches_the_reference(g, mode, root, kind, budget, cap):
+def test_capped_table_matches_the_reference(g, mode, kind, budget, cap):
     # a mask the full table leaves out only costs nodes the table would save
     with mock.patch.object(deltaseq, "BOUND_TABLE_CAP", cap):
-        _check_against_the_reference(g, mode, root, kind, budget)
+        _check_against_the_reference(g, mode, kind, budget)
 
 
-def _check_against_the_reference(g, mode, root, kind, budget):
+def _check_against_the_reference(g, mode, kind, budget):
     g = _core(g)
     assume(g is not None)
-    args = (mode, budget, _root(g, root), FLOORS[kind])
+    args = (mode, budget, FLOORS[kind])
     ref = ref_choices, ref_nodes, ref_complete = reference_search(g, *args)
     choices, nodes, complete = deltaseq._search(g, *args)
     if deltaseq.BOUND_TABLE_CAP == 0:
@@ -83,7 +78,7 @@ def _check_against_the_reference(g, mode, root, kind, budget):
         assert complete and choices == ref_choices
     if complete and not ref_complete:
         # an answer the reference only reaches with more budget
-        unlimited = (mode, 10**6, _root(g, root), FLOORS[kind])
+        unlimited = (mode, 10**6, FLOORS[kind])
         assert choices == reference_search(g, *unlimited)[0]
 
 
@@ -110,28 +105,43 @@ def test_search_matches_the_reference_on_sparse_regular_graphs(monkeypatch, cap)
                 _check_complete_searches(to_graph(nx.random_regular_graph(d, n, seed=seed)))
 
 
+# three cores of G(n, p) draws on which a completed search meets a mask
+# again at a running total one above the one its bound was stored at, and
+# the subtree there beats the incumbent by exactly one: a bound one too
+# tight cuts that improvement.  Only these three of 6,000 draws from
+# random.Random(1) (random_graph with n in 15..20, p in 0.15, 0.2, 0.25)
+# did so.
+ONE_ABOVE_THE_BOUND = (
+    "R?@H?_AAC?dIHO_@B?KWGGPgAO_oOG",
+    "P?_AAcOGTgC_og[GaK?c?_GG",
+    "S??P_UA?_AO???BIG@??CG@?_G_g`??bo",
+)
+
+
 def _check_larger_random_graphs():
     rng = random.Random(11)
     for _ in range(300):
         g = _core(random_graph(rng, rng.randint(9, 13), rng.choice((0.3, 0.4, 0.5))))
         if g is not None:
             _check_complete_searches(g)
+    for g6 in ONE_ABOVE_THE_BOUND:
+        _check_complete_searches(parse_graph6(g6))
 
 
 def _check_complete_searches(g):
     for mode in MODES:
-        for root_degree in (None, g.min_degree()):
-            for floor in FLOORS.values():
-                args = (mode, 10**6, root_degree, floor)
-                ref = ref_choices, ref_nodes, _ = reference_search(g, *args)
-                choices, nodes, complete = deltaseq._search(g, *args)
-                assert complete and choices == ref_choices and nodes <= ref_nodes
-                if deltaseq.BOUND_TABLE_CAP == 0:
-                    assert (choices, nodes, complete) == ref
+        for floor in FLOORS.values():
+            args = (mode, 10**6, floor)
+            ref = ref_choices, ref_nodes, _ = reference_search(g, *args)
+            choices, nodes, complete = deltaseq._search(g, *args)
+            assert complete and choices == ref_choices and nodes <= ref_nodes
+            if deltaseq.BOUND_TABLE_CAP == 0:
+                assert (choices, nodes, complete) == ref
 
 
-def brute_best_worst_prefix(g: Graph, mode: str, root_degree: int | None) -> float:
-    """Largest worst prefix sum over every legal sequence; -inf if none.
+def brute_best_worst_prefix(g: Graph, mode: str) -> float:
+    """Largest worst prefix sum over every legal sequence whose first choice
+    has minimum degree; -inf if none.
 
     Plain recursion over vertex sets built from the edge list, trying every
     legal choice at every stage; nothing of the library's search is used.
@@ -151,9 +161,7 @@ def brute_best_worst_prefix(g: Graph, mode: str, root_degree: int | None) -> flo
             return min(worst, z + len(iso) + 1 - max(len(rest) - 1, 0))
         best = -inf
         for v, d in degree.items():
-            if mode == "min-degree" and d != min(degree.values()):
-                continue
-            if stage == 1 and root_degree is not None and d != root_degree:
+            if (mode == "min-degree" or stage == 1) and d != min(degree.values()):
                 continue
             nxt = rest - nbrs[v] - {v}
             if not nxt:
@@ -171,26 +179,23 @@ def test_search_finds_the_brute_force_optimum(g):
     g = _core(g)
     assume(g is not None)
     for mode in MODES:
-        for root in ("none", "delta", "delta+1"):
-            root_degree = _root(g, root)
-            brute = brute_best_worst_prefix(g, mode, root_degree)
-            # the search stops at its first sequence with worst prefix >= 0
-            choices, _, complete = deltaseq._search(g, mode, 10**6, root_degree, -inf)
-            assert complete
-            if choices is None:
-                assert brute == -inf
-            else:
-                seq = replay(g, choices, mode)
-                assert min(seq.min_prefix, 0) == min(brute, 0)
-                # the root restricts the first chosen vertex, and a
-                # complete graph's sequence chooses none
-                assert root_degree is None or not choices or seq.d1 == root_degree
-            found = find_delta_sequence(g, mode, 10**6, root_degree).status == "found"
-            assert found == (brute >= 0)
+        brute = brute_best_worst_prefix(g, mode)
+        # the search stops at its first sequence with worst prefix >= 0
+        choices, _, complete = deltaseq._search(g, mode, 10**6, -inf)
+        assert complete
+        if choices is None:
+            assert brute == -inf
+        else:
+            seq = replay(g, choices, mode)
+            assert min(seq.min_prefix, 0) == min(brute, 0)
+            # the first choice has minimum degree; a complete graph's
+            # sequence chooses none, and its d_1 is its degree too
+            assert seq.d1 == g.min_degree()
+        found = find_delta_sequence(g, mode, 10**6).status == "found"
+        assert found == (brute >= 0)
     # best-Z stops at its first sequence with Z >= 0
-    delta = g.min_degree()
-    seq = best_z_sequence(g, 10**6, delta)[0]
-    assert min(seq.min_prefix, 0) == min(brute_best_worst_prefix(g, "any-degree", delta), 0)
+    seq = best_z_sequence(g, 10**6)[0]
+    assert min(seq.min_prefix, 0) == min(brute_best_worst_prefix(g, "any-degree"), 0)
 
 
 def test_certify_embed_matches_the_reference_search(monkeypatch):
@@ -218,7 +223,7 @@ def test_search_frees_its_table_on_return():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _, nodes, complete = best_z_sequence(torus, 2000, root_degree=4)
+        _, nodes, complete = best_z_sequence(torus, 2000)
         kept, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
@@ -235,7 +240,7 @@ def test_table_cap_bounds_its_memory(monkeypatch):
         monkeypatch.setattr(deltaseq, "BOUND_TABLE_CAP", cap)
         tracemalloc.start()
         try:
-            _, nodes, complete = best_z_sequence(torus, 4000, root_degree=4)
+            _, nodes, complete = best_z_sequence(torus, 4000)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

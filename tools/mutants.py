@@ -129,6 +129,10 @@ MUTANTS = (
            "base += cend - v - 1\n",
            "base += cend - v - 2\n",
            ("test_xi_scan.py",)),
+    Mutant("xi-profile-searches-unequal-balls", "bounds.py",
+           "len({row.bit_count() for row in table[0]}) == 1 and is_vertex_transitive(g)",
+           "is_vertex_transitive(g)",
+           ("test_bounds.py",)),
     Mutant("plesnik-branch-at-diameter-three", "bounds.py",
            "all(row == full for row in table[0])",
            "any(row == full for row in table[0])",
@@ -181,6 +185,10 @@ MUTANTS = (
     Mutant("sequence-bound-table-one-low", "deltaseq.py",
            "bound[nxt] = best - nz\n",
            "bound[nxt] = best - nz - 1\n",
+           ("test_sequence_search.py",)),
+    Mutant("sequence-stage-one-admits-delta-plus-one", "deltaseq.py",
+           "dmin + 1 if min_degree or stage == 1 else len(levels)",
+           "dmin + 1 if min_degree else min(dmin + 2, len(levels)) if stage == 1 else len(levels)",
            ("test_sequence_search.py",)),
     Mutant("sequence-clique-not-found", "deltaseq.py",
            "return (), 0, True  # one clique",
