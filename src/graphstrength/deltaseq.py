@@ -21,15 +21,16 @@ min-degree sequence.
 
 Searches here are deterministic: candidates are tried by (degree, id)
 ascending, budgets count choice applications, and "exhausted" is reported
-only when the whole pruned tree was actually explored within budget.  Both
-searches run one DFS, ``_search``, whose nodes carry one vertex mask per
-residual degree: a child recounts only the vertices next to the deleted
-neighbourhood, the only ones whose degree changes.  It keeps, for one call,
-a table of proven bounds keyed by the set of vertices that remain; a subtree
-the table rules out holds no strict improvement on the incumbent, so the
-table only saves nodes and never changes what a completed search returns.
-It stops taking new sets at ``BOUND_TABLE_CAP`` entries, which bounds its
-memory.
+only when the whole pruned tree was actually explored within budget.  Every
+walk (``_search``, ``replay``, the forest route) reads the same degree
+levels, one vertex mask per residual degree, and steps with
+``_next_levels``, which recounts only the vertices next to the deleted
+neighbourhood, so a walk costs the vertices each stage touches.  Both
+searches run one DFS, ``_search``.  It keeps, for one call, a table of
+proven bounds keyed by the set of vertices that remain; a subtree the table
+rules out holds no strict improvement on the incumbent, so the table only
+saves nodes and never changes what a completed search returns.  It stops
+taking new sets at ``BOUND_TABLE_CAP`` entries, which bounds its memory.
 
 ``certify`` is the one labeling pipeline: closed forms, then one
 any-degree search (best-Z with ``embed``, which certifies the graph itself
@@ -135,29 +136,42 @@ class DeltaSequence:
         return " -> ".join(parts)
 
 
-def _stage(adj: list[int], mask: int) -> tuple[int, list[tuple[int, int]]]:
-    """One walk over a stage: (isolated vertices as a mask, the rest as
-    (residual degree, id) pairs sorted ascending).
-
-    An isolated vertex has no neighbour in ``mask``, so ``adj[v] & mask`` is
-    already v's degree in what remains once the isolated vertices are split
-    off.  The stage is terminal (empty, or one clique) exactly when the
-    lowest degree is r - 1, r the number of pairs; see ``_terminal``.
-    """
-    iso = 0
-    degrees = []
-    for v in _bits(mask):
-        d = (adj[v] & mask).bit_count()
-        if d:
-            degrees.append((d, v))
-        else:
-            iso |= 1 << v
-    degrees.sort()
-    return iso, degrees
+def _root_levels(g: Graph) -> list[int]:
+    """Stage 1's levels: one vertex mask per degree 0..max degree."""
+    levels = [0] * (g.max_degree() + 1)
+    for v in range(g.n):
+        levels[g.adj[v].bit_count()] |= 1 << v
+    return levels
 
 
-def _terminal(degrees: list[tuple[int, int]]) -> bool:
-    return not degrees or degrees[0][0] == len(degrees) - 1
+def _lowest_degree(levels: list[int], residual: int) -> int | None:
+    """The stage's lowest degree, or None when the stage is terminal: empty,
+    or one clique, as degrees stay below r = |residual|."""
+    d = 1
+    while residual and not levels[d]:
+        d += 1
+    return None if d >= residual.bit_count() - 1 else d
+
+
+def _next_levels(adj: list[int], levels: list[int], nv: int, nxt: int) -> tuple[list[int], int]:
+    """The next stage once N[v] is deleted, nv = N(v) in the stage and nxt
+    the survivors: its levels and its vertices that are not isolated.  Only
+    the survivors next to N(v) lose degree, so those drop out of the
+    stage's levels and are recounted once; level 0 is the new isolated
+    vertices."""
+    touched = 0
+    while nv:
+        u = nv & -nv
+        nv ^= u
+        touched |= adj[u.bit_length() - 1]
+    touched &= nxt
+    keep = nxt & ~touched
+    child = [lv & keep for lv in levels]
+    while touched:
+        u = touched & -touched
+        touched ^= u
+        child[(adj[u.bit_length() - 1] & nxt).bit_count()] |= u
+    return child, nxt & ~child[0]
 
 
 def replay(g: Graph, choices: tuple[int, ...] | list[int], mode: str = "min-degree") -> DeltaSequence:
@@ -165,9 +179,11 @@ def replay(g: Graph, choices: tuple[int, ...] | list[int], mode: str = "min-degr
 
     This is the single source of truth for stage bookkeeping: searches,
     hand-written choice lists, and spliced sequences all come through here.
-    Raises ValueError when a choice is illegal for the mode, when the walk
-    ends somewhere that is not a terminal stage, or when a choice would
-    delete the entire remaining graph.
+    It reads the degree levels every walk shares: level 0 holds m_i and the
+    isolated vertices, d_min is the lowest nonempty level.  Raises
+    ValueError when a choice is illegal for the mode, when the walk ends
+    somewhere that is not a terminal stage, or when a choice would delete
+    the entire remaining graph.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -176,31 +192,30 @@ def replay(g: Graph, choices: tuple[int, ...] | list[int], mode: str = "min-degr
     if not all(g.adj[v] for v in range(g.n)):
         raise ValueError("strip isolated vertices first (stage 1 must have none)")
     adj = g.adj
-    mask = g.full_mask
+    levels = _root_levels(g)
+    residual = g.full_mask
     steps: list[DeltaStep] = []
     z = 0
     for idx, u in enumerate(choices, start=1):
-        iso, degrees = _stage(adj, mask)
-        if _terminal(degrees):
+        dmin = _lowest_degree(levels, residual)
+        if dmin is None:
             raise ValueError(
                 f"stage {idx} is already terminal; {len(choices) - idx + 1} choices left over"
             )
-        residual = mask ^ iso
         if not residual >> u & 1:
             raise ValueError(f"choice {u} at stage {idx} is not in the remaining graph")
-        d = (adj[u] & residual).bit_count()
-        if mode == "min-degree":
-            dmin = degrees[0][0]
-            if d != dmin:
-                raise ValueError(
-                    f"choice {u} at stage {idx} has degree {d}, minimum is {dmin}"
-                )
-        nxt = residual & ~(adj[u] | 1 << u)
+        nv = adj[u] & residual
+        d = nv.bit_count()
+        if mode == "min-degree" and d != dmin:
+            raise ValueError(
+                f"choice {u} at stage {idx} has degree {d}, minimum is {dmin}"
+            )
+        nxt = residual & ~(nv | 1 << u)
         if not nxt:
             raise ValueError(
                 f"choice {u} at stage {idx} deletes the whole remaining graph"
             )
-        m = iso.bit_count()
+        m = levels[0].bit_count()
         y = 0 if idx == 1 else m + 1 - d
         z = z + y
         steps.append(
@@ -208,29 +223,26 @@ def replay(g: Graph, choices: tuple[int, ...] | list[int], mode: str = "min-degr
                 chosen=u,
                 d=d,
                 m=m,
-                isolated=tuple(_bits(iso)),
-                neighbors=tuple(_bits(adj[u] & residual)),
+                isolated=tuple(_bits(levels[0])),
+                neighbors=tuple(_bits(nv)),
                 y=y,
                 z=z,
             )
         )
-        mask = nxt
-    iso, degrees = _stage(adj, mask)
-    if not _terminal(degrees):
+        levels, residual = _next_levels(adj, levels, nv, nxt)
+    if _lowest_degree(levels, residual) is not None:
         raise ValueError(
             f"choices ran out at stage {len(choices) + 1}: remaining graph is not terminal"
         )
-    residual = mask ^ iso
-    m = iso.bit_count()
-    r = len(degrees)
-    d_term = max(r - 1, 0)
+    m = levels[0].bit_count()
+    d_term = max(residual.bit_count() - 1, 0)
     y = m + 1 - d_term
     if not choices:
         y, z = 0, 0  # the whole graph was terminal; nothing to balance
     else:
         z = z + y
     terminal = Terminal(
-        m=m, isolated=tuple(_bits(iso)), clique=tuple(_bits(residual)), y=y, z=z
+        m=m, isolated=tuple(_bits(levels[0])), clique=tuple(_bits(residual)), y=y, z=z
     )
     return DeltaSequence(p=g.n, mode=mode, steps=tuple(steps), terminal=terminal)
 
@@ -254,15 +266,13 @@ def _search(
     which starts at ``floor``; the search stops once the incumbent reaches
     0, as no caller needs more.  Returns (incumbent's choices or None,
     nodes explored, complete); complete is False when the budget ran out or
-    the search, one call deep per stage, reached the recursion limit.  A single clique is terminal already: its sequence
-    makes no choice and has Z = 0, found at no node.
+    the search, one call deep per stage, reached the recursion limit.  A
+    single clique is terminal already: its sequence makes no choice and has
+    Z = 0, found at no node.
 
-    A node holds ``levels``, one mask per residual degree 0..max degree
-    (level 0: the stage's isolated vertices), so the (degree, id) order is
-    the levels walked upward from the lowest nonempty one, ids ascending.
-    The root fills them in one walk.  Choosing v deletes N[v]; only the
-    survivors adjacent to N(v) lose degree, so a child drops those from
-    the parent's levels and recounts each of them once.
+    A node holds its stage's ``levels`` (level 0: the isolated vertices), so
+    the (degree, id) order is the levels walked upward from the lowest
+    nonempty one, ids ascending.
 
     From stage 2 on, what lies below a node depends only on its vertex set
     (the mask): the best worst-prefix a continuation can add to the running
@@ -287,9 +297,7 @@ def _search(
     if g.n == 0 or not all(g.adj[v] for v in range(g.n)):
         raise ValueError("strip isolated vertices first")
     adj = g.adj
-    root = [0] * (g.max_degree() + 1)
-    for v in range(g.n):
-        root[adj[v].bit_count()] |= 1 << v
+    root = _root_levels(g)
     if len(root) == g.n and root[-1] == g.full_mask:
         return (), 0, True  # one clique: terminal already, Z = 0
     min_degree = mode == "min-degree"
@@ -303,12 +311,9 @@ def _search(
         """Explore below this stage; True once the incumbent reaches 0."""
         nonlocal nodes, best, best_choices
         m = levels[0].bit_count()
-        r = residual.bit_count()
-        dmin = 1
-        while residual and not levels[dmin]:
-            dmin += 1
-        if dmin >= r - 1:  # empty, or one clique: degrees stay below r
-            final = min(worst, z + m + 1 - max(r - 1, 0))
+        dmin = _lowest_degree(levels, residual)
+        if dmin is None:
+            final = min(worst, z + m + 1 - max(residual.bit_count() - 1, 0))
             if final > best:
                 best, best_choices = final, tuple(choices)
             return best >= 0
@@ -333,21 +338,9 @@ def _search(
                 nodes += 1
                 if nodes > budget:
                     raise BudgetExhausted
-                # only the survivors next to N(v) lose degree; recount those
-                touched = 0
-                while nv:
-                    u = nv & -nv
-                    nv ^= u
-                    touched |= adj[u.bit_length() - 1]
-                touched &= nxt
-                keep = nxt & ~touched
-                child = [lv & keep for lv in levels]
-                while touched:
-                    u = touched & -touched
-                    touched ^= u
-                    child[(adj[u.bit_length() - 1] & nxt).bit_count()] |= u
+                child, below = _next_levels(adj, levels, nv, nxt)
                 choices.append(v)
-                if search(child, nxt & ~child[0], nz, nworst, stage + 1):
+                if search(child, below, nz, nworst, stage + 1):
                     return True
                 choices.pop()
                 if (nworst > best and best - nz < bound.get(nxt, inf)
@@ -455,28 +448,34 @@ def forest_delta_sequence(t: Graph) -> DeltaSequence:
     degree 1, so each choice has y_i = m_i + 1 - 1 = m_i >= 0, and a
     terminal stage holds at most a K_2, so its y is at least 0 too: every
     pendant peeling has nonnegative prefix sums, the strength is p + 1, and
-    the min-degree DFS never backtracks on a forest.  The rule here (a
-    pendant whose neighbor has degree at least 2 when one exists) only
-    fixes which sequence is returned, and stays so certificates do not change.
+    the min-degree DFS never backtracks on a forest.  The rule here (the
+    lowest pendant whose neighbor has degree at least 2, else the lowest
+    pendant) only fixes which sequence is returned, and stays so
+    certificates do not change.  ``pairs`` holds the pendants whose neighbor
+    is one too: K_2 components, which no choice touches until they are
+    picked.
     """
     if not t.is_forest():
         raise ValueError("not a forest")
     if t.n == 0 or not all(t.adj[v] for v in range(t.n)):
         raise ValueError("strip isolated vertices first")
+    adj = t.adj
     choices: list[int] = []
-    mask = t.full_mask
-    while True:
-        iso, degrees = _stage(t.adj, mask)
-        if _terminal(degrees):
-            break
-        residual = mask ^ iso
-        degree = {v: d for d, v in degrees}
-        # pendants come first, by id; a forest that is not terminal has one
-        pendants = [v for d, v in degrees if d == 1]
-        pick = next((v for v in pendants if degree[next(_bits(t.adj[v] & residual))] >= 2),
-                    pendants[0])
+    levels = _root_levels(t)
+    residual = t.full_mask
+    old = pairs = 0  # the last stage's pendants: none, so the input's K_2s seed pairs
+    while _lowest_degree(levels, residual) is not None:
+        pendants = levels[1]  # a forest that is not terminal has one
+        for w in _bits(pendants & ~old):
+            if adj[w] & pendants:
+                pairs |= 1 << w | adj[w] & pendants
+        old = pendants
+        rest = pendants & ~pairs or pendants
+        pick = (rest & -rest).bit_length() - 1
         choices.append(pick)
-        mask = residual & ~(t.adj[pick] | 1 << pick)
+        nv = adj[pick] & residual
+        nxt = residual & ~(nv | 1 << pick)
+        levels, residual = _next_levels(adj, levels, nv, nxt)
     seq = replay(t, choices, "min-degree")
     if not seq.satisfies_condition:
         raise AssertionError("forest peeling produced a negative prefix sum")

@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from graphstrength.deltaseq import MODES
+from graphstrength.deltaseq import MODES, DeltaSequence, DeltaStep, Terminal
 from graphstrength.graphs import Graph, _bits
 from graphstrength.labeling import BudgetExhausted, Numbering
 from graphstrength.oracle import DEFAULT_BUDGET, FeasibilityResult, automorphism_orbits
@@ -493,6 +493,151 @@ def reference_label_two_regular(g: Graph) -> Numbering:
         low += n_j + 1
         high += n_j
     return Numbering(tuple(labels))
+
+
+# -- the stage walk that sorted every remaining vertex (test-side reference) ---
+#
+# ``deltaseq``'s ``_stage``, ``_terminal``, ``replay`` and
+# ``forest_delta_sequence`` as they stood before every walk read the degree
+# levels ``_search`` keeps, copied unchanged apart from their names.  Each
+# stage here walks and sorts every remaining vertex.  The library must give
+# an equal ``DeltaSequence`` for the same choices, or the same ValueError,
+# and the same forest sequences.
+
+
+def reference_stage(adj: list[int], mask: int) -> tuple[int, list[tuple[int, int]]]:
+    """One walk over a stage: (isolated vertices as a mask, the rest as
+    (residual degree, id) pairs sorted ascending).
+
+    An isolated vertex has no neighbour in ``mask``, so ``adj[v] & mask`` is
+    already v's degree in what remains once the isolated vertices are split
+    off.  The stage is terminal (empty, or one clique) exactly when the
+    lowest degree is r - 1, r the number of pairs; see ``reference_terminal``.
+    """
+    iso = 0
+    degrees = []
+    for v in _bits(mask):
+        d = (adj[v] & mask).bit_count()
+        if d:
+            degrees.append((d, v))
+        else:
+            iso |= 1 << v
+    degrees.sort()
+    return iso, degrees
+
+
+def reference_terminal(degrees: list[tuple[int, int]]) -> bool:
+    return not degrees or degrees[0][0] == len(degrees) - 1
+
+
+def reference_replay(g: Graph, choices: tuple[int, ...] | list[int], mode: str = "min-degree") -> DeltaSequence:
+    """Rebuild and validate the full sequence a list of chosen vertices induces.
+
+    This is the single source of truth for stage bookkeeping: searches,
+    hand-written choice lists, and spliced sequences all come through here.
+    Raises ValueError when a choice is illegal for the mode, when the walk
+    ends somewhere that is not a terminal stage, or when a choice would
+    delete the entire remaining graph.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    if g.n == 0:
+        raise ValueError("empty graph has no reduction sequence")
+    if not all(g.adj[v] for v in range(g.n)):
+        raise ValueError("strip isolated vertices first (stage 1 must have none)")
+    adj = g.adj
+    mask = g.full_mask
+    steps: list[DeltaStep] = []
+    z = 0
+    for idx, u in enumerate(choices, start=1):
+        iso, degrees = reference_stage(adj, mask)
+        if reference_terminal(degrees):
+            raise ValueError(
+                f"stage {idx} is already terminal; {len(choices) - idx + 1} choices left over"
+            )
+        residual = mask ^ iso
+        if not residual >> u & 1:
+            raise ValueError(f"choice {u} at stage {idx} is not in the remaining graph")
+        d = (adj[u] & residual).bit_count()
+        if mode == "min-degree":
+            dmin = degrees[0][0]
+            if d != dmin:
+                raise ValueError(
+                    f"choice {u} at stage {idx} has degree {d}, minimum is {dmin}"
+                )
+        nxt = residual & ~(adj[u] | 1 << u)
+        if not nxt:
+            raise ValueError(
+                f"choice {u} at stage {idx} deletes the whole remaining graph"
+            )
+        m = iso.bit_count()
+        y = 0 if idx == 1 else m + 1 - d
+        z = z + y
+        steps.append(
+            DeltaStep(
+                chosen=u,
+                d=d,
+                m=m,
+                isolated=tuple(_bits(iso)),
+                neighbors=tuple(_bits(adj[u] & residual)),
+                y=y,
+                z=z,
+            )
+        )
+        mask = nxt
+    iso, degrees = reference_stage(adj, mask)
+    if not reference_terminal(degrees):
+        raise ValueError(
+            f"choices ran out at stage {len(choices) + 1}: remaining graph is not terminal"
+        )
+    residual = mask ^ iso
+    m = iso.bit_count()
+    r = len(degrees)
+    d_term = max(r - 1, 0)
+    y = m + 1 - d_term
+    if not choices:
+        y, z = 0, 0  # the whole graph was terminal; nothing to balance
+    else:
+        z = z + y
+    terminal = Terminal(
+        m=m, isolated=tuple(_bits(iso)), clique=tuple(_bits(residual)), y=y, z=z
+    )
+    return DeltaSequence(p=g.n, mode=mode, steps=tuple(steps), terminal=terminal)
+
+
+def reference_forest_delta_sequence(t: Graph) -> DeltaSequence:
+    """Minimum-degree sequence of a forest with every prefix sum nonnegative.
+
+    With no isolated vertex, every stage that is not terminal has minimum
+    degree 1, so each choice has y_i = m_i + 1 - 1 = m_i >= 0, and a
+    terminal stage holds at most a K_2, so its y is at least 0 too: every
+    pendant peeling has nonnegative prefix sums, the strength is p + 1, and
+    the min-degree DFS never backtracks on a forest.  The rule here (a
+    pendant whose neighbor has degree at least 2 when one exists) only
+    fixes which sequence is returned, and stays so certificates do not change.
+    """
+    if not t.is_forest():
+        raise ValueError("not a forest")
+    if t.n == 0 or not all(t.adj[v] for v in range(t.n)):
+        raise ValueError("strip isolated vertices first")
+    choices: list[int] = []
+    mask = t.full_mask
+    while True:
+        iso, degrees = reference_stage(t.adj, mask)
+        if reference_terminal(degrees):
+            break
+        residual = mask ^ iso
+        degree = {v: d for d, v in degrees}
+        # pendants come first, by id; a forest that is not terminal has one
+        pendants = [v for d, v in degrees if d == 1]
+        pick = next((v for v in pendants if degree[next(_bits(t.adj[v] & residual))] >= 2),
+                    pendants[0])
+        choices.append(pick)
+        mask = residual & ~(t.adj[pick] | 1 << pick)
+    seq = reference_replay(t, choices, "min-degree")
+    if not seq.satisfies_condition:
+        raise AssertionError("forest peeling produced a negative prefix sum")
+    return seq
 
 
 @pytest.fixture(scope="session")

@@ -4,10 +4,13 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphstrength import deltaseq
 from graphstrength.constructions import load_fixture
 from graphstrength.deltaseq import (
+    MODES,
     best_z_sequence,
     certify,
     compose_h_plus_t,
@@ -30,7 +33,16 @@ from graphstrength.graphs import (
 from graphstrength.labeling import LowerBound, Numbering, strength_of, verify_certificate
 from graphstrength.oracle import exact_strength
 
-from conftest import petersen, random_forest, random_graph
+from conftest import (
+    petersen,
+    random_forest,
+    random_graph,
+    reference_forest_delta_sequence,
+    reference_replay,
+    reference_stage,
+    reference_terminal,
+    small_graphs,
+)
 
 
 def test_replay_reproduces_recorded_trace():
@@ -42,6 +54,41 @@ def test_replay_reproduces_recorded_trace():
     assert seq.render() == (
         "(d1=2) -> (m2=1, d2=2, z2=0) -> (m3=1, d3=1, z3=1) -> (0K1+K2, z4=1)"
     )
+
+
+def _replay_outcome(replay_fn, g: Graph, choices: list[int], mode: str):
+    try:
+        return replay_fn(g, choices, mode)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs().filter(lambda g: all(g.adj)), st.sampled_from(MODES), st.data())
+def test_replay_matches_the_sorting_walk(g, mode, data):
+    # choices drawn stage by stage: mostly legal for the mode, sometimes any
+    # id (illegal ones included), sometimes one past the terminal stage or
+    # a stop short of it; the levels walk must give an equal sequence or
+    # the same error as the walk that sorts every remaining vertex
+    choices: list[int] = []
+    mask = g.full_mask
+    while True:
+        iso, degrees = reference_stage(g.adj, mask)
+        if reference_terminal(degrees) or data.draw(st.integers(0, 9)) == 0:
+            if data.draw(st.booleans()):
+                choices.append(data.draw(st.integers(0, g.n)))
+            break
+        legal = [v for d, v in degrees if mode == "any-degree" or d == degrees[0][0]]
+        if data.draw(st.integers(0, 5)) == 0:
+            choices.append(data.draw(st.integers(0, g.n)))
+        else:
+            choices.append(data.draw(st.sampled_from(legal)))
+        u = choices[-1]
+        if u not in legal:
+            break
+        mask = (mask ^ iso) & ~(g.adj[u] | 1 << u)
+    assert (_replay_outcome(replay, g, choices, mode)
+            == _replay_outcome(reference_replay, g, choices, mode))
 
 
 def test_replay_rejects_illegal_choices():
@@ -207,6 +254,20 @@ def test_the_min_degree_search_never_backtracks_on_a_forest():
         t = Graph(t.n, [(ids[u], ids[v]) for u, v in t.edges()])
         res = find_delta_sequence(t)
         assert res.status == "found" and res.nodes_explored == len(res.sequence.steps)
+
+
+def test_forest_sequences_match_the_sorting_walk():
+    # K_2 components, in the input and left by earlier picks, are picked
+    # last; ids are shuffled so they fall anywhere in the order
+    rng = random.Random(41)
+    for _ in range(400):
+        pairs = rng.randint(0, 3)
+        t = random_forest(rng, rng.randint(2, 60 - 2 * pairs))
+        t = disjoint_union(t, Graph(2 * pairs, [(2 * i, 2 * i + 1) for i in range(pairs)]))
+        ids = list(range(t.n))
+        rng.shuffle(ids)
+        t = Graph(t.n, [(ids[u], ids[v]) for u, v in t.edges()])
+        assert forest_delta_sequence(t) == reference_forest_delta_sequence(t)
 
 
 def test_forest_rejects_non_forests():

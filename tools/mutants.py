@@ -198,6 +198,14 @@ MUTANTS = (
            "[*step.isolated[::-1], step.chosen]",
            "[*step.isolated, step.chosen]",
            ("test_deltaseq.py",)),
+    Mutant("next-levels-recounts-against-the-untouched", "deltaseq.py",
+           "child[(adj[u.bit_length() - 1] & nxt).bit_count()] |= u",
+           "child[(adj[u.bit_length() - 1] & keep).bit_count()] |= u",
+           ("test_deltaseq.py",)),
+    Mutant("forest-pairs-not-seeded-from-the-input", "deltaseq.py",
+           "    old = pairs = 0  #",
+           "    old, pairs = levels[1], 0  #",
+           ("test_deltaseq.py",)),
     Mutant("two-regular-odd-cycles-first", "constructions.py",
            "key=lambda c: (len(c) % 2, len(c), c[0])",
            "key=lambda c: (1 - len(c) % 2, len(c), c[0])",
